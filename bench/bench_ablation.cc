@@ -34,7 +34,7 @@ void run_policy(const AblationRow& row, int k, int n, int trials,
   int inconsistent = 0;
   bss::Rng rng(4242);
   for (int trial = 0; trial < trials; ++trial) {
-    const auto crashes = bss::sim::CrashPlan::random(n, 0.45, 12, rng);
+    const auto crashes = bss::sim::FaultPlan::random_crashes(n, 0.45, 12, rng);
     bss::sim::RandomScheduler scheduler(static_cast<std::uint64_t>(trial));
     bss::core::SimElectionOptions options;
     options.policy = row.policy;

@@ -89,7 +89,7 @@ void BM_SimElection_WithCrashes(benchmark::State& state) {
   std::uint64_t seed = 2026;
   for (auto _ : state) {
     bss::Rng rng(seed++);
-    const auto crashes = bss::sim::CrashPlan::random(n, 0.3, 20, rng);
+    const auto crashes = bss::sim::FaultPlan::random_crashes(n, 0.3, 20, rng);
     bss::sim::RandomScheduler scheduler(seed);
     const auto report = run_sim_election(k, n, scheduler, crashes);
     const auto verdict = bss::core::verify_election(report);

@@ -19,9 +19,8 @@
 // passivity contract) and reporting the relative cost of each layer.
 //
 // The steal-scaling section runs the skewed-writer workload — one long
-// writer against three short ones on a single register, the shape static
-// prefix-depth sharding load-balances worst — under both engines
-// (work-stealing and legacy static sharding) at 1/2/4/8 workers, checking
+// writer against three short ones on a single register, the shape a fixed
+// prefix-depth split load-balances worst — at 1/2/4/8 workers, checking
 // byte-identity against the serial baseline on the spot (EXPERIMENTS.md
 // carries the table).
 //
@@ -231,86 +230,36 @@ void print_scaling_json(const std::vector<ScaleRow>& rows, bool more) {
   }
 }
 
-// ------------------------------------------------ steal-vs-static scaling
+// ------------------------------------------------------ stealing scaling
 
-/// One (engine, workers) cell of the skewed-workload scaling table.
-struct StealScaleRow {
-  std::string engine;  ///< "steal" or "static"
-  int jobs = 1;
-  double seconds = 0;
-  std::uint64_t schedules = 0;
-  bool identical = true;  ///< vs the serial baseline
-};
-
-/// The skewed-writer workload under both engines at 1/2/4/8 workers: POR
-/// prunes nothing (every operation pair conflicts) and process 0's subtrees
-/// dwarf the others', so static prefix-depth sharding yields wildly unequal
-/// jobs while the stealing engine re-balances on the fly.  Byte-identity
+/// The skewed-writer workload at 1/2/4/8 workers: POR prunes nothing (every
+/// operation pair conflicts) and process 0's subtrees dwarf the others', so
+/// only on-the-fly rebalancing keeps the workers busy.  Byte-identity
 /// against the serial baseline is checked for every cell.
-std::vector<StealScaleRow> run_steal_scaling() {
+std::vector<ScaleRow> run_steal_scaling() {
   bss::explore::SkewedWriterSystem system(4, 6, 1);
   ExploreOptions serial;
   serial.jobs = 1;
   const ExploreResult baseline = bss::explore::explore(system, serial);
 
-  std::vector<StealScaleRow> rows;
-  for (const bool steal : {true, false}) {
-    for (const int jobs : {1, 2, 4, 8}) {
-      StealScaleRow row;
-      row.engine = steal ? "steal" : "static";
-      row.jobs = jobs;
-      ExploreOptions options;
-      options.steal = steal;
-      options.jobs = jobs;
-      const auto start = std::chrono::steady_clock::now();
-      const ExploreResult result = bss::explore::explore(system, options);
-      row.seconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-      row.schedules = result.stats.schedules;
-      row.identical = results_match(result, baseline) &&
-                      result.summary() == baseline.summary();
-      rows.push_back(std::move(row));
-    }
+  std::vector<ScaleRow> rows;
+  for (const int jobs : {1, 2, 4, 8}) {
+    ScaleRow row;
+    row.label = "skewed-writers";
+    row.jobs = jobs;
+    ExploreOptions options;
+    options.jobs = jobs;
+    const auto start = std::chrono::steady_clock::now();
+    const ExploreResult result = bss::explore::explore(system, options);
+    row.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    row.schedules = result.stats.schedules;
+    row.identical = results_match(result, baseline) &&
+                    result.summary() == baseline.summary();
+    rows.push_back(std::move(row));
   }
   return rows;
-}
-
-void print_steal_scaling_table(const std::vector<StealScaleRow>& rows) {
-  std::printf("\n%-24s %7s %5s %9s %10s %8s %s\n", "workload", "engine",
-              "jobs", "schedules", "sched/s", "speedup", "identical");
-  const double base_rate =
-      rows[0].seconds > 0
-          ? static_cast<double>(rows[0].schedules) / rows[0].seconds
-          : 0;
-  for (const StealScaleRow& row : rows) {
-    const double rate =
-        row.seconds > 0 ? static_cast<double>(row.schedules) / row.seconds
-                        : 0;
-    std::printf("%-24s %7s %5d %9llu %10.0f %7.2fx %s\n", "skewed-writers",
-                row.engine.c_str(), row.jobs,
-                static_cast<unsigned long long>(row.schedules), rate,
-                base_rate > 0 ? rate / base_rate : 0,
-                row.identical ? "yes" : "NO");
-  }
-}
-
-void print_steal_scaling_json(const std::vector<StealScaleRow>& rows,
-                              bool more) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const StealScaleRow& row = rows[i];
-    const double rate =
-        row.seconds > 0 ? static_cast<double>(row.schedules) / row.seconds
-                        : 0;
-    std::printf(
-        "  {\"workload\": \"skewed-writers\", \"engine\": \"%s\", "
-        "\"jobs\": %d, \"schedules\": %llu, \"schedules_per_sec\": %.0f, "
-        "\"identical\": %s}%s\n",
-        row.engine.c_str(), row.jobs,
-        static_cast<unsigned long long>(row.schedules), rate,
-        row.identical ? "true" : "false",
-        more || i + 1 < rows.size() ? "," : "");
-  }
 }
 
 // ---------------------------------------------- fingerprint-prune fast path
@@ -759,7 +708,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<ScaleRow> scaling = run_scaling(flags.jobs);
-  const std::vector<StealScaleRow> steal_scaling = run_steal_scaling();
+  const std::vector<ScaleRow> steal_scaling = run_steal_scaling();
   const std::vector<PruneRow> prune_rows = run_prune_scaling(flags.steal_depth);
   const bool prune_refutation_parity =
       run_prune_refutation_parity(flags.steal_depth);
@@ -770,7 +719,7 @@ int main(int argc, char** argv) {
     telemetry_passive &= row.identical;
   }
   bool steal_identical = true;
-  for (const StealScaleRow& row : steal_scaling) {
+  for (const ScaleRow& row : steal_scaling) {
     steal_identical &= row.identical;
   }
   // The fast-path gate: >= 2x schedules/second on at least one workload —
@@ -809,7 +758,10 @@ int main(int argc, char** argv) {
     object.emplace("seconds", bss::obs::json::Value(row.seconds));
     report.row(std::move(object));
   }
-  for (const ScaleRow& row : scaling) {
+  std::vector<ScaleRow> scale_rows = scaling;
+  scale_rows.insert(scale_rows.end(), steal_scaling.begin(),
+                    steal_scaling.end());
+  for (const ScaleRow& row : scale_rows) {
     bss::obs::json::Object object;
     object.emplace("workload", bss::obs::json::Value(row.label));
     object.emplace("jobs", bss::obs::json::Value(row.jobs));
@@ -817,17 +769,6 @@ int main(int argc, char** argv) {
     object.emplace(
         "violations",
         bss::obs::json::Value(static_cast<std::uint64_t>(row.violations)));
-    object.emplace("seconds", bss::obs::json::Value(row.seconds));
-    object.emplace("identical", bss::obs::json::Value(row.identical));
-    report.row(std::move(object));
-  }
-  for (const StealScaleRow& row : steal_scaling) {
-    bss::obs::json::Object object;
-    object.emplace("workload",
-                   bss::obs::json::Value(std::string("skewed-writers")));
-    object.emplace("engine", bss::obs::json::Value(row.engine));
-    object.emplace("jobs", bss::obs::json::Value(row.jobs));
-    object.emplace("schedules", bss::obs::json::Value(row.schedules));
     object.emplace("seconds", bss::obs::json::Value(row.seconds));
     object.emplace("identical", bss::obs::json::Value(row.identical));
     report.row(std::move(object));
@@ -866,9 +807,7 @@ int main(int argc, char** argv) {
   std::uint64_t total_schedules = 0;
   for (const Row& row : rows) total_schedules += row.result.stats.schedules;
   for (const ScaleRow& row : scaling) total_schedules += row.schedules;
-  for (const StealScaleRow& row : steal_scaling) {
-    total_schedules += row.schedules;
-  }
+  for (const ScaleRow& row : steal_scaling) total_schedules += row.schedules;
   for (const PruneRow& row : prune_rows) total_schedules += row.schedules;
   for (const OverheadRow& row : overhead) total_schedules += row.schedules;
   report.schedules(total_schedules);
@@ -879,7 +818,7 @@ int main(int argc, char** argv) {
     std::printf("[\n");
     print_json(rows, /*more=*/true);
     print_scaling_json(scaling, /*more=*/true);
-    print_steal_scaling_json(steal_scaling, /*more=*/true);
+    print_scaling_json(steal_scaling, /*more=*/true);
     print_prune_json(prune_rows, prune_refutation_parity, /*more=*/true);
     print_overhead_json(overhead, /*more=*/true);
     std::printf("  {\"workload\": \"artifact-replay\", \"jobs\": %d, "
@@ -897,7 +836,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rows[0].result.stats.schedules),
               static_cast<unsigned long long>(rows[1].result.stats.schedules));
   print_scaling_table(scaling);
-  print_steal_scaling_table(steal_scaling);
+  print_scaling_table(steal_scaling);
   print_prune_table(prune_rows, prune_refutation_parity);
   std::printf("  fast-path speedup (best cell vs prune-off serial): %.2fx%s\n",
               fastpath_speedup, fastpath_speedup >= 2.0 ? "" : " (BELOW 2x)");
@@ -911,8 +850,8 @@ int main(int argc, char** argv) {
                 "passivity violated)\n");
   }
   if (!steal_identical) {
-    std::printf("FATAL: steal/static engines diverged from the serial "
-                "baseline on the skewed workload\n");
+    std::printf("FATAL: the worker pool diverged from the serial baseline "
+                "on the skewed workload\n");
   }
   std::printf("  minimized artifact replay at --jobs %d: %llu divergences\n",
               flags.jobs, static_cast<unsigned long long>(divergences));

@@ -92,7 +92,7 @@ int main() {
               telemetry.timeline().spans().size(),
               sink_options.trace_path.c_str());
   std::printf("load it in https://ui.perfetto.dev — one track per worker,\n"
-              "plus the enumerate+merge coordinator track.\n");
+              "plus the merge coordinator track.\n");
 
   // --- passivity spot-check ----------------------------------------------
   bss::explore::ExploreOptions bare = options;

@@ -16,7 +16,7 @@ int single_register_elect(sim::WriteOnceRmwK& reg, sim::Ctx& ctx, int pid) {
 
 SingleReport run_single_register_election(int k, int n,
                                           sim::Scheduler& scheduler,
-                                          const sim::CrashPlan& crashes) {
+                                          const sim::FaultPlan& crashes) {
   expects(n >= 1 && n <= k - 1, "requires 1 <= n <= k-1");
   sim::WriteOnceRmwK reg("burns", k);
   SingleReport report;
@@ -85,7 +85,7 @@ std::uint64_t multi_register_elect(MultiState& state, sim::Ctx& ctx,
 
 MultiReport run_multi_register_election(const std::vector<int>& sizes, int n,
                                         sim::Scheduler& scheduler,
-                                        const sim::CrashPlan& crashes) {
+                                        const sim::FaultPlan& crashes) {
   MultiState state(sizes);
   expects(n >= 1 && static_cast<std::uint64_t>(n) <= state.capacity(),
           "process count exceeds the product capacity");

@@ -23,7 +23,7 @@
 
 #include "checker/protocol.h"
 #include "registers/write_once_rmw.h"
-#include "runtime/crash_plan.h"
+#include "runtime/fault_plan.h"
 #include "runtime/scheduler.h"
 #include "runtime/sim_env.h"
 
@@ -42,7 +42,7 @@ struct SingleReport {
 
 SingleReport run_single_register_election(int k, int n,
                                           sim::Scheduler& scheduler,
-                                          const sim::CrashPlan& crashes = {});
+                                          const sim::FaultPlan& crashes = {});
 
 /// Multi-register election over registers of sizes `sizes`: capacity
 /// prod(sizes[i] - 1).  Process identity = mixed-radix digits, one digit per
@@ -64,7 +64,7 @@ struct MultiReport {
 
 MultiReport run_multi_register_election(const std::vector<int>& sizes, int n,
                                         sim::Scheduler& scheduler,
-                                        const sim::CrashPlan& crashes = {});
+                                        const sim::FaultPlan& crashes = {});
 
 /// Checker protocol for the single-register model, with n possibly past the
 /// k-1 capacity (symbols then collide: pid % (k-1) + 1).  The checker

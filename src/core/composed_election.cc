@@ -34,7 +34,7 @@ std::uint64_t composed_capacity(int k, int copies) {
 
 ComposedElectionReport run_composed_election(int k, int copies, int n,
                                              sim::Scheduler& scheduler,
-                                             const sim::CrashPlan& crashes) {
+                                             const sim::FaultPlan& crashes) {
   const std::uint64_t capacity = composed_capacity(k, copies);
   expects(n >= 1 && static_cast<std::uint64_t>(n) <= capacity,
           "process count exceeds ((k-1)!)^copies");

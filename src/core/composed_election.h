@@ -33,7 +33,7 @@
 #include "core/first_value_tree.h"
 #include "registers/cas_register_k.h"
 #include "registers/mwmr_register.h"
-#include "runtime/crash_plan.h"
+#include "runtime/fault_plan.h"
 #include "runtime/scheduler.h"
 #include "runtime/sim_env.h"
 
@@ -97,6 +97,6 @@ struct ComposedElectionReport {
 
 ComposedElectionReport run_composed_election(int k, int copies, int n,
                                              sim::Scheduler& scheduler,
-                                             const sim::CrashPlan& crashes = {});
+                                             const sim::FaultPlan& crashes = {});
 
 }  // namespace bss::core

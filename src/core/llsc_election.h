@@ -93,8 +93,7 @@ struct LlScElectionReport {
 };
 
 /// Runs n <= (k-1)! processes electing through one k-valued LL/SC register.
-/// `faults` may fail-stop processes and fail SCs spuriously (CrashPlan call
-/// sites keep working through the implicit FaultPlan lift); restart events
+/// `faults` may fail-stop processes and fail SCs spuriously; restart events
 /// are rejected — the bodies register no restart hook.
 LlScElectionReport run_llsc_election(int k, int n, sim::Scheduler& scheduler,
                                      const sim::FaultPlan& faults = {});

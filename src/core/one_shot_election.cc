@@ -32,7 +32,7 @@ std::int64_t one_shot_elect(OneShotState& state, sim::Ctx& ctx, int pid,
 }
 
 OneShotReport run_one_shot_election(int k, int n, sim::Scheduler& scheduler,
-                                    const sim::CrashPlan& crashes) {
+                                    const sim::FaultPlan& crashes) {
   expects(n >= 1 && n <= k - 1, "one-shot election requires 1 <= n <= k-1");
   OneShotState state(k);
   OneShotReport report;

@@ -43,6 +43,6 @@ struct OneShotReport {
 
 /// Runs n <= k-1 processes; ids are 1000 + pid.
 OneShotReport run_one_shot_election(int k, int n, sim::Scheduler& scheduler,
-                                    const sim::CrashPlan& crashes = {});
+                                    const sim::FaultPlan& crashes = {});
 
 }  // namespace bss::core

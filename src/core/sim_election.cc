@@ -18,7 +18,7 @@ SimElectionState::SimElectionState(int k) : cas("cas", k) {
 }
 
 SimElectionReport run_sim_election(int k, int n, sim::Scheduler& scheduler,
-                                   const sim::CrashPlan& crashes,
+                                   const sim::FaultPlan& crashes,
                                    SimElectionOptions options) {
   expects(n >= 1, "election needs at least one process");
   expects(static_cast<std::uint64_t>(n) <= slot_count(k),

@@ -12,7 +12,7 @@
 #include "registers/cas_register_k.h"
 #include "registers/mwmr_register.h"
 #include "registers/swmr_register.h"
-#include "runtime/crash_plan.h"
+#include "runtime/fault_plan.h"
 #include "runtime/scheduler.h"
 #include "runtime/sim_env.h"
 
@@ -86,7 +86,7 @@ struct SimElectionOptions {
 /// Runs `n` processes (n <= (k-1)!) electing a leader with a
 /// compare&swap-(k) under `scheduler`, optionally crashing per `crashes`.
 SimElectionReport run_sim_election(int k, int n, sim::Scheduler& scheduler,
-                                   const sim::CrashPlan& crashes = {},
+                                   const sim::FaultPlan& crashes = {},
                                    SimElectionOptions options = {});
 
 }  // namespace bss::core

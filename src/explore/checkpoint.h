@@ -43,8 +43,8 @@ inline constexpr std::string_view kCheckpointSchema = "bss-checkpoint v1";
 /// The result-affecting option fingerprint stored in the artifact.  Resume
 /// rejects a mismatch: exploring half a campaign under one sleep-set rule or
 /// fault budget and half under another would not be byte-identical to
-/// anything.  Scheduling knobs (jobs, steal_depth, shard_depth, checkpoint
-/// cadence) are excluded — they never change results.
+/// anything.  Scheduling knobs (jobs, steal_depth, checkpoint cadence) are
+/// excluded — they never change results.
 struct CheckpointOptions {
   std::uint64_t max_depth = 0;
   int preemption_bound = 0;
@@ -79,8 +79,8 @@ struct CheckpointOptions {
 /// incomplete (budget/fault cut, truncation, violation) in that node's
 /// subtree segment.  Partials aggregate per key with OR-of-dirty across all
 /// units of a pass — commutative and idempotent, so frame copies made by
-/// steal splits and shard prefixes need no reconciliation — and keys that
-/// aggregate clean enter the frozen cache for the NEXT pass.
+/// steal splits need no reconciliation — and keys that aggregate clean
+/// enter the frozen cache for the NEXT pass.
 struct FingerprintPartial {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;

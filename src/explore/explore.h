@@ -44,8 +44,8 @@
 // tokens.  Both versions parse.
 //
 // Parallel exploration (`ExploreOptions::jobs`): every run is a pure
-// function of the decision tape, so the schedule space shards cleanly.  The
-// default engine is a *work-stealing frontier*: each pass starts as one unit
+// function of the decision tape, so the schedule space splits cleanly.  The
+// engine is a *work-stealing frontier*: each pass starts as one unit
 // (the whole space) owned by one worker, and whenever a worker goes idle a
 // busy victim splits its own replayable frame stack at the shallowest frame
 // that still has unexplored siblings — those siblings become a new unit,
@@ -62,13 +62,11 @@
 // than folded in.  The one exception is the `max_schedules` safety valve:
 // with jobs > 1 the shared schedule budget is claimed concurrently, so
 // *which* schedules fit under a cap that actually fires depends on timing
-// (the run is flagged not exhausted either way).  `steal = false` selects
-// the legacy static engine (a serial enumerator cuts the DFS at
-// `shard_depth` decisions into fixed subtree jobs) — kept as the
-// bench_explore baseline; its results are byte-identical too.
+// (the run is flagged not exhausted either way).  jobs = 1 is the same
+// engine with a single worker, which never splits.
 //
 // Durable exploration state (`checkpoint_path` / `resume_path`): the
-// stealing engine periodically persists a `bss-checkpoint v1` artifact
+// engine periodically persists a `bss-checkpoint v1` artifact
 // (src/explore/checkpoint.h) — the merged DFS-prefix result plus every
 // outstanding unit's replayable frame stack — so a campaign killed
 // mid-exploration resumes from the artifact and ends byte-identical to an
@@ -162,9 +160,9 @@ struct ExploreOptions {
   std::uint64_t max_schedules = 1'000'000;
   /// Stop at the first violation (otherwise keep exploring, collecting up to
   /// max_violations counterexamples).  In parallel mode both limits are
-  /// enforced per subtree job and again — exactly — by the DFS-ordered
-  /// merge, so the reported violations are always the serial explorer's
-  /// first ones regardless of worker count.
+  /// enforced per unit and again — exactly — by the DFS-ordered merge, so
+  /// the reported violations are always the serial explorer's first ones
+  /// regardless of worker count.
   bool stop_at_first_violation = true;
   std::size_t max_violations = 8;
   /// Shrink counterexamples before reporting them.
@@ -194,26 +192,14 @@ struct ExploreOptions {
   /// most one per process per schedule — the slack the LL/SC c&s adapter's
   /// retry bound tolerates).
   bool explore_sc_failures = false;
-  /// Worker threads for subtree-sharded exploration.  1 explores serially;
-  /// N > 1 shards the DFS at `shard_depth` and explores subtrees
-  /// concurrently (each worker replays its prefix on a private SimEnv).
-  /// 0 — the default — resolves to the BSS_EXPLORE_JOBS environment
-  /// variable when set (how CI race-checks the pool) and to 1 otherwise.
-  /// Results are byte-identical across all values; see the header comment.
+  /// Worker threads.  1 explores serially; N > 1 runs N workers over the
+  /// work-stealing frontier (each replays its unit's prefix on a private
+  /// SimEnv; idle workers steal the shallowest unexplored siblings from busy
+  /// victims, so skewed subtrees load-balance on their own).  0 — the
+  /// default — resolves to the BSS_EXPLORE_JOBS environment variable when
+  /// set (how CI race-checks the pool) and to 1 otherwise.  Results are
+  /// byte-identical across all values; see the header comment.
   int jobs = 0;
-  /// Decision depth at which the DFS is cut into independent subtree jobs.
-  /// Only the legacy static engine (`steal = false`) reads it: -1 picks
-  /// automatically (no sharding when jobs resolves to 1, else a depth sized
-  /// to yield several jobs per worker); 0 disables sharding outright.  Any
-  /// value produces identical results — the knob trades enumeration
-  /// overhead against load balance.
-  int shard_depth = -1;
-  /// Work-stealing frontier engine (the default): idle workers steal the
-  /// shallowest unexplored siblings from busy victims, so skewed subtrees
-  /// load-balance without a pre-chosen shard depth.  false selects the
-  /// legacy static `shard_depth` engine (the bench_explore scaling
-  /// baseline).  Results are byte-identical either way.
-  bool steal = true;
   /// Steal granularity: a victim only splits at frames at least this many
   /// decisions below its current subtree floor, so larger values hand out
   /// smaller (deeper) subtrees.  Any value produces identical results — the
@@ -230,8 +216,8 @@ struct ExploreOptions {
   /// is frozen for the duration of each pass and clean keys are folded in
   /// between passes from per-frame coverage partials that aggregate
   /// commutatively, so pruning decisions — and therefore stats, violations
-  /// and artifacts — stay byte-identical at every worker count, steal
-  /// granularity and shard depth.  Systems whose fingerprint() returns the
+  /// and artifacts — stay byte-identical at every worker count and steal
+  /// granularity.  Systems whose fingerprint() returns the
   /// empty default opt out frame-by-frame (full exploration).  Sound for
   /// properties that are a function of the fingerprinted state (the same
   /// assumption class as sleep-set POR); the seeded mutant suite asserts no
@@ -241,12 +227,10 @@ struct ExploreOptions {
   /// resolves through the BSS_EXPLORE_FP environment variable (force-on
   /// only, how CI sweeps the suite with pruning engaged).
   bool fingerprint_prune = false;
-  /// When non-empty, the stealing engine periodically writes a
-  /// `bss-checkpoint v1` artifact here (atomically: tmp file + rename): the
-  /// merged DFS-prefix result plus every outstanding unit's replayable
-  /// frame stack.  A final `complete` checkpoint is written when
-  /// exploration ends.  Requires `steal` (the static engine has no
-  /// consistent frontier to persist).
+  /// When non-empty, the engine periodically writes a `bss-checkpoint v1`
+  /// artifact here (atomically: tmp file + rename): the merged DFS-prefix
+  /// result plus every outstanding unit's replayable frame stack.  A final
+  /// `complete` checkpoint is written when exploration ends.
   std::string checkpoint_path;
   /// Checkpoint cadence: a snapshot is written every time this many more
   /// schedules have been claimed since the last one.  0 disables periodic
@@ -289,7 +273,7 @@ struct ExploreOptions {
   bool audit = false;
   /// Cross-check one in this many completed schedules, selected by an
   /// FNV-1a hash of the canonical decision tape — the same schedules are
-  /// picked for every worker count and shard depth.  1 checks every
+  /// picked for every worker count and steal granularity.  1 checks every
   /// schedule; 0 disables the cross-check.
   std::uint32_t audit_commute_sample = 16;
   /// Telemetry sink (src/obs): per-worker metric shards, the structured
@@ -350,7 +334,7 @@ struct ExploreStats {
   std::uint64_t fault_points = 0;
 
   /// Folds `other` into this: counters add, max_depth_seen maxes.  The
-  /// parallel merge applies this to per-subtree stats in DFS order;
+  /// parallel merge applies this to per-unit stats in DFS order;
   /// fault_points is NOT summed (distinct sites dedup through a set and are
   /// written once at the end of explore()).
   void merge_from(const ExploreStats& other);

@@ -2,8 +2,8 @@
 // short writers hammering ONE shared multi-writer register.  Every pair of
 // operations conflicts (same object, all writes), so sleep-set POR prunes
 // nothing and the DFS branches fully at every node — but the long writer's
-// subtrees are far deeper than the short writers', so a static prefix-depth
-// sharding produces wildly unequal jobs.  This is the stress shape the
+// subtrees are far deeper than the short writers', so any split fixed up
+// front produces wildly unequal pieces.  This is the stress shape the
 // work-stealing engine exists for, and the workload the steal/scaling tests
 // and bench_explore's scaling table measure.
 #pragma once

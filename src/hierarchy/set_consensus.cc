@@ -31,7 +31,7 @@ SetConsensusReport finalize(SetConsensusReport report,
 
 SetConsensusReport run_partition_set_consensus(
     int n, int l, const std::vector<std::int64_t>& inputs,
-    sim::Scheduler& scheduler, const sim::CrashPlan& crashes) {
+    sim::Scheduler& scheduler, const sim::FaultPlan& crashes) {
   expects(n >= 1 && l >= 1, "set consensus needs n, l >= 1");
   expects(inputs.size() == static_cast<std::size_t>(n),
           "one input per process");
@@ -58,7 +58,7 @@ SetConsensusReport run_partition_set_consensus(
 
 SetConsensusReport run_trivial_set_consensus(
     int n, const std::vector<std::int64_t>& inputs, sim::Scheduler& scheduler,
-    const sim::CrashPlan& crashes) {
+    const sim::FaultPlan& crashes) {
   expects(n >= 1, "set consensus needs n >= 1");
   expects(inputs.size() == static_cast<std::size_t>(n),
           "one input per process");

@@ -17,7 +17,7 @@
 
 #include "registers/sticky.h"
 #include "registers/swmr_register.h"
-#include "runtime/crash_plan.h"
+#include "runtime/fault_plan.h"
 #include "runtime/scheduler.h"
 #include "runtime/sim_env.h"
 
@@ -35,7 +35,7 @@ struct SetConsensusReport {
 /// distinct decisions by construction.
 SetConsensusReport run_partition_set_consensus(
     int n, int l, const std::vector<std::int64_t>& inputs,
-    sim::Scheduler& scheduler, const sim::CrashPlan& crashes = {});
+    sim::Scheduler& scheduler, const sim::FaultPlan& crashes = {});
 
 /// n-set consensus among n processes from read/write registers only (the
 /// trivial "decide your own input" protocol — the l >= n boundary case,
@@ -43,6 +43,6 @@ SetConsensusReport run_partition_set_consensus(
 /// impossible over registers, which is the theorem the reduction leans on).
 SetConsensusReport run_trivial_set_consensus(
     int n, const std::vector<std::int64_t>& inputs, sim::Scheduler& scheduler,
-    const sim::CrashPlan& crashes = {});
+    const sim::FaultPlan& crashes = {});
 
 }  // namespace bss::hierarchy

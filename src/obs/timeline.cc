@@ -53,7 +53,7 @@ std::string Timeline::to_chrome_trace() const {
   }
   for (const int track : tracks) {
     const std::string name =
-        track == kCoordinatorTrack ? "enumerate+merge"
+        track == kCoordinatorTrack ? "merge"
                                    : "worker " + std::to_string(track);
     json::Object thread_meta{
         {"name", json::Value("thread_name")},

@@ -1,7 +1,7 @@
 // Worker timelines for parallel exploration, exported in the Chrome
 // trace-event format (loadable in Perfetto or chrome://tracing): one track
-// per worker plus a coordinator track carrying the enumeration and merge
-// spans, so shard imbalance and merge stalls are visible at a glance.
+// per worker plus a coordinator track carrying the merge spans, so worker
+// imbalance and merge stalls are visible at a glance.
 //
 // Spans live entirely in the TIMING channel — wall-clock begin/end measured
 // on the recording thread — and never feed back into exploration, so the
@@ -18,8 +18,8 @@ namespace bss::obs {
 
 struct Span {
   std::string name;
-  /// Track id: the worker index, or kCoordinatorTrack for the enumerator /
-  /// merge spans that run on the explore() thread.
+  /// Track id: the worker index, or kCoordinatorTrack for the merge spans
+  /// that run on the explore() thread.
   int track = 0;
   std::uint64_t begin_ns = 0;  ///< Timeline::now_ns() at span start
   std::uint64_t end_ns = 0;
@@ -28,8 +28,8 @@ struct Span {
 
 class Timeline {
  public:
-  /// Track for the single-threaded engine work (enumerate, merge).  Large
-  /// so it sorts after any plausible worker count.
+  /// Track for the single-threaded engine work (the merge).  Large so it
+  /// sorts after any plausible worker count.
   static constexpr int kCoordinatorTrack = 1000;
 
   Timeline();
@@ -43,8 +43,8 @@ class Timeline {
   std::vector<Span> spans() const;
 
   /// Chrome trace-event JSON: complete ("ph":"X") events in microseconds,
-  /// plus thread_name metadata naming each track ("worker N", and
-  /// "enumerate+merge" for the coordinator).
+  /// plus thread_name metadata naming each track ("worker N", and "merge"
+  /// for the coordinator).
   std::string to_chrome_trace() const;
 
  private:

@@ -14,12 +14,6 @@ const char* to_string(FaultKind kind) {
   return "?";
 }
 
-FaultPlan::FaultPlan(const CrashPlan& crashes) {
-  for (const auto& [pid, op_index] : crashes.points()) {
-    crash_before_op(pid, op_index);
-  }
-}
-
 FaultPlan& FaultPlan::add_event(int pid, FaultKind kind,
                                 std::uint64_t op_index) {
   std::vector<FaultEvent>& events = events_[pid];
@@ -57,6 +51,17 @@ FaultPlan FaultPlan::random(int n, double crash_p, double restart_p,
     if (rng.next_double() < restart_p) plan.restart_before_op(pid, draw_op());
     if (rng.next_double() < crash_p) plan.crash_before_op(pid, draw_op());
     if (rng.next_double() < sc_p) plan.fail_sc(pid, draw_op());
+  }
+  return plan;
+}
+
+FaultPlan FaultPlan::random_crashes(int n, double p, std::uint64_t max_op,
+                                    bss::Rng& rng) {
+  FaultPlan plan;
+  for (int pid = 0; pid < n; ++pid) {
+    if (rng.next_double() < p) {
+      plan.crash_before_op(pid, max_op == 0 ? 0 : rng.next_below(max_op));
+    }
   }
   return plan;
 }

@@ -1,7 +1,9 @@
-// The general fault model: fail-stop, crash-restart, and transient faults.
+// The fault model: fail-stop, crash-restart, and transient faults.
 //
-// CrashPlan (crash_plan.h) models the paper's adversary exactly: fail-stop,
-// nothing else.  FaultPlan is its superset for the crash-*recovery* model
+// A plan of crash_before_op events alone is the paper's adversary exactly:
+// fail-stop, nothing else.  Wait-freedom is a guarantee *against* it — every
+// process must finish in a bounded number of its own steps no matter how many
+// others stop forever.  The same plan also covers the crash-*recovery* model
 // (Aspnes, "Notes on Theory of Distributed Systems", ch. on recoverable
 // objects): a faulted process may instead *restart* — it loses every byte of
 // private state (locals, program counter, in-flight operation) while all
@@ -17,9 +19,9 @@
 //    operation — restarts do NOT reset the count, so "restart before op 3,
 //    crash before op 7" means the process runs 3 ops, restarts, runs 4 more
 //    (of its restarted program), then dies for good.
-//  * A crash is terminal: later events for that pid never fire.
-//  * Registering the same (pid, op_index) twice keeps the FIRST event
-//    (mirroring CrashPlan's earliest-wins rule).
+//  * A crash is terminal: later events for that pid never fire, so of two
+//    crashes registered for one pid the earliest death wins.
+//  * Registering the same (pid, op_index) twice keeps the FIRST event.
 //  * Restart events require the process to have a restart hook
 //    (SimEnv::add_process overload); SimEnv rejects the plan otherwise.
 //  * Spurious SC failures are addressed by *SC ordinal*: fail_sc(pid, j)
@@ -33,7 +35,6 @@
 #include <map>
 #include <vector>
 
-#include "runtime/crash_plan.h"
 #include "util/rng.h"
 
 namespace bss::sim {
@@ -54,11 +55,8 @@ class FaultPlan {
  public:
   FaultPlan() = default;
 
-  /// Implicit lift: a CrashPlan is a FaultPlan with fail-stop events only,
-  /// so every `run(scheduler, crashes)` call site keeps compiling.
-  FaultPlan(const CrashPlan& crashes);  // NOLINT(google-explicit-constructor)
-
   /// Fail-stop `pid` before its `op_index`-th lifetime shared operation.
+  /// op_index 0 means the process never takes a shared step at all.
   FaultPlan& crash_before_op(int pid, std::uint64_t op_index);
 
   /// Crash-restart `pid` before its `op_index`-th lifetime shared operation.
@@ -76,6 +74,13 @@ class FaultPlan {
   /// terminal, so a restart drawn after it simply never fires.
   static FaultPlan random(int n, double crash_p, double restart_p, double sc_p,
                           std::uint64_t max_op, bss::Rng& rng);
+
+  /// Randomized fail-stop-only plan: each pid in [0, n) crashes with
+  /// probability `p`, at a uniformly random op index in [0, max_op).  Draws
+  /// one coin per pid plus one op index per victim (random() draws three
+  /// coins per pid, so the same seed gives a different plan there).
+  static FaultPlan random_crashes(int n, double p, std::uint64_t max_op,
+                                  bss::Rng& rng);
 
   /// Events registered for `pid`, sorted by op_index (firing order).
   const std::vector<FaultEvent>& events_for(int pid) const;

@@ -61,7 +61,7 @@ namespace bss::sim {
 
 class SimEnv;
 
-/// Thrown inside a process body to unwind it when the crash plan (or engine
+/// Thrown inside a process body to unwind it when the fault plan (or engine
 /// shutdown) kills the process.  Process bodies must not swallow it.
 struct ProcessCrashed {};
 
@@ -135,7 +135,7 @@ class Ctx {
 
 enum class ProcOutcome {
   kFinished,   ///< body returned normally
-  kCrashed,    ///< killed by the crash plan or engine shutdown
+  kCrashed,    ///< killed by the fault plan or engine shutdown
   kFailed,     ///< body threw a non-crash exception (a bug; message kept)
   kUnstarted,  ///< never scheduled (only possible with step limits)
 };
@@ -206,7 +206,6 @@ class SimEnv {
 
   /// Executes the system to quiescence (all processes finished/crashed) or
   /// to the step limit.  May be called exactly once (and not after start()).
-  /// CrashPlan call sites keep working through the implicit FaultPlan lift.
   RunReport run(Scheduler& scheduler, const FaultPlan& faults = {});
 
   // --- Incremental mode (used by the Section 3 emulation driver) ---

@@ -6,7 +6,7 @@
 namespace bss::burns {
 namespace {
 
-using sim::CrashPlan;
+using sim::FaultPlan;
 using sim::RandomScheduler;
 using sim::RoundRobinScheduler;
 
@@ -38,7 +38,7 @@ TEST(BurnsSingle, LeaderParticipated) {
   // Participation validity: the elected pid took a step (is uncrashed or
   // crashed *after* claiming).  Crash half the field before their only op.
   const int k = 7;
-  CrashPlan crashes;
+  FaultPlan crashes;
   crashes.crash_before_op(0, 0);
   crashes.crash_before_op(2, 0);
   crashes.crash_before_op(4, 0);
@@ -95,7 +95,7 @@ TEST(BurnsMulti, ConsistentUnderCrashes) {
   // agree (each register's settled value is common knowledge after one op).
   Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {
-    CrashPlan crashes = CrashPlan::random(8, 0.4, 3, rng);
+    FaultPlan crashes = FaultPlan::random_crashes(8, 0.4, 3, rng);
     RandomScheduler scheduler(100 + static_cast<std::uint64_t>(trial));
     const MultiReport report =
         run_multi_register_election({3, 3, 3}, 8, scheduler, crashes);

@@ -230,14 +230,6 @@ TEST(Checkpoint, ResumeRejectsDifferentResultAffectingOptions) {
   EXPECT_FALSE(explore(system, benign).halted);
 }
 
-TEST(Checkpoint, StaticEngineRejectsCheckpointOptions) {
-  OneShotSystem system(4, 3);
-  ExploreOptions options;
-  options.steal = false;
-  options.checkpoint_path = temp_path("cp_static.json");
-  EXPECT_THROW(explore(system, options), InvariantError);
-}
-
 // --------------------------------------------------- malformed artifacts
 
 /// A real halted artifact (non-empty frontier) to corrupt.

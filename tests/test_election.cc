@@ -18,7 +18,7 @@ namespace bss::core {
 namespace {
 
 using sim::CasConvoyScheduler;
-using sim::CrashPlan;
+using sim::FaultPlan;
 using sim::RandomScheduler;
 using sim::RoundRobinScheduler;
 using sim::SoloScheduler;
@@ -184,7 +184,7 @@ TEST(ElectionCrash, SurvivorsDecideWheneverAnyoneSurvives) {
   Rng rng(2026);
   int runs_with_survivors = 0;
   for (int trial = 0; trial < 25; ++trial) {
-    CrashPlan crashes = CrashPlan::random(n, 0.4, 30, rng);
+    FaultPlan crashes = FaultPlan::random_crashes(n, 0.4, 30, rng);
     RandomScheduler scheduler(1000 + static_cast<std::uint64_t>(trial));
     const SimElectionReport report =
         run_sim_election(k, n, scheduler, crashes);
@@ -202,7 +202,7 @@ TEST(ElectionCrash, LoneSurvivorAlwaysDecides) {
   const int k = 5;
   const int n = 24;
   for (int survivor = 0; survivor < n; survivor += 7) {
-    CrashPlan crashes;
+    FaultPlan crashes;
     for (int pid = 0; pid < n; ++pid) {
       if (pid != survivor) crashes.crash_before_op(pid, 0);
     }
@@ -222,7 +222,7 @@ TEST(ElectionCrash, MidProtocolCrashOfEveryPioneer) {
   const int k = 4;
   const int n = 6;
   for (int victim = 0; victim < n; ++victim) {
-    CrashPlan crashes;
+    FaultPlan crashes;
     // announce(1 op) + confirm reads... crash before its 5th op, roughly
     // after its first cas for the natural round-robin pacing.
     crashes.crash_before_op(victim, 5);
@@ -241,7 +241,7 @@ TEST(ElectionCrash, CrashStormAtEveryDepth) {
   const int k = 5;
   const int n = 24;
   for (std::uint64_t t = 0; t < 12; ++t) {
-    CrashPlan crashes;
+    FaultPlan crashes;
     for (int pid = 0; pid < n; pid += 3) crashes.crash_before_op(pid, t);
     RandomScheduler scheduler(t * 17 + 3);
     const SimElectionReport report =
@@ -321,7 +321,7 @@ TEST(OneShot, SingleCasAccessPerProcess) {
 
 TEST(OneShot, CrashTolerant) {
   const int k = 6;
-  CrashPlan crashes;
+  FaultPlan crashes;
   crashes.crash_before_op(0, 1);  // after announcing, before its cas
   crashes.crash_before_op(2, 2);  // after its cas, before reading the winner
   RandomScheduler scheduler(10);
@@ -449,7 +449,7 @@ TEST(ElectionCrashMatrix, EveryVictimAtEveryDepth) {
   for (int victim = 0; victim < n; ++victim) {
     for (std::uint64_t point = 0; point < 16; ++point) {
       for (const std::uint64_t seed : {0ULL, 9ULL}) {
-        CrashPlan crashes;
+        FaultPlan crashes;
         crashes.crash_before_op(victim, point);
         RandomScheduler scheduler(seed);
         const SimElectionReport report =
@@ -468,7 +468,7 @@ TEST(ElectionCrashMatrix, PairsOfVictims) {
   const int n = 6;
   for (int a = 0; a < n; ++a) {
     for (int b = a + 1; b < n; ++b) {
-      CrashPlan crashes;
+      FaultPlan crashes;
       crashes.crash_before_op(a, 3);
       crashes.crash_before_op(b, 7);
       RoundRobinScheduler scheduler;
@@ -518,7 +518,7 @@ TEST(ElectionAblation, FullPolicyNeverGivesUp) {
   SimElectionOptions options;  // defaults: full algorithm
   Rng rng(1);
   for (int trial = 0; trial < 10; ++trial) {
-    const auto crashes = sim::CrashPlan::random(24, 0.5, 15, rng);
+    const auto crashes = sim::FaultPlan::random_crashes(24, 0.5, 15, rng);
     RandomScheduler scheduler(static_cast<std::uint64_t>(trial));
     const SimElectionReport report =
         run_sim_election(5, 24, scheduler, crashes, options);
@@ -544,7 +544,7 @@ TEST(ElectionAblation, AblatedPoliciesStaySafe) {
     }
     Rng rng(7);
     for (int trial = 0; trial < 15; ++trial) {
-      const auto crashes = sim::CrashPlan::random(24, 0.5, 12, rng);
+      const auto crashes = sim::FaultPlan::random_crashes(24, 0.5, 12, rng);
       RandomScheduler scheduler(100 + static_cast<std::uint64_t>(trial));
       const SimElectionReport report =
           run_sim_election(5, 24, scheduler, crashes, options);
@@ -567,7 +567,7 @@ TEST(ElectionAblation, NoHelpOthersStrandsLosersWhenWinnersCrash) {
   SimElectionOptions options;
   options.policy.help_others = false;
   options.policy.allow_incomplete = true;
-  CrashPlan crashes;
+  FaultPlan crashes;
   // p0 (slot 0, path 1.2.3) installs symbol 1 and dies; p1 (slot 1, path
   // 1.3.2) — the only other slot extending label ⊥.1 — never starts.  The
   // remaining slots cannot extend the label without helping.
@@ -619,7 +619,7 @@ INSTANTIATE_TEST_SUITE_P(Configs, ComposedElectionSweep,
 TEST(ComposedElection, SurvivorsAgreeUnderCrashes) {
   Rng rng(12);
   for (int trial = 0; trial < 10; ++trial) {
-    const auto crashes = sim::CrashPlan::random(36, 0.4, 25, rng);
+    const auto crashes = sim::FaultPlan::random_crashes(36, 0.4, 25, rng);
     RandomScheduler scheduler(500 + static_cast<std::uint64_t>(trial));
     const ComposedElectionReport report =
         run_composed_election(4, 2, 36, scheduler, crashes);
@@ -636,7 +636,7 @@ TEST(ComposedElection, CrashStormAtEveryDepth) {
   const int copies = 2;
   const int n = 36;
   for (std::uint64_t t = 0; t < 12; ++t) {
-    CrashPlan crashes;
+    FaultPlan crashes;
     for (int pid = 0; pid < n; pid += 3) crashes.crash_before_op(pid, t);
     RandomScheduler scheduler(t * 23 + 9);
     const ComposedElectionReport report =
@@ -688,7 +688,7 @@ INSTANTIATE_TEST_SUITE_P(KSweep, LlScElection, ::testing::Values(3, 4, 5, 6));
 TEST(LlScElectionCrash, SurvivorsDecide) {
   Rng rng(3);
   for (int trial = 0; trial < 15; ++trial) {
-    const auto crashes = sim::CrashPlan::random(24, 0.4, 20, rng);
+    const auto crashes = sim::FaultPlan::random_crashes(24, 0.4, 20, rng);
     RandomScheduler scheduler(static_cast<std::uint64_t>(trial) * 13);
     const LlScElectionReport report =
         run_llsc_election(5, 24, scheduler, crashes);
@@ -708,7 +708,7 @@ TEST(LlScElectionCrash, CrashStormAtEveryDepth) {
   const int k = 5;
   const int n = 24;
   for (std::uint64_t t = 0; t < 12; ++t) {
-    CrashPlan crashes;
+    FaultPlan crashes;
     for (int pid = 0; pid < n; pid += 3) crashes.crash_before_op(pid, t);
     RandomScheduler scheduler(t * 19 + 5);
     const LlScElectionReport report =
@@ -722,7 +722,7 @@ TEST(LlScElectionCrash, CrashStormAtEveryDepth) {
 TEST(LlScElectionCrash, LoneSurvivorElectsItself) {
   const int k = 4;
   const int n = 6;
-  CrashPlan crashes;
+  FaultPlan crashes;
   for (int pid = 0; pid < n - 1; ++pid) crashes.crash_before_op(pid, 0);
   RoundRobinScheduler scheduler;
   const LlScElectionReport report =

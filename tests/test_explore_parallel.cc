@@ -2,9 +2,8 @@
 // pool must be invisible in the results.  For every seeded mutant and for
 // clean exhaustive sweeps — fault-free and fault-budget alike — jobs=1 and
 // jobs=N produce identical ExploreStats, identical violation sets (same
-// order, same minimized tapes), and identical artifacts; any shard depth
-// yields the same answer as no sharding at all.  Plus the dense action
-// encoding's overflow guard and a 100-seed parallel storm on the
+// order, same minimized tapes), and identical artifacts.  Plus the dense
+// action encoding's overflow guard and a 100-seed parallel storm on the
 // std::thread backend.
 #include <gtest/gtest.h>
 
@@ -142,27 +141,6 @@ TEST(ParallelExplore, FreshClaimMutantFaultRefutationIdentical) {
   options.iterative = true;
   options.explore_crashes = false;  // the bug needs a restart, not a death
   expect_jobs_invariant(system, options, {4});
-}
-
-// ----------------------------------------------------------- shard depths
-
-TEST(ParallelExplore, ShardDepthInvariant) {
-  OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
-  ExploreOptions serial_options;
-  serial_options.jobs = 1;
-  serial_options.shard_depth = 0;
-  const ExploreResult serial = explore(system, serial_options);
-  for (const int depth : {1, 2, 3, 5}) {
-    for (const int jobs : {1, 4}) {
-      ExploreOptions options;
-      options.jobs = jobs;
-      options.shard_depth = depth;
-      const ExploreResult sharded = explore(system, options);
-      expect_identical(serial, sharded,
-                       "shard_depth=" + std::to_string(depth) +
-                           " jobs=" + std::to_string(jobs));
-    }
-  }
 }
 
 // ----------------------------------------------------------- shrink budget

@@ -4,10 +4,9 @@
 // every (worker count, steal granularity) combination must produce results
 // byte-identical to the serial explorer — same stats summary, same
 // exhausted verdict, same violations in the same order with the same
-// minimized tapes — and the stealing engine must agree with the legacy
-// static-sharding engine.  A telemetry probe additionally proves steals
-// actually happen on a busy multi-worker run (the invariance tests would
-// pass vacuously if no one ever stole).
+// minimized tapes.  A telemetry probe additionally proves steals actually
+// happen on a busy multi-worker run (the invariance tests would pass
+// vacuously if no one ever stole).
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -46,7 +45,6 @@ void expect_steal_invariant(const ExplorableSystem& system,
                             ExploreOptions options,
                             std::initializer_list<int> worker_counts,
                             std::initializer_list<int> steal_depths) {
-  options.steal = true;
   options.jobs = 1;
   options.steal_depth = 0;
   const ExploreResult serial = explore(system, options);
@@ -134,7 +132,7 @@ TEST(StealExplore, FreshClaimMutantFaultRefutationIdentical) {
 
 // One long writer against three short writers on a single register: every
 // operation pair conflicts, so POR prunes nothing and the DFS is violently
-// unbalanced — the shape static prefix-depth sharding handles worst and
+// unbalanced — the shape a fixed prefix-depth split handles worst and
 // stealing exists for.
 TEST(StealExplore, SkewedSubtreeWorkloadIdenticalAcrossWorkerCounts) {
   SkewedWriterSystem system(4, 6, 1);
@@ -146,25 +144,6 @@ TEST(StealExplore, SkewedWorkloadNaiveNoPorIdentical) {
   ExploreOptions options;
   options.use_por = false;
   expect_steal_invariant(system, options, {4}, {0, 2});
-}
-
-// -------------------------------------------- engines agree with each other
-
-TEST(StealExplore, StealAndStaticEnginesAgree) {
-  OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
-  ExploreOptions steal_options;
-  steal_options.steal = true;
-  steal_options.jobs = 4;
-  const ExploreResult stolen = explore(system, steal_options);
-  for (const int depth : {0, 2}) {
-    ExploreOptions static_options;
-    static_options.steal = false;
-    static_options.jobs = 4;
-    static_options.shard_depth = depth;
-    const ExploreResult sharded = explore(system, static_options);
-    expect_identical(stolen, sharded,
-                     "static shard_depth=" + std::to_string(depth));
-  }
 }
 
 // ------------------------------------------------------ steals really occur

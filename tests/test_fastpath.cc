@@ -7,8 +7,8 @@
 // campaign finds the IDENTICAL violation tapes and the identical exhausted
 // verdict as a full one — and, like every other explorer feature, its
 // results (including the new fingerprint_prunes counter) are byte-identical
-// at every worker count, steal granularity and engine, and survive
-// checkpoint kill-and-resume unchanged.  Systems with the empty default
+// at every worker count and steal granularity, and survive checkpoint
+// kill-and-resume unchanged.  Systems with the empty default
 // fingerprint must fall back to full exploration.
 #include <gtest/gtest.h>
 
@@ -90,25 +90,20 @@ void expect_coverage_parity(const ExploreResult& full,
 
 // --------------------------------------------------- determinism invariance
 
-TEST(Fastpath, PruneResultsInvariantAcrossJobsStealDepthAndEngine) {
+TEST(Fastpath, PruneResultsInvariantAcrossJobsAndStealDepth) {
   SkewedWriterSystem system(3, 4, 1);
   const ExploreResult serial = explore(system, iterative_options(true));
   EXPECT_GT(serial.stats.fingerprint_prunes, 0u);
 
-  for (const bool steal : {true, false}) {
-    for (const int jobs : {1, 2, 4}) {
-      for (const int steal_depth : {0, 1, 3}) {
-        if (!steal && steal_depth != 0) continue;  // knob is steal-only
-        ExploreOptions options = iterative_options(true);
-        options.steal = steal;
-        options.jobs = jobs;
-        options.steal_depth = steal_depth;
-        const ExploreResult result = explore(system, options);
-        expect_identical(serial, result,
-                         std::string(steal ? "steal" : "static") + " jobs=" +
-                             std::to_string(jobs) +
-                             " steal_depth=" + std::to_string(steal_depth));
-      }
+  for (const int jobs : {1, 2, 4}) {
+    for (const int steal_depth : {0, 1, 3}) {
+      ExploreOptions options = iterative_options(true);
+      options.jobs = jobs;
+      options.steal_depth = steal_depth;
+      const ExploreResult result = explore(system, options);
+      expect_identical(serial, result,
+                       "jobs=" + std::to_string(jobs) +
+                           " steal_depth=" + std::to_string(steal_depth));
     }
   }
 }
@@ -256,6 +251,21 @@ TEST(Fastpath, PruneCounterAndCacheSurviveKillAndResume) {
   EXPECT_TRUE(saw_mid_artifact);
   expect_identical(uninterrupted, final_result, "kill-and-resume");
   EXPECT_GT(final_result.stats.fingerprint_prunes, 0u);
+}
+
+// At jobs > 1 a periodic checkpoint can fall due on a pass's last runs,
+// after which every unit drains without another run boundary.  The worker
+// that completes its unit must write it, or the pass ends without one.
+TEST(Fastpath, CheckpointDueAsUnitsDrainIsStillWritten) {
+  SkewedWriterSystem system(3, 4, 1);
+  ExploreOptions options = iterative_options(true);
+  options.jobs = 4;
+  options.checkpoint_path = temp_path("fp_due.json");
+  options.checkpoint_every = 5;
+  options.halt_after_checkpoints = 1;
+  const ExploreResult result = explore(system, options);
+  EXPECT_TRUE(result.halted);
+  EXPECT_EQ(result.checkpoints_written, 1u);
 }
 
 TEST(Fastpath, ResumeRejectsFingerprintPruneFlip) {

@@ -47,7 +47,6 @@ using explore::LlScSystem;
 using explore::OneShotSystem;
 using explore::RecoverableFvtSystem;
 using explore::ReplayOutcome;
-using sim::CrashPlan;
 using sim::FaultKind;
 using sim::FaultPlan;
 using sim::RandomScheduler;
@@ -65,20 +64,6 @@ void dump_artifact_on_failure(const ExploreResult& result,
 }
 
 // ------------------------------------------------------- FaultPlan semantics
-
-TEST(FaultPlan, LiftsCrashPlanToFailStopEvents) {
-  CrashPlan crashes;
-  crashes.crash_before_op(0, 3);
-  crashes.crash_before_op(2, 0);
-  const FaultPlan plan = crashes;  // implicit lift
-  ASSERT_EQ(plan.events_for(0).size(), 1u);
-  EXPECT_EQ(plan.events_for(0)[0].kind, FaultKind::kCrash);
-  EXPECT_EQ(plan.events_for(0)[0].op_index, 3u);
-  EXPECT_TRUE(plan.events_for(1).empty());
-  ASSERT_EQ(plan.events_for(2).size(), 1u);
-  EXPECT_EQ(plan.victim_count(), 2u);
-  EXPECT_FALSE(plan.has_restarts());
-}
 
 TEST(FaultPlan, EventsSortedByOpIndexAndFirstRegistrationWins) {
   FaultPlan plan;
@@ -117,13 +102,31 @@ TEST(FaultPlan, RandomPlanRespectsProbabilityEdges) {
   }
 }
 
+// A plan of crash_before_op events alone is the paper's fail-stop adversary.
 TEST(CrashPlan, DuplicateRegistrationKeepsEarliestDeath) {
-  CrashPlan plan;
+  FaultPlan plan;
   plan.crash_before_op(3, 9);
   plan.crash_before_op(3, 4);  // earlier death wins
-  plan.crash_before_op(3, 6);  // later death ignored
-  ASSERT_EQ(plan.points().count(3), 1u);
-  EXPECT_EQ(plan.points().at(3), 4u);
+  plan.crash_before_op(3, 6);  // later death never fires
+  const auto& events = plan.events_for(3);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.front().kind, FaultKind::kCrash);
+  EXPECT_EQ(events.front().op_index, 4u);
+  EXPECT_EQ(plan.victim_count(), 1u);
+  EXPECT_FALSE(plan.has_restarts());
+
+  // Run it: the process dies before its 4th op, never reaching op 6 or 9.
+  sim::SimEnv env;
+  sim::MwmrRegister<int> reg("reg", 0);
+  for (int pid = 0; pid < 4; ++pid) {
+    env.add_process([&reg](sim::Ctx& ctx) {
+      for (int i = 1; i <= 10; ++i) reg.write(ctx, i);
+    });
+  }
+  RoundRobinScheduler scheduler;
+  const sim::RunReport report = env.run(scheduler, plan);
+  EXPECT_EQ(report.outcomes[3], sim::ProcOutcome::kCrashed);
+  EXPECT_EQ(report.steps_by_pid[3], 4u);
 }
 
 // --------------------------------------------------- SimEnv restart machinery

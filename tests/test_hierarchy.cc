@@ -6,15 +6,15 @@
 #include "hierarchy/set_consensus.h"
 #include "hierarchy/table.h"
 #include "hierarchy/universal.h"
-#include "runtime/crash_plan.h"
+#include "runtime/fault_plan.h"
 #include "runtime/scheduler.h"
 #include "runtime/sim_env.h"
 
 namespace bss::hierarchy {
 namespace {
 
-using sim::CrashPlan;
 using sim::Ctx;
+using sim::FaultPlan;
 using sim::RandomScheduler;
 using sim::RoundRobinScheduler;
 using sim::SimEnv;
@@ -109,7 +109,7 @@ TEST(Universal, SurvivesCrashes) {
       }
     });
   }
-  CrashPlan crashes;
+  FaultPlan crashes;
   crashes.crash_before_op(1, 6);
   crashes.crash_before_op(3, 2);
   RandomScheduler scheduler(11);
@@ -173,7 +173,7 @@ TEST(SetConsensus, PartitionBoundsDistinctDecisions) {
 
 TEST(SetConsensus, PartitionIsCrashTolerant) {
   std::vector<std::int64_t> inputs{10, 11, 12, 13, 14, 15};
-  sim::CrashPlan crashes;
+  sim::FaultPlan crashes;
   crashes.crash_before_op(0, 0);
   crashes.crash_before_op(3, 0);  // bodies take a single step: die before it
   sim::RandomScheduler scheduler(8);

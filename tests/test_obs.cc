@@ -179,9 +179,9 @@ TEST(Timeline, ChromeTraceHasOneTrackPerWorkerPlusCoordinator) {
     s.end_ns = 2000;
     timeline.record(std::move(s));
   };
-  span("job", 0);
-  span("job", 1);
-  span("enumerate", Timeline::kCoordinatorTrack);
+  span("unit", 0);
+  span("unit", 1);
+  span("merge", Timeline::kCoordinatorTrack);
 
   std::string error;
   const auto parsed = json::Value::parse(timeline.to_chrome_trace(), &error);
@@ -196,7 +196,7 @@ TEST(Timeline, ChromeTraceHasOneTrackPerWorkerPlusCoordinator) {
     if (phase == "M") {
       named_tracks.insert(object.at("tid").as_int());
       if (object.at("args").as_object().at("name").as_string() ==
-          "enumerate+merge") {
+          "merge") {
         coordinator_named = true;
       }
     } else if (phase == "X") {
@@ -396,7 +396,7 @@ TEST(ObsPassivity, FreshClaimFaultRefutation) {
 /// worker.checkpoint events, the explore.steals / explore.checkpoints
 /// counters) must be as passive as the rest of the sink: at jobs = 4 the
 /// results stay byte-identical to the uninstrumented serial run across
-/// steal granularities, and with the legacy static engine too.
+/// steal granularities.
 TEST(ObsPassivity, WorkStealingEngineAtFourJobs) {
   OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
   ExploreOptions serial;
@@ -415,14 +415,6 @@ TEST(ObsPassivity, WorkStealingEngineAtFourJobs) {
     expect_identical(reference, explore::explore(system, options),
                      "stealing steal_depth=" + std::to_string(depth));
   }
-  Telemetry telemetry;
-  ExploreOptions options;
-  options.steal = false;
-  options.jobs = 4;
-  options.shard_depth = 2;
-  options.telemetry = &telemetry;
-  expect_identical(reference, explore::explore(system, options),
-                   "static engine");
 }
 
 // ------------------------------------------------- event stream contents
@@ -431,7 +423,7 @@ TEST(ObsPassivity, WorkStealingEngineAtFourJobs) {
 /// everything except worker lifecycle (whose fields are legitimately
 /// scheduling-dependent), ddmin progress (stamped per speculative
 /// minimization, so present in workers' discovery order), and explore.start
-/// (which records the jobs/shard_depth configuration under comparison).
+/// (which records the jobs/steal_depth configuration under comparison).
 std::string deterministic_event_trace(const Telemetry& telemetry) {
   std::string out;
   for (const auto& stamped : telemetry.event_log().events()) {

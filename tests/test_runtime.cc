@@ -4,7 +4,7 @@
 #include "core/sim_election.h"
 #include "registers/mwmr_register.h"
 #include "registers/swmr_register.h"
-#include "runtime/crash_plan.h"
+#include "runtime/fault_plan.h"
 #include "runtime/scheduler.h"
 #include "runtime/sim_env.h"
 
@@ -118,7 +118,7 @@ TEST(SimEnv, CrashPlanKillsBeforeOp) {
     reg.write(ctx, 2);  // never reached: crash before op 1
   });
   env.add_process([&](Ctx& ctx) { reg.write(ctx, 3); });
-  CrashPlan crashes;
+  FaultPlan crashes;
   crashes.crash_before_op(0, 1);
   RoundRobinScheduler sched;
   const RunReport report = env.run(sched, crashes);
@@ -131,7 +131,7 @@ TEST(SimEnv, CrashBeforeFirstOpMeansNoSteps) {
   SimEnv env;
   MwmrRegister<int> reg("r", 0);
   env.add_process([&](Ctx& ctx) { reg.write(ctx, 1); });
-  CrashPlan crashes;
+  FaultPlan crashes;
   crashes.crash_before_op(0, 0);
   RoundRobinScheduler sched;
   const RunReport report = env.run(sched, crashes);
@@ -345,12 +345,18 @@ TEST(Trace, ToStringTruncatesLongTraces) {
   EXPECT_EQ(trace.to_string(10).find("more)"), std::string::npos);
 }
 
+// A crash-only random plan: the fail-stop adversary of the election storms.
 TEST(CrashPlan, RandomPlanRespectsProbabilityEdges) {
   Rng rng(11);
-  const CrashPlan none = CrashPlan::random(20, 0.0, 10, rng);
+  const FaultPlan none = FaultPlan::random_crashes(20, 0.0, 10, rng);
   EXPECT_TRUE(none.empty());
-  const CrashPlan all = CrashPlan::random(20, 1.0, 10, rng);
+  const FaultPlan all = FaultPlan::random_crashes(20, 1.0, 10, rng);
   EXPECT_EQ(all.victim_count(), 20u);
+  EXPECT_FALSE(all.has_restarts());
+  for (int pid = 0; pid < 20; ++pid) {
+    ASSERT_EQ(all.events_for(pid).size(), 1u);
+    EXPECT_LT(all.events_for(pid)[0].op_index, 10u);
+  }
 }
 
 TEST(VirtualTime, NowReadsZeroUntilATimerFires) {
