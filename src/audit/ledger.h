@@ -46,9 +46,9 @@ enum class AccessKind : std::uint8_t {
 
 std::string to_string(AccessKind kind);
 
-/// Interface the simulator drives: window brackets from the engine thread,
-/// access stamps from the (serialized) process threads.  The engine's
-/// semaphore protocol orders every call, so implementations need no locks.
+/// Interface the simulator drives: window brackets from the engine, access
+/// stamps from the process fibers.  All of them run on one thread, one at a
+/// time, so implementations need no locks.
 class AccessObserver {
  public:
   virtual ~AccessObserver() = default;

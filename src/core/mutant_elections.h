@@ -158,11 +158,9 @@ class ScBlindLlScMemory {
     return expect;
   }
 
-  int read_confirm(int stage) const {
-    return (*confirm_)[static_cast<std::size_t>(stage)].read(*ctx_);
-  }
+  int read_confirm(int stage) const { return confirm(stage).read(*ctx_); }
   void write_confirm(int stage, int symbol) {
-    (*confirm_)[static_cast<std::size_t>(stage)].write(*ctx_, symbol);
+    confirm(stage).write(*ctx_, symbol);
   }
   std::int64_t read_announce(std::uint64_t slot) const {
     return (*announce_)[static_cast<std::size_t>(slot)].read(*ctx_);
@@ -172,6 +170,15 @@ class ScBlindLlScMemory {
   }
 
  private:
+  // Once an ignored SC failure corrupts the process's view, the election
+  // can walk one stage past the last confirm register; the process then
+  // fails (a reported violation) instead of touching memory out of bounds.
+  sim::MwmrRegister<int>& confirm(int stage) const {
+    expects(stage >= 0 && static_cast<std::size_t>(stage) < confirm_->size(),
+            "sc-blind mutant: confirm stage out of range");
+    return (*confirm_)[static_cast<std::size_t>(stage)];
+  }
+
   sim::LlScRegisterK* llsc_;
   std::vector<sim::MwmrRegister<int>>* confirm_;
   std::vector<sim::SwmrRegister<std::int64_t>>* announce_;

@@ -247,21 +247,24 @@ bool EmulationDriver::can_rebalance(EmulatorState& emulator,
     }
     if (replacement == -1) continue;
     // Swap: suspend the replacement, release and run the suspended one.
+    // The push_back below may reallocate suspensions_, so mark the release
+    // and keep a copy before it.
+    suspension.released = true;
+    const Suspension released = suspension;
     vp_suspended_[static_cast<std::size_t>(replacement)] = true;
-    suspensions_.push_back({replacement, emulator.id, suspension.from,
-                            suspension.to, emulator.label, history.size(),
+    suspensions_.push_back({replacement, emulator.id, released.from,
+                            released.to, emulator.label, history.size(),
                             false});
     ++stats_.suspensions;
-    suspension.released = true;
-    successes_.emplace_back(emulator.label, suspension.from, suspension.to);
-    vp_suspended_[static_cast<std::size_t>(suspension.vp)] = false;
+    successes_.emplace_back(emulator.label, released.from, released.to);
+    vp_suspended_[static_cast<std::size_t>(released.vp)] = false;
     ++stats_.releases;
     events_.push_back({EmuEventKind::kRelease, emulator.id, emulator.label,
-                       "release vp" + std::to_string(suspension.vp) + " cas(" +
-                           std::to_string(suspension.from) + "->" +
-                           std::to_string(suspension.to) + ")"});
-    env_.inject(suspension.vp, suspension.from);  // success returns `from`
-    step_vp(emulator, suspension.vp);
+                       "release vp" + std::to_string(released.vp) + " cas(" +
+                           std::to_string(released.from) + "->" +
+                           std::to_string(released.to) + ")"});
+    env_.inject(released.vp, released.from);  // success returns `from`
+    step_vp(emulator, released.vp);
     return true;
   }
   return false;

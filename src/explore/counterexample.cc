@@ -22,17 +22,27 @@ std::size_t Counterexample::fault_count() const {
 
 std::string action_token(int decision) {
   const Action action = decode_action(decision);
+  const char* prefix = nullptr;
   switch (action.kind) {
     case ActionKind::kGrant:
-      return std::to_string(action.pid);
+      prefix = "";
+      break;
     case ActionKind::kCrash:
-      return "c" + std::to_string(action.pid);
+      prefix = "c";
+      break;
     case ActionKind::kRestart:
-      return "r" + std::to_string(action.pid);
+      prefix = "r";
+      break;
     case ActionKind::kScFailure:
-      return "s" + std::to_string(action.pid);
+      prefix = "s";
+      break;
   }
-  return std::to_string(decision);
+  if (prefix == nullptr) return std::to_string(decision);
+  // Appended, not `"c" + std::to_string(pid)`: GCC 12 reports a false
+  // -Wrestrict on that form in optimized builds.
+  std::string token = prefix;
+  token += std::to_string(action.pid);
+  return token;
 }
 
 std::optional<int> parse_action_token(const std::string& token) {

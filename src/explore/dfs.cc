@@ -102,6 +102,23 @@ ObsCtx make_obs_ctx(obs::ObsSink* sink, int worker) {
   return octx;
 }
 
+void RunMetrics::note_pruned() {
+  if (shard_ == nullptr) return;
+  if (pruned_runs_ == nullptr) {
+    pruned_runs_ = &shard_->counter("explore.pruned_runs");
+  }
+  ++*pruned_runs_;
+}
+
+void RunMetrics::note_depth(std::uint64_t granted) {
+  if (shard_ == nullptr) return;
+  if (schedule_depth_ == nullptr) {
+    schedule_depth_ =
+        &shard_->histogram("explore.schedule_depth", depth_bounds());
+  }
+  schedule_depth_->observe(granted);
+}
+
 /// First unexplored, feasible choice at `frame`: grants first (continuing
 /// prev_grant is free, then ascending pid order), then — fault budget
 /// permitting — spurious-SC, crash and restart injections in pid order.
@@ -422,7 +439,7 @@ bool commute_sampled(const std::vector<int>& tape, std::uint32_t sample) {
 /// faults, fault points, audit counters) commit once, when the run ends.
 RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
                    PassState& pass, UnitResult& unit, const ObsCtx& octx,
-                   Scratch& scratch) {
+                   RunMetrics& metrics, Scratch& scratch) {
   const obs::ScopedPhase step_scope(octx.profiler, obs::Phase::kStep);
   RunOutcome outcome;
   std::uint64_t run_transitions = 0;
@@ -492,7 +509,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
         ++unit.stats.fingerprint_prunes;
         env.finish();
         commit();
-        if (octx.shard != nullptr) ++octx.shard->counter("explore.pruned_runs");
+        metrics.note_pruned();
         outcome.pruned = true;
         return outcome;
       }
@@ -507,7 +524,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
       if (choice == kNoChoice) {
         env.finish();
         commit();
-        if (octx.shard != nullptr) ++octx.shard->counter("explore.pruned_runs");
+        metrics.note_pruned();
         outcome.pruned = true;  // prune kinds were accounted above
         return outcome;
       }
@@ -536,10 +553,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
 
   ++unit.stats.schedules;
   unit.stats.max_depth_seen = std::max(unit.stats.max_depth_seen, granted);
-  if (octx.shard != nullptr) {
-    octx.shard->histogram("explore.schedule_depth", depth_bounds())
-        .observe(granted);
-  }
+  metrics.note_depth(granted);
   if (truncated) {
     ++unit.stats.truncated;
     outcome.truncated = true;

@@ -41,6 +41,16 @@ void fp_values(std::ostringstream& out, const char* label,
   out << "];";
 }
 
+/// "p<pid> failed: <error>".  Built by appends: GCC 12 reports a false
+/// -Wrestrict on `"literal" + std::string` in optimized builds.
+std::string failure_message(const sim::RunReport& report, int pid) {
+  std::string message = "p";
+  message += std::to_string(pid);
+  message += " failed: ";
+  message += report.errors[static_cast<std::size_t>(pid)];
+  return message;
+}
+
 /// Shared post-run checks: every surviving process finished without
 /// throwing, all survivors agree, and the winner was actually proposed.
 /// Crashed processes (fail-stop or killed mid-restart by the fault
@@ -55,11 +65,13 @@ std::optional<std::string> check_outcomes(
     const auto outcome = report.outcomes[static_cast<std::size_t>(pid)];
     if (outcome == sim::ProcOutcome::kCrashed) continue;
     if (outcome == sim::ProcOutcome::kFailed) {
-      return "p" + std::to_string(pid) +
-             " failed: " + report.errors[static_cast<std::size_t>(pid)];
+      return failure_message(report, pid);
     }
     if (outcome != sim::ProcOutcome::kFinished) {
-      return "p" + std::to_string(pid) + " never finished";
+      std::string message = "p";
+      message += std::to_string(pid);
+      message += " never finished";
+      return message;
     }
     const std::int64_t mine = elected[static_cast<std::size_t>(pid)];
     if (leader == -1) leader = mine;
@@ -190,8 +202,7 @@ class FvtInstance : public SystemInstance {
     for (int pid = 0; pid < n_; ++pid) {
       if (report.outcomes[static_cast<std::size_t>(pid)] ==
           sim::ProcOutcome::kFailed) {
-        return "p" + std::to_string(pid) +
-               " failed: " + report.errors[static_cast<std::size_t>(pid)];
+        return failure_message(report, pid);
       }
     }
     core::SimElectionReport election;
@@ -315,8 +326,7 @@ class AuditMutantInstance final : public SystemInstance {
     for (int pid = 0; pid < n_; ++pid) {
       if (report.outcomes[static_cast<std::size_t>(pid)] ==
           sim::ProcOutcome::kFailed) {
-        return "p" + std::to_string(pid) +
-               " failed: " + report.errors[static_cast<std::size_t>(pid)];
+        return failure_message(report, pid);
       }
     }
     return std::nullopt;

@@ -133,6 +133,21 @@ struct ObsCtx {
 
 ObsCtx make_obs_ctx(obs::ObsSink* sink, int worker);
 
+/// The two metrics run_one bumps on every schedule, looked up by name once
+/// per unit instead of once per schedule.  Each cell is resolved on first
+/// use, so a metric still appears only once it counts something.
+class RunMetrics {
+ public:
+  explicit RunMetrics(obs::MetricShard* shard) : shard_(shard) {}
+  void note_pruned();
+  void note_depth(std::uint64_t granted);
+
+ private:
+  obs::MetricShard* shard_;
+  std::uint64_t* pruned_runs_ = nullptr;
+  obs::HistogramData* schedule_depth_ = nullptr;
+};
+
 /// The max_schedules safety valve, shared across workers.
 struct SharedBudget {
   explicit SharedBudget(std::uint64_t cap) : max_schedules(cap) {}
@@ -280,7 +295,7 @@ void emit_open_frames(const PassState& pass, UnitResult& unit);
 /// Executes one run: prefix replay, then fresh extension.
 RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
                    PassState& pass, UnitResult& unit, const ObsCtx& octx,
-                   Scratch& scratch);
+                   RunMetrics& metrics, Scratch& scratch);
 /// True iff `decision` can be applied to the current state.
 bool applicable(const sim::SimEnv& env, int decision);
 /// Applies `action` to `env`; true iff it granted a shared-memory step.

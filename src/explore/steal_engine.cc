@@ -671,6 +671,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
         const UnitResult at_claim =
             octx.shard != nullptr ? local : UnitResult{};
         const std::uint64_t unit_begin = spans ? sink->now_ns() : 0;
+        RunMetrics run_metrics(octx.shard);
         bool aborted = false;
         for (;;) {
           if (pool.attention.load(std::memory_order_acquire)) {
@@ -713,7 +714,8 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
             local.cap_hit = true;
             break;
           }
-          RunOutcome outcome = run_one(system, opts, pass, local, octx, scratch);
+          RunOutcome outcome =
+              run_one(system, opts, pass, local, octx, run_metrics, scratch);
           if (!outcome.pruned) {
             if (beat != nullptr) {
               beat->schedules.fetch_add(1, std::memory_order_relaxed);

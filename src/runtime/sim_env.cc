@@ -1,12 +1,178 @@
 #include "runtime/sim_env.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <new>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "obs/obs.h"
 #include "util/checked.h"
 
+// Sanitizer fiber annotations, detected from the compiler: GCC defines
+// __SANITIZE_ADDRESS__ / __SANITIZE_THREAD__, clang answers __has_feature.
+#if defined(__SANITIZE_ADDRESS__)
+#define SIM_ENV_ASAN 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define SIM_ENV_TSAN 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SIM_ENV_ASAN 1
+#endif
+#if __has_feature(thread_sanitizer)
+#define SIM_ENV_TSAN 1
+#endif
+#endif
+#if defined(SIM_ENV_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
+#if defined(SIM_ENV_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace bss::sim {
+
+namespace {
+
+/// Usable bytes per fiber stack.  Pages are touched lazily, so this is an
+/// address-space reservation, not memory; a deeper fiber hits the guard.
+constexpr std::size_t kStackBytes = std::size_t{1} << 20;
+
+std::size_t page_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+/// One thread's fiber stacks.  A mapping is [guard page | usable stack];
+/// released stacks wait on the free list for the next fiber, so the list
+/// never holds more stacks than the thread had live at once.
+class StackPool {
+ public:
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  ~StackPool() {
+    for (void* base : free_) munmap(base, mapping_bytes());
+  }
+
+  /// The base of a mapping; its usable stack starts one page above.
+  void* acquire() {
+    if (!free_.empty()) {
+      void* base = free_.back();
+      free_.pop_back();
+      return base;
+    }
+    void* base = mmap(nullptr, mapping_bytes(), PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                      -1, 0);
+    if (base == MAP_FAILED) throw std::bad_alloc();
+    if (mprotect(base, page_bytes(), PROT_NONE) != 0) {
+      munmap(base, mapping_bytes());
+      throw std::bad_alloc();
+    }
+    ++mapped_;
+    return base;
+  }
+
+  void release(void* base) { free_.push_back(base); }
+
+  FiberStackStats stats() const { return {mapped_, free_.size()}; }
+
+ private:
+  static std::size_t mapping_bytes() { return page_bytes() + kStackBytes; }
+
+  std::vector<void*> free_;
+  std::size_t mapped_ = 0;
+};
+
+thread_local StackPool stack_pool;
+
+/// The process launch() is entering for the first time: makecontext passes
+/// no pointer portably, and the first switch runs fiber_entry at once on
+/// this thread.
+thread_local Ctx* entering = nullptr;
+
+}  // namespace
+
+FiberStackStats fiber_stack_stats() { return stack_pool.stats(); }
+
+/// A user-space context.  A process fiber owns a pooled stack; the engine's
+/// fiber is whatever stack run()/step_process were called on, and learns
+/// its bounds (for ASan) from each fiber it resumes.
+struct SimEnv::Fiber {
+  ucontext_t context{};
+  void* mapping = nullptr;  ///< pooled stack mapping; null for the engine
+  const void* stack_bottom = nullptr;
+  std::size_t stack_size = 0;
+  void* asan_fake_stack = nullptr;
+  void* tsan_fiber = nullptr;
+
+  Fiber() = default;  // the engine
+
+  explicit Fiber(void (*entry)()) {
+    if (getcontext(&context) != 0) {
+      throw std::system_error(errno, std::generic_category(), "getcontext");
+    }
+    mapping = stack_pool.acquire();
+    void* const usable = static_cast<char*>(mapping) + page_bytes();
+    stack_bottom = usable;
+    stack_size = kStackBytes;
+    context.uc_stack.ss_sp = usable;
+    context.uc_stack.ss_size = stack_size;
+    context.uc_link = nullptr;  // fiber_entry never returns
+    makecontext(&context, entry, 0);
+#if defined(SIM_ENV_ASAN)
+    // ASan's swapcontext interceptor clears the shadow of the target's
+    // uc_stack on every switch, which would erase the redzones of the
+    // frames parked there.  Only makecontext reads uc_stack, so drop it and
+    // clear a reused stack's leftover shadow once, here, instead.
+    __asan_unpoison_memory_region(usable, kStackBytes);
+    context.uc_stack = {};
+#endif
+#if defined(SIM_ENV_TSAN)
+    tsan_fiber = __tsan_create_fiber(0);
+#endif
+  }
+
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  ~Fiber() {
+    if (mapping == nullptr) return;
+#if defined(SIM_ENV_TSAN)
+    __tsan_destroy_fiber(tsan_fiber);
+#endif
+    stack_pool.release(mapping);
+  }
+
+  /// Switches from this (running) context to `to`; returns when `to`
+  /// switches back.  An engine and its fibers only ever switch to each
+  /// other, so whoever resumes this context is `to`.  `exiting`: this
+  /// context never resumes, so ASan may drop its fake stack.
+  void switch_to(Fiber& to, [[maybe_unused]] bool exiting = false) {
+#if defined(SIM_ENV_ASAN)
+    __sanitizer_start_switch_fiber(exiting ? nullptr : &asan_fake_stack,
+                                   to.stack_bottom, to.stack_size);
+#endif
+#if defined(SIM_ENV_TSAN)
+    // For the engine this is how it learns its own TSan fiber handle.
+    tsan_fiber = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+    swapcontext(&context, &to.context);
+#if defined(SIM_ENV_ASAN)
+    // Records the engine's stack bounds, which a fiber learns no other way.
+    __sanitizer_finish_switch_fiber(asan_fake_stack, &to.stack_bottom,
+                                    &to.stack_size);
+#endif
+  }
+};
 
 int RunReport::finished_count() const {
   int n = 0;
@@ -114,14 +280,13 @@ bool Ctx::take_sc_failure() {
 SimEnv::SimEnv(SimOptions options) : options_(options) {}
 
 SimEnv::~SimEnv() {
-  // If run() threw (e.g. a scheduler bug), threads may still be parked.
+  // If run() threw (e.g. a scheduler bug), processes may still be parked.
+  // Each is unwound on its own stack, so its locals are destroyed before
+  // the stack goes back to the pool.
   for (auto& proc : procs_) {
-    if (proc.thread.joinable()) {
-      if (proc.state != State::kDone) {
-        proc.crash_requested = true;
-        proc.go->release();
-      }
-      proc.thread.join();
+    if (proc.fiber != nullptr && proc.state != State::kDone) {
+      proc.crash_requested = true;
+      resume(proc);
     }
   }
 }
@@ -171,7 +336,20 @@ bool SimEnv::restart_supported(int pid) const {
   return static_cast<bool>(restart_hooks_[static_cast<std::size_t>(pid)]);
 }
 
-void SimEnv::thread_main(int pid) {
+void SimEnv::fiber_entry() noexcept {
+  Ctx* const ctx = entering;
+  SimEnv& env = *ctx->env_;
+  Fiber& self = *env.procs_[static_cast<std::size_t>(ctx->pid_)].fiber;
+#if defined(SIM_ENV_ASAN)
+  __sanitizer_finish_switch_fiber(nullptr, &env.engine_->stack_bottom,
+                                  &env.engine_->stack_size);
+#endif
+  env.fiber_main(ctx->pid_);
+  // Nothing with a destructor is left on this stack: the engine may pool it.
+  self.switch_to(*env.engine_, /*exiting=*/true);
+}
+
+void SimEnv::fiber_main(int pid) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   for (;;) {
     try {
@@ -185,9 +363,10 @@ void SimEnv::thread_main(int pid) {
       if (proc.restart_requested) {
         // Crash-restart: the unwound stack took every private local with
         // it; shared registers persist untouched.  Re-enter through the
-        // restart hook — the engine is blocked on arrived_ until the new
-        // incarnation parks at its first shared operation (or finishes),
-        // so the re-entry stays serialized like the initial launch.
+        // restart hook on the same fiber — the engine is suspended in
+        // resume() until the new incarnation parks at its first shared
+        // operation (or finishes), so the re-entry stays serialized like
+        // the initial launch.
         proc.restart_requested = false;
         proc.crash_requested = false;
         proc.injection.reset();
@@ -207,16 +386,28 @@ void SimEnv::thread_main(int pid) {
     break;
   }
   proc.state = State::kDone;
-  arrived_.release();
 }
 
 void SimEnv::park(int pid, OpDesc desc) {
+  // The C++ runtime keeps the in-flight count and the caught-exception
+  // stack per thread; switching away mid-exception would hand them to the
+  // engine and corrupt both.
+  expects(std::uncaught_exceptions() == 0 &&
+              std::current_exception() == engine_handling_,
+          "a process may not park while an exception is in flight or being "
+          "handled");
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   proc.pending = std::move(desc);
   proc.state = State::kReady;
-  arrived_.release();
-  proc.go->acquire();
+  proc.fiber->switch_to(*engine_);
   if (proc.crash_requested) throw ProcessCrashed{};
+}
+
+void SimEnv::resume(Proc& proc) {
+  engine_handling_ = std::current_exception();
+  engine_->switch_to(*proc.fiber);
+  engine_handling_ = nullptr;
+  if (proc.state == State::kDone) proc.fiber.reset();
 }
 
 void SimEnv::launch() {
@@ -224,19 +415,19 @@ void SimEnv::launch() {
   expects(n > 0, "SimEnv started with no processes");
   procs_.resize(static_cast<std::size_t>(n));
   for (int pid = 0; pid < n; ++pid) {
-    Proc& proc = procs_[static_cast<std::size_t>(pid)];
-    proc.ctx = std::unique_ptr<Ctx>(new Ctx(this, pid));
-    proc.go = std::make_unique<std::binary_semaphore>(0);
+    procs_[static_cast<std::size_t>(pid)].ctx =
+        std::unique_ptr<Ctx>(new Ctx(this, pid));
   }
-  // Launch only after procs_ is fully built (threads index into it), and one
-  // at a time: each process runs to its first sync point (or completion)
-  // before the next starts, so body code ahead of the first shared operation
-  // never executes concurrently — objects may touch shared state anywhere
-  // inside an operation's implementation.
+  engine_ = std::make_unique<Fiber>();
+  // Enter the fibers one at a time: each process runs to its first sync
+  // point (or completion) before the next starts, so body code ahead of the
+  // first shared operation never interleaves — objects may touch shared
+  // state anywhere inside an operation's implementation.
   for (int pid = 0; pid < n; ++pid) {
-    procs_[static_cast<std::size_t>(pid)].thread =
-        std::thread([this, pid] { thread_main(pid); });
-    arrived_.acquire();
+    Proc& proc = procs_[static_cast<std::size_t>(pid)];
+    proc.fiber = std::make_unique<Fiber>(&SimEnv::fiber_entry);
+    entering = proc.ctx.get();
+    resume(proc);
   }
 }
 
@@ -282,8 +473,7 @@ TraceEvent SimEnv::step_process(int pid) {
   proc.state = State::kRunning;
   window_pid_ = pid;
   if (observer_ != nullptr) observer_->on_window_begin(pid, granted, step_);
-  proc.go->release();
-  arrived_.acquire();
+  resume(proc);
   window_pid_ = -1;
   if (observer_ != nullptr) {
     observer_->on_window_end(
@@ -306,8 +496,7 @@ void SimEnv::kill_process(int pid) {
   if (proc.state != State::kReady) return;
   note_fault_event("sim.crash", pid);
   proc.crash_requested = true;
-  proc.go->release();
-  arrived_.acquire();
+  resume(proc);
 }
 
 void SimEnv::restart_process(int pid) {
@@ -317,8 +506,7 @@ void SimEnv::restart_process(int pid) {
   note_fault_event("sim.restart", pid);
   proc.restart_requested = true;
   proc.crash_requested = true;
-  proc.go->release();
-  arrived_.acquire();  // the restarted incarnation parked (or finished)
+  resume(proc);  // until the restarted incarnation parks (or finishes)
 }
 
 void SimEnv::inject_sc_failure(int pid) {
@@ -367,9 +555,6 @@ void SimEnv::finish() {
   finished_ = true;
   finishing_ = true;  // shutdown kills are not fault injections
   for (int pid = 0; pid < process_count(); ++pid) kill_process(pid);
-  for (auto& proc : procs_) {
-    if (proc.thread.joinable()) proc.thread.join();
-  }
 }
 
 RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
@@ -393,8 +578,7 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
   const auto kill = [&](int pid) {
     Proc& proc = procs_[static_cast<std::size_t>(pid)];
     proc.crash_requested = true;
-    proc.go->release();
-    arrived_.acquire();  // thread unwinds, marks kDone, re-releases
+    resume(proc);  // the process unwinds and finishes as kCrashed
     refresh_view(pid);
   };
   const auto restart = [&](int pid) {
@@ -403,8 +587,7 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
             "fault plan restarts a process without a restart hook");
     proc.restart_requested = true;
     proc.crash_requested = true;
-    proc.go->release();
-    arrived_.acquire();  // the restarted incarnation parked (or finished)
+    resume(proc);  // until the restarted incarnation parks (or finishes)
     refresh_view(pid);
   };
 
@@ -466,8 +649,7 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
     proc.state = State::kRunning;
     window_pid_ = pid;
     if (observer_ != nullptr) observer_->on_window_begin(pid, granted, step_);
-    proc.go->release();
-    arrived_.acquire();  // the process parked again or finished
+    resume(proc);  // until the process parks again or finishes
     window_pid_ = -1;
     if (observer_ != nullptr) {
       observer_->on_window_end(pid, proc.state == State::kDone &&
@@ -489,8 +671,6 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
     ++step_;
     refresh_view(pid);
   }
-
-  for (auto& proc : procs_) proc.thread.join();
 
   report = snapshot_report();
   report.step_limit_hit = limit_hit;

@@ -32,20 +32,47 @@
 // so sleep-set POR and the access-ledger audit stay sound: two reads of the
 // clock commute, everything else on @clock conflicts.
 //
-// Implementation: each process runs on its own std::thread but is gated by a
-// binary semaphore; the engine holds a counting semaphore that each process
-// releases when it reaches its next sync point (or finishes).  The threads
-// are a control-flow convenience only — there is no actual data parallelism.
+// Implementation: each process runs on its own cooperative fiber, a
+// user-space context built with makecontext and switched with swapcontext
+// on the thread that drives the engine.  Ctx::sync parks the process by
+// switching to the engine's context; run(), start(), step_process,
+// kill_process and restart_process switch into the chosen fiber and return
+// when it parks again or finishes.  No OS thread is created and no step
+// blocks in the kernel (glibc's swapcontext still makes one signal-mask
+// system call per switch).  Every SimEnv keeps its own engine context, so a
+// SimEnv may be driven from inside another SimEnv's process.  A SimEnv is
+// driven from the thread that started it.
+//
+// Fiber stacks are mmap'ed with a PROT_NONE guard page below them, so an
+// overflow faults instead of corrupting memory.  They come from a
+// thread-local free list: after a thread's first schedule every schedule
+// reuses them, and the list never holds more stacks than the thread had
+// live at once (fiber_stack_stats).  Crash and restart unwinding runs on
+// the fiber's own stack: ProcessCrashed is thrown from the parked sync and
+// caught in the fiber's entry function, no exception ever leaves a fiber,
+// and ~SimEnv resumes every still-parked process with a crash so its locals
+// are destroyed before its stack goes back to the pool.
+//
+// One rule follows from the switch: a process may not park while an
+// exception is in flight or being handled on its stack (a sync inside a
+// catch block, or in a destructor run by unwinding).  The C++ runtime keeps
+// that state per thread, and switching away would hand it to another
+// context, so such a sync fails with InvariantError instead.
+//
+// Sanitizers see through the switches.  Under ASan every switch is
+// bracketed with __sanitizer_start_switch_fiber /
+// __sanitizer_finish_switch_fiber; under TSan each process is a
+// __tsan_create_fiber fiber entered with __tsan_switch_to_fiber.  Both are
+// detected from the compiler, not configured.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <semaphore>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "audit/ledger.h"
@@ -267,11 +294,13 @@ class SimEnv {
     kDone,     // finished, crashed or failed
   };
 
+  /// A user-space context and, for a process, its pooled stack
+  /// (sim_env.cc).
+  struct Fiber;
+
   struct Proc {
-    std::function<void(Ctx&)> body;
     std::unique_ptr<Ctx> ctx;
-    std::unique_ptr<std::binary_semaphore> go;
-    std::thread thread;
+    std::unique_ptr<Fiber> fiber;  ///< null before launch and once kDone
     State state = State::kCreated;
     bool crash_requested = false;
     bool restart_requested = false;   // with crash_requested: unwind + re-enter
@@ -284,10 +313,14 @@ class SimEnv {
     std::string error;
   };
 
-  void thread_main(int pid);
+  static void fiber_entry() noexcept;  // makecontext entry: fiber_main
+  void fiber_main(int pid);  // the process's life, on its own fiber
   // Ctx::sync body: park the calling process and hand control to the engine.
   void park(int pid, OpDesc desc);
-  void launch();  // build procs_ and serially start the threads
+  // Switches into `proc`'s fiber until it parks or finishes; a finished
+  // fiber's stack goes back to the pool.
+  void resume(Proc& proc);
+  void launch();  // build procs_ and serially enter the fibers
 
   // Emits a sim.* fault-injection event through obs_sink_ (no-op when
   // detached or during finish()'s shutdown kills).
@@ -301,7 +334,11 @@ class SimEnv {
   std::vector<std::function<void(Ctx&)>> bodies_;
   std::vector<std::function<void(Ctx&)>> restart_hooks_;  // empty = fail-stop only
   std::vector<Proc> procs_;
-  std::counting_semaphore<> arrived_{0};
+  std::unique_ptr<Fiber> engine_;  ///< the context run()/step_process run on
+  /// The exception the engine was handling when it switched into a fiber
+  /// (null when none): park() requires the same handler state, so a
+  /// process never switches away from a catch block of its own.
+  std::exception_ptr engine_handling_;
   Trace trace_;
   std::vector<int> decisions_;
   std::uint64_t step_ = 0;
@@ -310,6 +347,14 @@ class SimEnv {
   bool started_ = false;
   bool finished_ = false;
 };
+
+/// The calling thread's fiber-stack pool: `mapped` counts the stacks this
+/// thread has mapped, `pooled` those idle on its free list.
+struct FiberStackStats {
+  std::size_t mapped = 0;
+  std::size_t pooled = 0;
+};
+FiberStackStats fiber_stack_stats();
 
 /// Convenience: build, populate and run a SimEnv in one call.
 /// `make_body(pid)` must return the body for process `pid`.

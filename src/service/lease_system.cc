@@ -35,13 +35,18 @@ class LeaseInstance final : public explore::SystemInstance {
     for (int pid = 0; pid < config_.n; ++pid) {
       const auto outcome = report.outcomes[static_cast<std::size_t>(pid)];
       if (outcome == sim::ProcOutcome::kCrashed) continue;  // adversary's move
+      if (outcome == sim::ProcOutcome::kFinished) continue;
+      // Appended, not `"p" + std::to_string(pid) + ...`: GCC 12 reports a
+      // false -Wrestrict on that form in optimized builds.
+      std::string message = "p";
+      message += std::to_string(pid);
       if (outcome == sim::ProcOutcome::kFailed) {
-        return "p" + std::to_string(pid) +
-               " failed: " + report.errors[static_cast<std::size_t>(pid)];
+        message += " failed: ";
+        message += report.errors[static_cast<std::size_t>(pid)];
+      } else {
+        message += " never finished";
       }
-      if (outcome != sim::ProcOutcome::kFinished) {
-        return "p" + std::to_string(pid) + " never finished";
-      }
+      return message;
     }
     return ledger_.check();
   }

@@ -107,7 +107,9 @@ class CommutingState {
  public:
   CommutingState() {
     for (int pid = 0; pid < 3; ++pid) {
-      regs_.emplace_back("r" + std::to_string(pid), 0);
+      std::string name = "r";
+      name += std::to_string(pid);
+      regs_.emplace_back(std::move(name), 0);
     }
   }
   sim::MwmrRegister<int>& reg(int pid) {
@@ -194,6 +196,28 @@ TEST(Explore, CatchesSplitCasMutant) {
 TEST(Explore, CatchesScBlindLlScMutant) {
   LlScSystem system(3, 2, /*sc_blind=*/true);
   expect_refuted(system, {});
+}
+
+TEST(Explore, ScBlindMutantStaysInBoundsOnRandomSchedules) {
+  // Ignoring an SC failure can walk a process one stage past the last
+  // confirm register.  That must surface as a failed process, which the
+  // check reports, not as an out-of-bounds access.
+  const LlScSystem system(3, 2, /*sc_blind=*/true);
+  int out_of_range = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    const auto instance = system.make();
+    sim::SimEnv env({.record_trace = false});
+    instance->populate(env);
+    sim::RandomScheduler scheduler(seed);
+    const sim::RunReport report = env.run(scheduler);
+    const std::optional<std::string> violation = instance->check(env, report);
+    if (violation.has_value() &&
+        violation->find("confirm stage out of range") != std::string::npos) {
+      ++out_of_range;
+    }
+  }
+  // Seed-determined: one of these schedules takes that path.
+  EXPECT_GE(out_of_range, 1);
 }
 
 TEST(Explore, IterativeBoundingFindsSplitCasWithFewPreemptions) {
