@@ -11,10 +11,6 @@ namespace bss::audit {
 
 namespace {
 
-using explore::Action;
-using explore::ActionKind;
-using explore::decode_action;
-
 /// Everything one strict replay produces, for byte-level comparison.
 struct ReplayResult {
   bool applied = false;    ///< every tape entry was applicable, in order
@@ -26,22 +22,6 @@ struct ReplayResult {
   std::string fingerprint;
 };
 
-bool action_applicable(const sim::SimEnv& env, int decision) {
-  const Action action = decode_action(decision);
-  if (action.pid < 0 || action.pid >= env.process_count()) return false;
-  if (!env.is_parked(action.pid)) return false;
-  switch (action.kind) {
-    case ActionKind::kGrant:
-    case ActionKind::kCrash:
-      return true;
-    case ActionKind::kRestart:
-      return env.restart_supported(action.pid);
-    case ActionKind::kScFailure:
-      return env.pending_of(action.pid).op == "sc";
-  }
-  return false;
-}
-
 /// Replays `tape` verbatim — no divergence-skipping: an inapplicable entry
 /// fails the replay (for the baseline that means a stale tape; for a
 /// swapped tape it means the pair did not commute).
@@ -50,10 +30,7 @@ ReplayResult strict_replay(const explore::ExplorableSystem& system,
                            std::uint64_t max_depth) {
   ReplayResult result;
   auto instance = system.make();
-  sim::SimOptions sim_options;
-  sim_options.step_limit = max_depth;
-  sim_options.record_trace = true;
-  sim::SimEnv env(sim_options);
+  sim::SimEnv env;  // records the trace the replays are compared on
   instance->populate(env);
   env.start();
 
@@ -64,28 +41,11 @@ ReplayResult strict_replay(const explore::ExplorableSystem& system,
       result.truncated = true;
       break;
     }
-    if (!action_applicable(env, decision)) {
+    if (!env.applicable(decision)) {
       applied = false;
       break;
     }
-    const Action action = decode_action(decision);
-    switch (action.kind) {
-      case ActionKind::kGrant:
-        env.step_process(action.pid);
-        ++granted;
-        break;
-      case ActionKind::kScFailure:
-        env.inject_sc_failure(action.pid);
-        env.step_process(action.pid);
-        ++granted;
-        break;
-      case ActionKind::kCrash:
-        env.kill_process(action.pid);
-        break;
-      case ActionKind::kRestart:
-        env.restart_process(action.pid);
-        break;
-    }
+    if (env.apply(decision)) ++granted;
   }
   bool quiesced = true;
   for (int pid = 0; pid < env.process_count(); ++pid) {
@@ -171,11 +131,6 @@ std::string diff_replays(const ReplayResult& baseline,
   return {};
 }
 
-bool grant_like(int decision) {
-  const ActionKind kind = decode_action(decision).kind;
-  return kind == ActionKind::kGrant || kind == ActionKind::kScFailure;
-}
-
 }  // namespace
 
 std::string CommuteCheckReport::summary() const {
@@ -205,13 +160,13 @@ CommuteCheckReport cross_check_commutation(
   std::size_t next_event = 0;
   for (std::size_t i = 0; i < tape.size(); ++i) {
     event_index[i] = next_event;
-    if (grant_like(tape[i])) ++next_event;
+    if (sim::grants_step(tape[i])) ++next_event;
   }
 
   for (std::size_t i = 0; i + 1 < tape.size(); ++i) {
-    if (!grant_like(tape[i]) || !grant_like(tape[i + 1])) continue;
-    const Action a = decode_action(tape[i]);
-    const Action b = decode_action(tape[i + 1]);
+    if (!sim::grants_step(tape[i]) || !sim::grants_step(tape[i + 1])) continue;
+    const sim::Action a = sim::decode_action(tape[i]);
+    const sim::Action b = sim::decode_action(tape[i + 1]);
     if (a.pid == b.pid) continue;  // program order, never reorderable
     const std::size_t gi = event_index[i];
     const sim::OpDesc& op_a = baseline.events[gi].desc;

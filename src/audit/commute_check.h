@@ -17,8 +17,8 @@
 // evidence of non-commutation and is reported as a mismatch.
 //
 // The oracle arrives as a parameter (bss_audit does not link bss_explore;
-// it uses only the header-only tape encoding and system interfaces), so
-// tests can also probe deliberately wrong oracles.
+// it uses only the header-only system interfaces, and replays through
+// SimEnv::apply), so tests can also probe deliberately wrong oracles.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "explore/explore.h"
+#include "explore/system.h"
 #include "runtime/trace.h"
 
 namespace bss::audit {

@@ -101,9 +101,7 @@ VpFactory token_race_factory(int rounds) {
 // --------------------------------------------------------------- the driver
 
 EmulationDriver::EmulationDriver(EmuParams params, const VpFactory& factory)
-    : params_(params),
-      env_({.step_limit = params.step_limit}),
-      forest_(params.k) {
+    : params_(params), forest_(params.k) {
   expects(params_.m >= 1, "emulation needs emulators");
   expects(params_.vps_per_emulator >= 0, "negative vps per emulator");
   total_vps_ = params_.m * params_.vps_per_emulator;

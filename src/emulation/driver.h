@@ -84,7 +84,6 @@ struct EmuParams {
   int threshold_slope = 1;    ///< threshold(D) = slope * D (paper: Σ g·m^g)
   bool direct_install = true; ///< see the scaling note above
   int max_rounds = 100000;
-  std::uint64_t step_limit = 10'000'000;
 };
 
 /// One emulated virtual-operation record, for the legality checks.

@@ -329,7 +329,7 @@ int parse_decision(const json::Value& value, int processes,
   expects(decision.has_value(),
           std::string(where) + ": malformed decision token '" +
               value.as_string() + "'");
-  const Action action = decode_action(*decision);
+  const sim::Action action = sim::decode_action(*decision);
   expects(action.pid < processes,
           std::string(where) + ": decision token pid " +
               std::to_string(action.pid) + " out of range for " +
@@ -399,7 +399,7 @@ std::vector<std::pair<int, std::uint64_t>> parse_fault_points(
             std::string(where) +
                 ": fault point must be a [token, steps] pair");
     const int action = parse_decision(entry.as_array()[0], processes, where);
-    expects(is_fault_action(action),
+    expects(sim::is_fault_action(action),
             std::string(where) + ": fault point carries a non-fault token");
     const json::Value& steps = entry.as_array()[1];
     expects(steps.is_int() && steps.as_int() >= 0,
@@ -458,7 +458,7 @@ Counterexample parse_embedded_counterexample(const json::Value& value,
           std::string(where) +
               ": embedded counterexample targets a different system");
   for (const int decision : cex->decisions) {
-    expects(decode_action(decision).pid < processes,
+    expects(sim::decode_action(decision).pid < processes,
             std::string(where) +
                 ": embedded counterexample pid out of range");
   }

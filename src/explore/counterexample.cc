@@ -14,52 +14,36 @@ namespace bss::explore {
 
 std::size_t Counterexample::fault_count() const {
   return static_cast<std::size_t>(
-      std::count_if(decisions.begin(), decisions.end(),
-                    [](int decision) { return is_fault_action(decision); }));
+      std::count_if(decisions.begin(), decisions.end(), sim::is_fault_action));
 }
 
 // ----------------------------------------------------------------- artifact
 
 std::string action_token(int decision) {
-  const Action action = decode_action(decision);
-  const char* prefix = nullptr;
-  switch (action.kind) {
-    case ActionKind::kGrant:
-      prefix = "";
-      break;
-    case ActionKind::kCrash:
-      prefix = "c";
-      break;
-    case ActionKind::kRestart:
-      prefix = "r";
-      break;
-    case ActionKind::kScFailure:
-      prefix = "s";
-      break;
-  }
-  if (prefix == nullptr) return std::to_string(decision);
+  static constexpr const char* kPrefix[] = {"", "c", "r", "s"};  // by kind
+  const sim::Action action = sim::decode_action(decision);
   // Appended, not `"c" + std::to_string(pid)`: GCC 12 reports a false
   // -Wrestrict on that form in optimized builds.
-  std::string token = prefix;
+  std::string token = kPrefix[static_cast<int>(action.kind)];
   token += std::to_string(action.pid);
   return token;
 }
 
 std::optional<int> parse_action_token(const std::string& token) {
   if (token.empty()) return std::nullopt;
-  ActionKind kind = ActionKind::kGrant;
+  sim::ActionKind kind = sim::ActionKind::kGrant;
   std::size_t offset = 0;
   switch (token.front()) {
     case 'c':
-      kind = ActionKind::kCrash;
+      kind = sim::ActionKind::kCrash;
       offset = 1;
       break;
     case 'r':
-      kind = ActionKind::kRestart;
+      kind = sim::ActionKind::kRestart;
       offset = 1;
       break;
     case 's':
-      kind = ActionKind::kScFailure;
+      kind = sim::ActionKind::kScFailure;
       offset = 1;
       break;
     default:
@@ -73,8 +57,8 @@ std::optional<int> parse_action_token(const std::string& token) {
   } catch (const std::exception&) {
     return std::nullopt;
   }
-  if (pid < 0 || pid > kMaxActionPid) return std::nullopt;
-  return encode_action(kind, pid);
+  if (pid < 0 || pid > sim::kMaxActionPid) return std::nullopt;
+  return sim::encode_action(kind, pid);
 }
 
 namespace {
@@ -139,7 +123,7 @@ std::optional<Counterexample> Counterexample::from_artifact(
       cex.system = value;
     } else if (key == "processes") {
       const auto count = parse_artifact_count(
-          value, static_cast<std::uint64_t>(kMaxActionPid) + 1);
+          value, static_cast<std::uint64_t>(sim::kMaxActionPid) + 1);
       if (!count.has_value()) return std::nullopt;
       cex.processes = static_cast<int>(*count);
     } else if (key == "shrunk-from") {

@@ -138,7 +138,7 @@ int select_choice(const Frame& frame, const PassState& pass) {
       for (const int pid : frame.runnable) {
         if ((frame.sc_ready & pid_bit(pid)) == 0) continue;
         if ((frame.sc_failed_before & pid_bit(pid)) != 0) continue;
-        const int choice = encode_action(ActionKind::kScFailure, pid);
+        const int choice = sim::encode_action(sim::ActionKind::kScFailure, pid);
         if (contains(frame.done, choice)) continue;
         // A spurious SC still performs the (failing) operation, so the
         // preemption cost of granting `pid` applies.
@@ -151,28 +151,19 @@ int select_choice(const Frame& frame, const PassState& pass) {
     }
     if (pass.explore_crashes) {
       for (const int pid : frame.runnable) {
-        const int choice = encode_action(ActionKind::kCrash, pid);
+        const int choice = sim::encode_action(sim::ActionKind::kCrash, pid);
         if (!contains(frame.done, choice)) return choice;
       }
     }
     if (pass.explore_restarts) {
       for (const int pid : frame.runnable) {
         if ((frame.restartable & pid_bit(pid)) == 0) continue;
-        const int choice = encode_action(ActionKind::kRestart, pid);
+        const int choice = sim::encode_action(sim::ActionKind::kRestart, pid);
         if (!contains(frame.done, choice)) return choice;
       }
     }
   }
   return kNoChoice;
-}
-
-/// Fills `scratch.runnable` with the parked pids (ascending), reusing the
-/// buffer's capacity instead of allocating per step.
-void fill_parked(const sim::SimEnv& env, std::vector<int>& runnable) {
-  runnable.clear();
-  for (int pid = 0; pid < env.process_count(); ++pid) {
-    if (env.is_parked(pid)) runnable.push_back(pid);
-  }
 }
 
 namespace {
@@ -219,16 +210,14 @@ Frame make_frame(const sim::SimEnv& env, Scratch& scratch,
   }
   if (parent == nullptr) return frame;
 
-  const Action parent_action = decode_action(parent->chosen);
-  const bool parent_granted = parent_action.kind == ActionKind::kGrant ||
-                              parent_action.kind == ActionKind::kScFailure;
+  const sim::Action parent_action = sim::decode_action(parent->chosen);
   frame.sc_failed_before = parent->sc_failed_before;
-  if (parent_action.kind == ActionKind::kScFailure) {
+  if (parent_action.kind == sim::ActionKind::kScFailure) {
     frame.sc_failed_before |= pid_bit(parent_action.pid);
   }
-  frame.faults_before = parent->faults_before +
-                        (parent_action.kind == ActionKind::kGrant ? 0 : 1);
-  if (parent_granted) {
+  frame.faults_before =
+      parent->faults_before + (sim::is_fault_action(parent->chosen) ? 1 : 0);
+  if (sim::grants_step(parent->chosen)) {
     frame.prev_grant = parent_action.pid;
     frame.preemptions_before =
         parent->preemptions_before + choice_cost(*parent, parent_action.pid);
@@ -248,8 +237,7 @@ Frame make_frame(const sim::SimEnv& env, Scratch& scratch,
       };
       for (const int pid : parent->entry_sleep) inherit(pid);
       for (const int choice : parent->done) {
-        const Action done_action = decode_action(choice);
-        if (done_action.kind == ActionKind::kGrant) inherit(done_action.pid);
+        if (!sim::is_fault_action(choice)) inherit(choice);
       }
       std::sort(frame.entry_sleep.begin(), frame.entry_sleep.end());
     }
@@ -461,10 +449,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     }
   };
   auto instance = system.make();
-  sim::SimOptions sim_options;
-  sim_options.step_limit = opts.max_depth;
-  sim_options.record_trace = opts.record_trace;
-  sim::SimEnv env(sim_options);
+  sim::SimEnv env({.record_trace = opts.record_trace});
   instance->populate(env);
   expects(env.process_count() <= 64,
           "the fault-aware explorer supports at most 64 processes");
@@ -477,7 +462,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
   std::uint64_t granted = 0;
   bool truncated = false;
   for (;;) {
-    fill_parked(env, scratch.runnable);
+    env.parked_processes(scratch.runnable);
     if (scratch.runnable.empty()) break;
     if (granted >= opts.max_depth) {
       truncated = true;
@@ -533,16 +518,14 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     }
     ++depth;
 
-    const Action action = decode_action(choice);
-    if (action.kind != ActionKind::kGrant) {
+    const sim::Action action = sim::decode_action(choice);
+    if (sim::is_fault_action(choice)) {
       ++run_faults;
       run_fault_points.emplace_back(choice, env.steps_of(action.pid));
-    }
-    if (action.kind == ActionKind::kGrant &&
-        env.pending_of(action.pid).op == "timer") {
+    } else if (env.pending_of(action.pid).op == "timer") {
       ++run_timer_grants;
     }
-    if (apply_action(env, action)) {
+    if (env.apply(choice)) {
       ++granted;
       ++run_transitions;
     }
@@ -610,43 +593,6 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     }
   }
   return outcome;
-}
-
-/// True iff `decision` can be applied to the current state: the pid is
-/// parked, restarts need a hook, spurious SC needs a pending SC.
-bool applicable(const sim::SimEnv& env, int decision) {
-  const Action action = decode_action(decision);
-  if (action.pid < 0 || action.pid >= env.process_count()) return false;
-  if (!env.is_parked(action.pid)) return false;
-  switch (action.kind) {
-    case ActionKind::kGrant:
-    case ActionKind::kCrash:
-      return true;
-    case ActionKind::kRestart:
-      return env.restart_supported(action.pid);
-    case ActionKind::kScFailure:
-      return env.pending_of(action.pid).op == "sc";
-  }
-  return false;
-}
-
-bool apply_action(sim::SimEnv& env, Action action) {
-  switch (action.kind) {
-    case ActionKind::kGrant:
-      env.step_process(action.pid);
-      return true;
-    case ActionKind::kScFailure:
-      env.inject_sc_failure(action.pid);
-      env.step_process(action.pid);
-      return true;
-    case ActionKind::kCrash:
-      env.kill_process(action.pid);
-      return false;
-    case ActionKind::kRestart:
-      env.restart_process(action.pid);
-      return false;
-  }
-  return false;
 }
 
 }  // namespace detail

@@ -280,8 +280,6 @@ struct StealPassOutput {
 
 /// First unexplored, feasible choice at `frame`, or kNoChoice.
 int select_choice(const Frame& frame, const PassState& pass);
-/// Fills `runnable` with the parked pids, ascending.
-void fill_parked(const sim::SimEnv& env, std::vector<int>& runnable);
 /// Materializes the node reached after `parent` took its chosen action.
 Frame make_frame(const sim::SimEnv& env, Scratch& scratch,
                  const PassState& pass, const Frame* parent);
@@ -296,10 +294,6 @@ void emit_open_frames(const PassState& pass, UnitResult& unit);
 RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
                    PassState& pass, UnitResult& unit, const ObsCtx& octx,
                    RunMetrics& metrics, Scratch& scratch);
-/// True iff `decision` can be applied to the current state.
-bool applicable(const sim::SimEnv& env, int decision);
-/// Applies `action` to `env`; true iff it granted a shared-memory step.
-bool apply_action(sim::SimEnv& env, Action action);
 
 // --------------------------------------------------------- steal_engine.cc
 

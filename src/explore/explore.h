@@ -75,14 +75,12 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "explore/system.h"
 #include "runtime/trace.h"
-#include "util/checked.h"
 
 namespace bss::obs {
 class ObsSink;
@@ -90,58 +88,15 @@ class ObsSink;
 
 namespace bss::explore {
 
-// ------------------------------------------------------------ decision tape
-//
-// A decision tape entry is either a plain grant (the pid, >= 0) or an
-// encoded fault action (< 0).  The encoding is dense so ddmin shrinking and
-// the artifact round-trip treat faults as ordinary tape entries.
-
-enum class ActionKind : int {
-  kGrant = 0,      ///< grant the pid one shared-memory step
-  kCrash = 1,      ///< fail-stop the pid (terminal)
-  kRestart = 2,    ///< crash-restart the pid (needs a restart hook)
-  kScFailure = 3,  ///< grant the pid's pending SC, forcing spurious failure
-};
-
-struct Action {
-  ActionKind kind = ActionKind::kGrant;
-  int pid = 0;
-};
-
-/// Largest pid the dense encoding carries without overflowing int: the
-/// fault encoding maps (kind, pid) to -(pid*3 + kind-1) - 1, so pid*3 + 2
-/// must stay representable.  Far above the explorer's own 64-process cap;
-/// the guard exists so silent wrap-around can never corrupt a tape.
-constexpr int kMaxActionPid = (std::numeric_limits<int>::max() - 3) / 3;
-
-/// Encodes an action onto the decision tape.  Throws InvariantError for
-/// pids outside [0, kMaxActionPid] (compile error when evaluated constexpr)
-/// instead of silently wrapping into some other action's encoding.
-constexpr int encode_action(ActionKind kind, int pid) {
-  if (pid < 0 || pid > kMaxActionPid) {
-    throw InvariantError("encode_action: pid outside the dense encoding's range");
-  }
-  return kind == ActionKind::kGrant
-             ? pid
-             : -(pid * 3 + (static_cast<int>(kind) - 1)) - 1;
-}
-
-constexpr Action decode_action(int decision) {
-  if (decision >= 0) return Action{ActionKind::kGrant, decision};
-  const int index = -decision - 1;
-  return Action{static_cast<ActionKind>(index % 3 + 1), index / 3};
-}
-
-constexpr bool is_fault_action(int decision) { return decision < 0; }
-
-/// The `bss-counterexample v2` decision-token spelling of an encoded action:
-/// plain grants print as the pid ("3"), faults as "c1" (crash), "r0"
-/// (restart) and "s2" (spurious SC failure).  Shared by the counterexample
-/// artifact, event fields and the `bss-checkpoint v1` frontier encoding.
+/// The `bss-counterexample v2` token spelling of a decision (the dense
+/// sim::encode_action encoding): plain grants print as the pid ("3"),
+/// faults as "c1" (crash), "r0" (restart) and "s2" (spurious SC failure).
+/// Shared by the counterexample artifact, event fields and the
+/// `bss-checkpoint v1` frontier encoding.
 std::string action_token(int decision);
 
 /// Parses one decision token back to its dense encoding; nullopt on
-/// malformed tokens or pids outside [0, kMaxActionPid] (the same guard the
+/// malformed tokens or pids outside [0, sim::kMaxActionPid] (the same guard the
 /// counterexample artifact parser applies — out-of-range pids must never
 /// silently wrap into another action's encoding).
 std::optional<int> parse_action_token(const std::string& token);

@@ -15,17 +15,8 @@
 namespace bss::explore {
 namespace {
 
-using detail::applicable;
-using detail::apply_action;
 using detail::kNoChoice;
 using detail::resolve_audit;
-
-bool any_parked(const sim::SimEnv& env) {
-  for (int pid = 0; pid < env.process_count(); ++pid) {
-    if (env.is_parked(pid)) return true;
-  }
-  return false;
-}
 
 /// Replays `tape` — grants and faults — skipping inapplicable entries and
 /// completing round-robin past its end (each counted as a divergence, the
@@ -47,16 +38,12 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
       obs::Phase::kReplay);
   TapeResult result;
   auto instance = system.make();
-  sim::SimOptions sim_options;
-  sim_options.step_limit = opts.max_depth;
-  sim_options.record_trace = true;  // checks may read the trace on replay
-  sim::SimEnv env(sim_options);
+  sim::SimEnv env;  // records the trace: checks may read it on replay
   instance->populate(env);
   // Fault-injection events (sim.crash / sim.restart / sim.sc_failure) are
   // attached only on explicit replays: exploration re-runs the factory
   // thousands of times and would drown the bounded event log.
   if (env_sink != nullptr) env.set_obs_sink(env_sink);
-  const int n = env.process_count();
   std::optional<audit::Auditor> auditor;
   if (opts.audit) {
     // Replays audit too, so audit-found counterexamples reproduce (and
@@ -69,8 +56,10 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
   std::size_t next = 0;
   int rr_cursor = 0;
   std::uint64_t granted = 0;
+  std::vector<int> parked;
   for (;;) {
-    if (!any_parked(env)) break;
+    env.parked_processes(parked);
+    if (parked.empty()) break;
     if (granted >= opts.max_depth) {
       result.truncated = true;
       break;
@@ -78,24 +67,20 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
     int choice = kNoChoice;
     while (next < tape.size()) {
       const int candidate = tape[next++];
-      if (applicable(env, candidate)) {
+      if (env.applicable(candidate)) {
         choice = candidate;
         break;
       }
       ++result.divergences;
     }
     if (choice == kNoChoice) {
-      for (int i = 0; i < n; ++i) {
-        const int pid = (rr_cursor + i) % n;
-        if (env.is_parked(pid)) {
-          choice = pid;
-          rr_cursor = pid + 1;
-          break;
-        }
-      }
+      // Round-robin: the first parked pid at or after the cursor, wrapping.
+      const auto it = std::lower_bound(parked.begin(), parked.end(), rr_cursor);
+      choice = it != parked.end() ? *it : parked.front();
+      rr_cursor = choice + 1;
       ++result.divergences;
     }
-    if (apply_action(env, decode_action(choice))) ++granted;
+    if (env.apply(choice)) ++granted;
     result.canonical.push_back(choice);
   }
   env.finish();

@@ -304,7 +304,6 @@ CheckpointUnit serialize_steal_unit(const StealUnit& unit) {
 /// deliberately does not store.  The replay doubles as an integrity check —
 /// an artifact whose decisions do not apply to the system is rejected here.
 StealUnit materialize_steal_unit(const ExplorableSystem& system,
-                                 const ExploreOptions& opts,
                                  const PassState& base,
                                  const CheckpointUnit& cu) {
   StealUnit unit;
@@ -335,17 +334,14 @@ StealUnit materialize_steal_unit(const ExplorableSystem& system,
 
   PassState pass = base;
   auto instance = system.make();
-  sim::SimOptions sim_options;
-  sim_options.step_limit = opts.max_depth;
-  sim_options.record_trace = false;
-  sim::SimEnv env(sim_options);
+  sim::SimEnv env({.record_trace = false});
   instance->populate(env);
   expects(env.process_count() <= 64,
           "the fault-aware explorer supports at most 64 processes");
   env.start();
   Scratch scratch;
   for (const CheckpointFrame& cf : cu.frames) {
-    fill_parked(env, scratch.runnable);
+    env.parked_processes(scratch.runnable);
     expects(!scratch.runnable.empty(),
             "checkpoint frontier replays past quiescence");
     const Frame* parent = pass.frames.empty() ? nullptr : &pass.frames.back();
@@ -360,10 +356,10 @@ StealUnit materialize_steal_unit(const ExplorableSystem& system,
       frame.fp_dirty = cf.fp_dirty;
     }
     frame.done = cf.done;
-    expects(applicable(env, cf.chosen),
+    expects(env.applicable(cf.chosen),
             "checkpoint frontier decision is not applicable on replay");
     frame.chosen = cf.chosen;
-    apply_action(env, decode_action(cf.chosen));
+    env.apply(cf.chosen);
     pass.frames.push_back(std::move(frame));
   }
   env.finish();
@@ -419,7 +415,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
   StealPool pool;
   if (seeds != nullptr) {
     for (const CheckpointUnit& cu : *seeds) {
-      pool.units.push_back(materialize_steal_unit(system, opts, cfg.base, cu));
+      pool.units.push_back(materialize_steal_unit(system, cfg.base, cu));
     }
     if (pool.units.empty()) return output;
   } else {

@@ -93,7 +93,7 @@ class StackPool {
 
 thread_local StackPool stack_pool;
 
-/// The process launch() is entering for the first time: makecontext passes
+/// The process start() is entering for the first time: makecontext passes
 /// no pointer portably, and the first switch runs fiber_entry at once on
 /// this thread.
 thread_local Ctx* entering = nullptr;
@@ -292,7 +292,8 @@ SimEnv::~SimEnv() {
 }
 
 int SimEnv::add_process(std::function<void(Ctx&)> body) {
-  expects(!ran_, "SimEnv::add_process after run()");
+  expects(lifecycle_ == Lifecycle::kSetup,
+          "SimEnv::add_process after run()/start()");
   bodies_.push_back(std::move(body));
   restart_hooks_.emplace_back();  // no hook: restarts unsupported
   return checked_cast<int>(bodies_.size()) - 1;
@@ -300,7 +301,8 @@ int SimEnv::add_process(std::function<void(Ctx&)> body) {
 
 int SimEnv::add_process(std::function<void(Ctx&)> body,
                         std::function<void(Ctx&)> restart_hook) {
-  expects(!ran_, "SimEnv::add_process after run()");
+  expects(lifecycle_ == Lifecycle::kSetup,
+          "SimEnv::add_process after run()/start()");
   expects(static_cast<bool>(restart_hook),
           "add_process: restart hook must be callable");
   bodies_.push_back(std::move(body));
@@ -309,17 +311,19 @@ int SimEnv::add_process(std::function<void(Ctx&)> body,
 }
 
 void SimEnv::set_access_observer(audit::AccessObserver* observer) {
-  expects(!ran_ && !started_, "set_access_observer after the run began");
+  expects(lifecycle_ == Lifecycle::kSetup,
+          "set_access_observer after the run began");
   observer_ = observer;
 }
 
 void SimEnv::set_obs_sink(obs::ObsSink* sink) {
-  expects(!ran_ && !started_, "set_obs_sink after the run began");
+  expects(lifecycle_ == Lifecycle::kSetup, "set_obs_sink after the run began");
   obs_sink_ = sink;
 }
 
 void SimEnv::note_fault_event(const char* kind, int pid) {
-  if (obs_sink_ == nullptr || finishing_ || !obs_sink_->events_enabled()) {
+  if (obs_sink_ == nullptr || lifecycle_ == Lifecycle::kFinished ||
+      !obs_sink_->events_enabled()) {
     return;
   }
   obs::Event event;
@@ -410,9 +414,12 @@ void SimEnv::resume(Proc& proc) {
   if (proc.state == State::kDone) proc.fiber.reset();
 }
 
-void SimEnv::launch() {
+void SimEnv::start() {
+  expects(lifecycle_ == Lifecycle::kSetup,
+          "SimEnv::start conflicts with a previous run");
   const int n = process_count();
   expects(n > 0, "SimEnv started with no processes");
+  lifecycle_ = Lifecycle::kStarted;
   procs_.resize(static_cast<std::size_t>(n));
   for (int pid = 0; pid < n; ++pid) {
     procs_[static_cast<std::size_t>(pid)].ctx =
@@ -429,12 +436,6 @@ void SimEnv::launch() {
     entering = proc.ctx.get();
     resume(proc);
   }
-}
-
-void SimEnv::start() {
-  expects(!ran_ && !started_, "SimEnv::start conflicts with a previous run");
-  started_ = true;
-  launch();
 }
 
 bool SimEnv::is_parked(int pid) const {
@@ -464,25 +465,60 @@ void SimEnv::inject(int pid, std::int64_t value) {
   procs_[static_cast<std::size_t>(pid)].injection = value;
 }
 
+bool SimEnv::applicable(int decision) const {
+  const Action action = decode_action(decision);
+  if (lifecycle_ != Lifecycle::kStarted || action.pid >= process_count() ||
+      !is_parked(action.pid)) {
+    return false;
+  }
+  if (action.kind == ActionKind::kRestart) return restart_supported(action.pid);
+  if (action.kind == ActionKind::kScFailure) {
+    return pending_of(action.pid).op == "sc";
+  }
+  return true;
+}
+
+bool SimEnv::apply(int decision) {
+  expects(applicable(decision), "SimEnv::apply: decision is not applicable");
+  const auto [kind, pid] = decode_action(decision);
+  switch (kind) {
+    case ActionKind::kScFailure:
+      inject_sc_failure(pid);
+      [[fallthrough]];
+    case ActionKind::kGrant:
+      step_process(pid);
+      return true;
+    case ActionKind::kCrash:
+      kill_process(pid);
+      return false;
+    case ActionKind::kRestart:
+      restart_process(pid);
+      return false;
+  }
+  return false;
+}
+
 TraceEvent SimEnv::step_process(int pid) {
-  expects(started_ && !finished_, "step_process outside start()/finish()");
+  expects(lifecycle_ == Lifecycle::kStarted,
+          "step_process outside start()/finish()");
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   expects(proc.state == State::kReady, "step_process: process is not parked");
-  const OpDesc granted = proc.pending;
+  TraceEvent event;
+  event.step = step_;
+  event.pid = pid;
+  event.desc = proc.pending;
   proc.last_result.reset();
   proc.state = State::kRunning;
   window_pid_ = pid;
-  if (observer_ != nullptr) observer_->on_window_begin(pid, granted, step_);
-  resume(proc);
+  if (observer_ != nullptr) observer_->on_window_begin(pid, event.desc, step_);
+  resume(proc);  // until the process parks again or finishes
   window_pid_ = -1;
   if (observer_ != nullptr) {
     observer_->on_window_end(
         pid, proc.state == State::kDone && proc.outcome != ProcOutcome::kFinished);
   }
-  TraceEvent event;
-  event.step = step_++;
-  event.pid = pid;
-  event.desc = granted;
+  proc.sc_failure_pending = false;  // a fault the op did not consume lapses
+  ++step_;
   if (proc.last_result.has_value()) {
     event.result = *proc.last_result;
     event.has_result = true;
@@ -525,10 +561,15 @@ std::uint64_t SimEnv::steps_of(int pid) const {
 
 std::vector<int> SimEnv::parked_processes() const {
   std::vector<int> parked;
-  for (int pid = 0; pid < process_count(); ++pid) {
-    if (is_parked(pid)) parked.push_back(pid);
-  }
+  parked_processes(parked);
   return parked;
+}
+
+void SimEnv::parked_processes(std::vector<int>& out) const {
+  out.clear();
+  for (int pid = 0; pid < process_count(); ++pid) {
+    if (is_parked(pid)) out.push_back(pid);
+  }
 }
 
 RunReport SimEnv::snapshot_report() const {
@@ -551,19 +592,15 @@ RunReport SimEnv::snapshot_report() const {
 }
 
 void SimEnv::finish() {
-  if (!started_ || finished_) return;
-  finished_ = true;
-  finishing_ = true;  // shutdown kills are not fault injections
+  if (lifecycle_ != Lifecycle::kStarted) return;
+  lifecycle_ = Lifecycle::kFinished;  // shutdown kills are not fault events
   for (int pid = 0; pid < process_count(); ++pid) kill_process(pid);
 }
 
 RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
-  expects(!ran_ && !started_, "SimEnv::run may be called once");
-  ran_ = true;
+  expects(lifecycle_ == Lifecycle::kSetup, "SimEnv::run may be called once");
+  start();
   const int n = process_count();
-  expects(n > 0, "SimEnv::run with no processes");
-  launch();
-
   std::vector<ProcView> views(static_cast<std::size_t>(n));
   const auto refresh_view = [&](int pid) {
     const Proc& proc = procs_[static_cast<std::size_t>(pid)];
@@ -575,106 +612,49 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
   };
   for (int pid = 0; pid < n; ++pid) refresh_view(pid);
 
-  const auto kill = [&](int pid) {
-    Proc& proc = procs_[static_cast<std::size_t>(pid)];
-    proc.crash_requested = true;
-    resume(proc);  // the process unwinds and finishes as kCrashed
-    refresh_view(pid);
-  };
-  const auto restart = [&](int pid) {
-    Proc& proc = procs_[static_cast<std::size_t>(pid)];
-    expects(restart_supported(pid),
-            "fault plan restarts a process without a restart hook");
-    proc.restart_requested = true;
-    proc.crash_requested = true;
-    resume(proc);  // until the restarted incarnation parks (or finishes)
-    refresh_view(pid);
-  };
-
   // Per-pid cursor into the (sorted) fault event list, and count of granted
   // store-conditionals (the coordinate fail_sc addresses).
   std::vector<std::size_t> fault_cursor(static_cast<std::size_t>(n), 0);
   std::vector<std::uint64_t> sc_granted(static_cast<std::size_t>(n), 0);
-
-  RunReport report;
-  bool limit_hit = false;
+  std::vector<int> runnable;
   for (;;) {
-    // Apply due fault events to every parked process first.  A restart
+    // Due fault events fire first, at every parked process.  A restart
     // leaves the process parked again (at its new first operation) with its
     // lifetime step count intact, so several due events fire back-to-back.
     for (int pid = 0; pid < n; ++pid) {
-      for (;;) {
-        const Proc& proc = procs_[static_cast<std::size_t>(pid)];
-        if (proc.state != State::kReady) break;
-        const auto& events = faults.events_for(pid);
-        if (fault_cursor[static_cast<std::size_t>(pid)] >= events.size()) break;
-        const FaultEvent& event =
-            events[fault_cursor[static_cast<std::size_t>(pid)]];
-        if (proc.ctx->steps_taken() < event.op_index) break;
-        ++fault_cursor[static_cast<std::size_t>(pid)];
-        if (event.kind == FaultKind::kCrash) {
-          kill(pid);
-        } else {
-          restart(pid);
-        }
+      const auto& events = faults.events_for(pid);
+      std::size_t& cursor = fault_cursor[static_cast<std::size_t>(pid)];
+      while (is_parked(pid) && cursor < events.size() &&
+             steps_of(pid) >= events[cursor].op_index) {
+        const bool crash = events[cursor++].kind == FaultKind::kCrash;
+        expects(crash || restart_supported(pid),
+                "fault plan restarts a process without a restart hook");
+        apply(encode_action(crash ? ActionKind::kCrash : ActionKind::kRestart,
+                            pid));
+        refresh_view(pid);
       }
     }
-    std::vector<int> runnable;
-    for (int pid = 0; pid < n; ++pid) {
-      if (procs_[static_cast<std::size_t>(pid)].state == State::kReady) {
-        runnable.push_back(pid);
-      }
-    }
+    parked_processes(runnable);
     if (runnable.empty()) break;
     if (step_ >= options_.step_limit) {
-      limit_hit = true;
-      for (const int pid : runnable) kill(pid);
-      break;
+      finish();
+      RunReport report = snapshot_report();
+      report.step_limit_hit = true;
+      return report;
     }
 
-    const SchedView view{step_, runnable, views};
-    const int pid = scheduler.pick(view);
-    expects(pid >= 0 && pid < n &&
-                procs_[static_cast<std::size_t>(pid)].state == State::kReady,
+    const int pid = scheduler.pick(SchedView{step_, runnable, views});
+    expects(pid >= 0 && pid < n && is_parked(pid),
             "scheduler picked a non-runnable process");
     decisions_.push_back(pid);
-
-    Proc& proc = procs_[static_cast<std::size_t>(pid)];
-    const OpDesc granted = proc.pending;
-    if (granted.op == "sc" &&
-        faults.should_fail_sc(pid, sc_granted[static_cast<std::size_t>(pid)]++)) {
-      proc.sc_failure_pending = true;
-    }
-    proc.last_result.reset();
-    proc.state = State::kRunning;
-    window_pid_ = pid;
-    if (observer_ != nullptr) observer_->on_window_begin(pid, granted, step_);
-    resume(proc);  // until the process parks again or finishes
-    window_pid_ = -1;
-    if (observer_ != nullptr) {
-      observer_->on_window_end(pid, proc.state == State::kDone &&
-                                        proc.outcome != ProcOutcome::kFinished);
-    }
-    proc.sc_failure_pending = false;  // a fault the op did not consume lapses
-
-    if (options_.record_trace) {
-      TraceEvent event;
-      event.step = step_;
-      event.pid = pid;
-      event.desc = granted;
-      if (proc.last_result.has_value()) {
-        event.result = *proc.last_result;
-        event.has_result = true;
-      }
-      trace_.append(std::move(event));
-    }
-    ++step_;
+    const bool fail_sc =
+        pending_of(pid).op == "sc" &&
+        faults.should_fail_sc(pid, sc_granted[static_cast<std::size_t>(pid)]++);
+    apply(fail_sc ? encode_action(ActionKind::kScFailure, pid) : pid);
     refresh_view(pid);
   }
-
-  report = snapshot_report();
-  report.step_limit_hit = limit_hit;
-  return report;
+  finish();
+  return snapshot_report();
 }
 
 RunReport run_system(

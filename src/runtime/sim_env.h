@@ -12,13 +12,20 @@
 // decisions, fault plan).  Schedulers are replayable, so every run in this
 // repository can be reproduced from a seed.
 //
-// Fault model: run() takes a FaultPlan (fault_plan.h).  Fail-stop kills a
-// parked process for good; crash-*restart* unwinds it (all private state —
-// locals, program counter, the in-flight operation — is lost, shared
-// registers persist) and re-enters its program through the restart hook
-// registered with the two-argument add_process overload.  Spurious
-// store-conditional failures are delivered to the LL/SC object through
-// Ctx::take_sc_failure.
+// Decisions: the adversary's every move is one int on a decision tape — a
+// plain grant (the pid) or an encoded fault (fail-stop, crash-restart,
+// spurious store-conditional failure).  SimEnv::apply is the one place a
+// decision takes effect: run() turns scheduler picks and FaultPlan events
+// into decisions and applies them, and the explorer, its replayer and the
+// commutation audit apply their tapes the same way.
+//
+// Fault model: fail-stop kills a parked process for good; crash-*restart*
+// unwinds it (all private state — locals, program counter, the in-flight
+// operation — is lost, shared registers persist) and re-enters its program
+// through the restart hook registered with the two-argument add_process
+// overload.  Spurious store-conditional failures are delivered to the LL/SC
+// object through Ctx::take_sc_failure; a mark the granted operation does
+// not consume lapses with its step.
 //
 // Virtual time: the engine carries a logical clock (virtual_now, a plain
 // uint64 of abstract ticks) that only timer operations move.  Ctx::now()
@@ -35,13 +42,13 @@
 // Implementation: each process runs on its own cooperative fiber, a
 // user-space context built with makecontext and switched with swapcontext
 // on the thread that drives the engine.  Ctx::sync parks the process by
-// switching to the engine's context; run(), start(), step_process,
-// kill_process and restart_process switch into the chosen fiber and return
-// when it parks again or finishes.  No OS thread is created and no step
-// blocks in the kernel (glibc's swapcontext still makes one signal-mask
-// system call per switch).  Every SimEnv keeps its own engine context, so a
-// SimEnv may be driven from inside another SimEnv's process.  A SimEnv is
-// driven from the thread that started it.
+// switching to the engine's context; start(), step_process, kill_process
+// and restart_process switch into the chosen fiber and return when it parks
+// again or finishes.  No OS thread is created and no step blocks in the
+// kernel (glibc's swapcontext still makes one signal-mask system call per
+// switch).  Every SimEnv keeps its own engine context, so a SimEnv may be
+// driven from inside another SimEnv's process.  A SimEnv is driven from the
+// thread that started it.
 //
 // Fiber stacks are mmap'ed with a PROT_NONE guard page below them, so an
 // overflow faults instead of corrupting memory.  They come from a
@@ -70,6 +77,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -79,12 +87,64 @@
 #include "runtime/fault_plan.h"
 #include "runtime/scheduler.h"
 #include "runtime/trace.h"
+#include "util/checked.h"
 
 namespace bss::obs {
 class ObsSink;
 }  // namespace bss::obs
 
 namespace bss::sim {
+
+// ------------------------------------------------------------ decision tape
+//
+// A decision is either a plain grant (the pid, >= 0) or an encoded fault
+// action (< 0).  The encoding is dense so ddmin shrinking and the artifact
+// round-trip treat faults as ordinary tape entries.
+
+enum class ActionKind : int {
+  kGrant = 0,      ///< grant the pid one shared-memory step
+  kCrash = 1,      ///< fail-stop the pid (terminal)
+  kRestart = 2,    ///< crash-restart the pid (needs a restart hook)
+  kScFailure = 3,  ///< grant the pid's pending SC, forcing spurious failure
+};
+
+struct Action {
+  ActionKind kind = ActionKind::kGrant;
+  int pid = 0;
+};
+
+/// Largest pid the dense encoding carries without overflowing int: the
+/// fault encoding maps (kind, pid) to -(pid*3 + kind-1) - 1, so pid*3 + 2
+/// must stay representable.  Far above the explorer's own 64-process cap;
+/// the guard exists so silent wrap-around can never corrupt a tape.
+constexpr int kMaxActionPid = (std::numeric_limits<int>::max() - 3) / 3;
+
+/// Encodes an action as a decision.  Throws InvariantError for pids outside
+/// [0, kMaxActionPid] (compile error when evaluated constexpr) instead of
+/// silently wrapping into some other action's encoding.
+constexpr int encode_action(ActionKind kind, int pid) {
+  if (pid < 0 || pid > kMaxActionPid) {
+    throw InvariantError("encode_action: pid outside the dense encoding's range");
+  }
+  return kind == ActionKind::kGrant
+             ? pid
+             : -(pid * 3 + (static_cast<int>(kind) - 1)) - 1;
+}
+
+constexpr Action decode_action(int decision) {
+  if (decision >= 0) return Action{ActionKind::kGrant, decision};
+  const int index = -(decision + 1);  // no overflow at INT_MIN
+  return Action{static_cast<ActionKind>(index % 3 + 1), index / 3};
+}
+
+constexpr bool is_fault_action(int decision) { return decision < 0; }
+
+/// True iff applying `decision` grants a shared-memory step (a plain grant
+/// or a spurious-failing SC) — exactly when SimEnv::apply returns true.
+constexpr bool grants_step(int decision) {
+  const ActionKind kind = decode_action(decision).kind;
+  return kind == ActionKind::kGrant || kind == ActionKind::kScFailure;
+}
 
 class SimEnv;
 
@@ -185,6 +245,8 @@ struct RunReport {
 };
 
 struct SimOptions {
+  /// run() only: once this many steps are granted, the run ends through
+  /// finish() with RunReport::step_limit_hit set.
   std::uint64_t step_limit = 10'000'000;
   bool record_trace = true;
 };
@@ -199,6 +261,7 @@ class SimEnv {
 
   /// Registers a process body; returns its pid (dense, starting at 0).
   /// Bodies receive their Ctx and may capture shared objects by reference.
+  /// Only before run()/start().
   int add_process(std::function<void(Ctx&)> body);
 
   /// Registers a crash-*restartable* process: after a restart fault, the
@@ -232,16 +295,30 @@ class SimEnv {
   void set_obs_sink(obs::ObsSink* sink);
 
   /// Executes the system to quiescence (all processes finished/crashed) or
-  /// to the step limit.  May be called exactly once (and not after start()).
+  /// to the step limit: start(), then one apply() per due FaultPlan event
+  /// (crash or restart) and per scheduler pick (a grant, or an SC-failure
+  /// decision where the plan's fail_sc says so), then finish().  May be
+  /// called exactly once (and not after start()).
   RunReport run(Scheduler& scheduler, const FaultPlan& faults = {});
 
-  // --- Incremental mode (used by the Section 3 emulation driver) ---
+  // --- Incremental mode ---
   // start() launches the processes up to their first sync point; the caller
-  // then inspects pending operations, optionally injects results, and steps
-  // chosen processes one operation at a time.  finish() kills whatever is
-  // still parked.  Mutually exclusive with run().
+  // then inspects pending operations and applies decisions one at a time —
+  // through apply() (run(), the explorer, its replayer and the commutation
+  // audit) or the step/kill/restart/inject primitives it is built from (the
+  // Section 3 emulation driver, which also injects results).  finish()
+  // kills whatever is still parked.  Incremental callers bound depth
+  // themselves.
 
   void start();
+  /// True iff `decision` can be applied now: the env is started and not
+  /// finished, its pid is parked, a restart has a hook, and a spurious SC
+  /// failure meets a pending "sc".
+  bool applicable(int decision) const;
+  /// Applies one decision (InvariantError unless applicable): a grant steps
+  /// the pid, an SC failure marks and steps it, a crash kills it, a restart
+  /// crash-restarts it.  Returns true iff it granted a shared step.
+  bool apply(int decision);
   /// True iff `pid` is parked at a pending operation.
   bool is_parked(int pid) const;
   /// The operation `pid` is parked on (valid iff is_parked).
@@ -253,6 +330,8 @@ class SimEnv {
   /// Ctx::take_injection().
   void inject(int pid, std::int64_t value);
   /// Grants `pid` exactly one operation; returns the completed trace event.
+  /// The grant window: observer bracket, trace append, global step bump,
+  /// and the lapse of an SC-failure mark the operation did not consume.
   TraceEvent step_process(int pid);
   void kill_process(int pid);
   /// Crash-restarts a parked process: its pending operation is ABANDONED
@@ -266,9 +345,10 @@ class SimEnv {
   /// Lifetime shared-operation count of `pid` (the fault-point coordinate).
   std::uint64_t steps_of(int pid) const;
   /// The ascending pids currently parked at a pending operation — the
-  /// explorer's runnable set (and the frame-replay validation set when a
-  /// checkpointed frontier is re-materialized on a fresh SimEnv).
+  /// scheduler's and the explorer's runnable set.
   std::vector<int> parked_processes() const;
+  /// The same set written into `out`, reusing its capacity.
+  void parked_processes(std::vector<int>& out) const;
   void finish();
 
   /// Builds a RunReport from the current process states.  Meaningful once
@@ -277,7 +357,7 @@ class SimEnv {
   RunReport snapshot_report() const;
 
   const Trace& trace() const { return trace_; }
-  /// Scheduler decisions made during run(), for ReplayScheduler.
+  /// Scheduler picks made during run() (pids), for ReplayScheduler.
   const std::vector<int>& decisions() const { return decisions_; }
   /// The virtual clock: logical ticks advanced only by granted timer
   /// operations (Ctx::sleep_until).  Deterministic per schedule; harness
@@ -286,6 +366,10 @@ class SimEnv {
 
  private:
   friend class Ctx;
+
+  /// The env's own lifecycle: processes are added in kSetup, decisions are
+  /// applied in kStarted, and finish() moves to kFinished for good.
+  enum class Lifecycle : std::uint8_t { kSetup, kStarted, kFinished };
 
   enum class State : std::uint8_t {
     kCreated,
@@ -320,16 +404,15 @@ class SimEnv {
   // Switches into `proc`'s fiber until it parks or finishes; a finished
   // fiber's stack goes back to the pool.
   void resume(Proc& proc);
-  void launch();  // build procs_ and serially enter the fibers
 
   // Emits a sim.* fault-injection event through obs_sink_ (no-op when
   // detached or during finish()'s shutdown kills).
   void note_fault_event(const char* kind, int pid);
 
   SimOptions options_;
+  Lifecycle lifecycle_ = Lifecycle::kSetup;
   audit::AccessObserver* observer_ = nullptr;
   obs::ObsSink* obs_sink_ = nullptr;
-  bool finishing_ = false;  ///< suppresses events for shutdown kills
   int window_pid_ = -1;  ///< grantee of the currently open window, or -1
   std::vector<std::function<void(Ctx&)>> bodies_;
   std::vector<std::function<void(Ctx&)>> restart_hooks_;  // empty = fail-stop only
@@ -343,9 +426,6 @@ class SimEnv {
   std::vector<int> decisions_;
   std::uint64_t step_ = 0;
   std::uint64_t virtual_now_ = 0;  ///< logical clock; timer grants advance it
-  bool ran_ = false;
-  bool started_ = false;
-  bool finished_ = false;
 };
 
 /// The calling thread's fiber-stack pool: `mapped` counts the stacks this

@@ -11,6 +11,7 @@
 // of malformed inputs (unknown schema, truncation, missing keys,
 // out-of-range pid tokens, structural lies).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -232,10 +233,12 @@ TEST(Checkpoint, ResumeRejectsDifferentResultAffectingOptions) {
 
 // --------------------------------------------------- malformed artifacts
 
-/// A real halted artifact (non-empty frontier) to corrupt.
+/// A real halted artifact (non-empty frontier) to corrupt.  ctest runs
+/// every case in its own process, so each process writes its own donor.
 const std::string& frontier_artifact() {
   static const std::string text = [] {
-    const std::string path = temp_path("cp_donor.json");
+    const std::string path =
+        temp_path("cp_donor." + std::to_string(getpid()) + ".json");
     OneShotSystem system(4, 3);
     ExploreOptions options;
     options.use_por = false;  // big enough that the halt valve fires
@@ -244,7 +247,9 @@ const std::string& frontier_artifact() {
     options.halt_after_checkpoints = 1;
     const ExploreResult result = explore(system, options);
     expects(result.halted, "donor campaign must halt mid-flight");
-    return read_file(path);
+    std::string donor = read_file(path);
+    std::remove(path.c_str());
+    return donor;
   }();
   return text;
 }

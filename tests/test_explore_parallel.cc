@@ -26,6 +26,12 @@ using core::OneShotMutant;
 using core::RecoverableConcurrentReport;
 using core::RestartBehavior;
 using core::run_recoverable_concurrent_election;
+using sim::Action;
+using sim::ActionKind;
+using sim::decode_action;
+using sim::encode_action;
+using sim::is_fault_action;
+using sim::kMaxActionPid;
 
 /// Byte-level equality of two ExploreResults: every stats field (via the
 /// summary string, which prints them all), the exhausted verdict, and every

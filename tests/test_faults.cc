@@ -36,19 +36,19 @@ using core::run_llsc_election;
 using core::run_recoverable_concurrent_election;
 using core::run_recoverable_sim_election;
 using core::verify_election;
-using explore::ActionKind;
 using explore::Counterexample;
-using explore::decode_action;
-using explore::encode_action;
 using explore::ExploreOptions;
 using explore::ExploreResult;
-using explore::kMaxActionPid;
 using explore::LlScSystem;
 using explore::OneShotSystem;
 using explore::RecoverableFvtSystem;
 using explore::ReplayOutcome;
+using sim::ActionKind;
+using sim::decode_action;
+using sim::encode_action;
 using sim::FaultKind;
 using sim::FaultPlan;
+using sim::kMaxActionPid;
 using sim::RandomScheduler;
 using sim::RoundRobinScheduler;
 
@@ -637,7 +637,7 @@ TEST(Artifact, ActionEncodingRoundTrips) {
       const auto action = decode_action(encoded);
       EXPECT_EQ(action.kind, kind);
       EXPECT_EQ(action.pid, pid);
-      EXPECT_EQ(explore::is_fault_action(encoded), kind != ActionKind::kGrant);
+      EXPECT_EQ(sim::is_fault_action(encoded), kind != ActionKind::kGrant);
     }
   }
 }

@@ -1,8 +1,10 @@
 // The incremental SimEnv API (start/pending/inject/step/finish) — the
-// mechanism the Section 3 emulation drives v-processes with — and the
-// cooperative-fiber substrate underneath it.
+// mechanism the Section 3 emulation drives v-processes with — the decision
+// entry points applicable()/apply() that run(), the explorer and the audit
+// share, and the cooperative-fiber substrate underneath it.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -159,6 +161,17 @@ TEST(Incremental, MixedModesRejected) {
   env.finish();
 }
 
+TEST(Incremental, AddProcessAfterStartRejected) {
+  SimEnv env;
+  env.add_process([](Ctx&) {});
+  env.start();
+  EXPECT_THROW(env.add_process([](Ctx&) {}), bss::InvariantError);
+  EXPECT_THROW(env.add_process([](Ctx&) {}, [](Ctx&) {}), bss::InvariantError);
+  EXPECT_EQ(env.process_count(), 1);
+  EXPECT_TRUE(env.parked_processes().empty());
+  env.finish();
+}
+
 TEST(Incremental, GlobalStepAdvancesWithSteps) {
   SimEnv env;
   MwmrRegister<int> reg("r", 0);
@@ -177,6 +190,168 @@ TEST(Incremental, GlobalStepAdvancesWithSteps) {
   ASSERT_EQ(stamps.size(), 3u);
   EXPECT_LE(stamps[0], stamps[1]);
   EXPECT_LT(stamps[1], stamps[2]);
+}
+
+// ------------------------------------------------------------ decisions
+
+TEST(Decisions, ApplicableNeedsAStartedEnvAndAParkedPidInRange) {
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  env.add_process([&](Ctx& ctx) { reg.write(ctx, 1); });
+  EXPECT_FALSE(env.applicable(0));  // not started
+  env.start();
+  EXPECT_TRUE(env.applicable(0));
+  EXPECT_TRUE(env.applicable(encode_action(ActionKind::kCrash, 0)));
+  for (const ActionKind kind : {ActionKind::kGrant, ActionKind::kCrash,
+                                ActionKind::kRestart, ActionKind::kScFailure}) {
+    EXPECT_FALSE(env.applicable(encode_action(kind, 1)));  // out of range
+    EXPECT_THROW(env.apply(encode_action(kind, 1)), bss::InvariantError);
+  }
+  EXPECT_FALSE(env.applicable(std::numeric_limits<int>::min()));
+  EXPECT_TRUE(env.apply(0));
+  ASSERT_TRUE(env.is_finished(0));
+  for (const ActionKind kind : {ActionKind::kGrant, ActionKind::kCrash}) {
+    EXPECT_FALSE(env.applicable(encode_action(kind, 0)));  // not parked
+    EXPECT_THROW(env.apply(encode_action(kind, 0)), bss::InvariantError);
+  }
+  env.finish();
+  EXPECT_FALSE(env.applicable(0));
+}
+
+TEST(Decisions, RestartNeedsAHookAndFaultsGrantNoStep) {
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  const auto body = [&](Ctx& ctx) { reg.write(ctx, ctx.incarnation()); };
+  env.add_process(body);        // fail-stop only
+  env.add_process(body, body);  // restartable
+  env.start();
+  const int restart0 = encode_action(ActionKind::kRestart, 0);
+  const int restart1 = encode_action(ActionKind::kRestart, 1);
+  EXPECT_FALSE(env.applicable(restart0));
+  EXPECT_THROW(env.apply(restart0), bss::InvariantError);
+  EXPECT_TRUE(env.is_parked(0));
+  ASSERT_TRUE(env.applicable(restart1));
+  EXPECT_FALSE(env.apply(restart1));  // no shared step granted
+  EXPECT_EQ(env.snapshot_report().restarts_by_pid[1], 1);
+  EXPECT_TRUE(env.apply(1));
+  EXPECT_EQ(reg.peek(), 1);  // written by the second incarnation
+  EXPECT_FALSE(env.apply(encode_action(ActionKind::kCrash, 0)));
+  EXPECT_EQ(env.outcome_of(0), ProcOutcome::kCrashed);
+  EXPECT_EQ(env.trace().size(), 1u);
+  EXPECT_EQ(env.snapshot_report().total_steps, 1u);
+  env.finish();
+}
+
+TEST(Decisions, ScFailureNeedsAPendingStoreConditional) {
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  std::vector<bool> failed;
+  env.add_process([&](Ctx& ctx) {
+    reg.write(ctx, 1);
+    for (int i = 0; i < 3; ++i) {
+      ctx.sync({"x", "sc", 0, 0});
+      if (i != 1) failed.push_back(ctx.take_sc_failure());
+    }
+  });
+  env.start();
+  const int fail0 = encode_action(ActionKind::kScFailure, 0);
+  EXPECT_FALSE(env.applicable(fail0));  // pending op is a write
+  EXPECT_THROW(env.apply(fail0), bss::InvariantError);
+  EXPECT_TRUE(env.apply(0));
+  ASSERT_TRUE(env.applicable(fail0));
+  EXPECT_TRUE(env.apply(fail0));  // a spurious SC is still a granted step
+  // The second SC ignores its mark; the mark lapses with the step instead
+  // of failing the third SC.
+  EXPECT_TRUE(env.apply(fail0));
+  EXPECT_TRUE(env.apply(0));
+  EXPECT_TRUE(env.is_finished(0));
+  EXPECT_EQ(failed, (std::vector<bool>{true, false}));
+  EXPECT_EQ(env.trace().size(), 4u);
+  env.finish();
+}
+
+/// p0 is restartable and writes twice then reads; p1 writes three times;
+/// p2 makes two store-conditionals and reports whether each succeeded.
+struct ParitySystem {
+  MwmrRegister<int> reg{"r", 0};
+
+  void populate(SimEnv& env) {
+    const auto p0 = [this](Ctx& ctx) {
+      reg.write(ctx, 10 + ctx.incarnation());
+      reg.write(ctx, 20 + ctx.incarnation());
+      (void)reg.read(ctx);
+    };
+    env.add_process(p0, p0);
+    env.add_process([this](Ctx& ctx) {
+      for (int i = 1; i <= 3; ++i) reg.write(ctx, i);
+    });
+    env.add_process([](Ctx& ctx) {
+      for (int i = 0; i < 2; ++i) {
+        ctx.sync({"x", "sc", 0, 0});
+        ctx.note_result(ctx.take_sc_failure() ? 0 : 1);
+      }
+    });
+  }
+};
+
+void expect_same_run(const SimEnv& a, const RunReport& ra, const SimEnv& b,
+                     const RunReport& rb) {
+  EXPECT_EQ(ra.summary(), rb.summary());
+  EXPECT_EQ(ra.step_limit_hit, rb.step_limit_hit);
+  EXPECT_EQ(ra.outcomes, rb.outcomes);
+  EXPECT_EQ(ra.steps_by_pid, rb.steps_by_pid);
+  EXPECT_EQ(ra.restarts_by_pid, rb.restarts_by_pid);
+  ASSERT_EQ(a.trace().size(), b.trace().size());
+  for (std::size_t i = 0; i < a.trace().size(); ++i) {
+    const TraceEvent& x = a.trace().events()[i];
+    const TraceEvent& y = b.trace().events()[i];
+    EXPECT_EQ(x.step, y.step) << i;
+    EXPECT_EQ(x.pid, y.pid) << i;
+    EXPECT_EQ(x.desc.object, y.desc.object) << i;
+    EXPECT_EQ(x.desc.op, y.desc.op) << i;
+    EXPECT_EQ(x.desc.arg0, y.desc.arg0) << i;
+    EXPECT_EQ(x.has_result, y.has_result) << i;
+    EXPECT_EQ(x.result, y.result) << i;
+  }
+}
+
+TEST(Decisions, RunMatchesStartPlusApplyOverTheEquivalentTape) {
+  // run(): the plan restarts p0 before its op 1, crashes p1 before its op 2
+  // and fails p2's second SC; the scheduler replays these picks.
+  const std::vector<int> picks = {0, 1, 2, 1, 2, 0, 0, 0};
+  ParitySystem run_sys;
+  SimEnv by_run;
+  run_sys.populate(by_run);
+  ReplayScheduler scheduler(picks);
+  const RunReport run_report = by_run.run(
+      scheduler,
+      FaultPlan{}.restart_before_op(0, 1).crash_before_op(1, 2).fail_sc(2, 1));
+  EXPECT_EQ(scheduler.divergences(), 0u);
+  EXPECT_EQ(by_run.decisions(), picks);
+
+  // The same schedule as one decision tape: each fault fires just before
+  // the pick that follows it.
+  const int r0 = encode_action(ActionKind::kRestart, 0);
+  const int c1 = encode_action(ActionKind::kCrash, 1);
+  const int s2 = encode_action(ActionKind::kScFailure, 2);
+  const std::vector<int> tape = {0, r0, 1, 2, 1, c1, s2, 0, 0, 0};
+  ParitySystem tape_sys;
+  SimEnv by_tape;
+  tape_sys.populate(by_tape);
+  by_tape.start();
+  for (const int decision : tape) {
+    ASSERT_TRUE(by_tape.applicable(decision)) << decision;
+    EXPECT_EQ(by_tape.apply(decision), grants_step(decision)) << decision;
+  }
+  EXPECT_TRUE(by_tape.parked_processes().empty());
+  by_tape.finish();
+  const RunReport tape_report = by_tape.snapshot_report();
+
+  expect_same_run(by_run, run_report, by_tape, tape_report);
+  EXPECT_EQ(run_report.restarts_by_pid, (std::vector<int>{1, 0, 0}));
+  EXPECT_EQ(run_report.outcomes[1], ProcOutcome::kCrashed);
+  EXPECT_EQ(by_run.trace().for_pid(2).back().result, 0);  // the spurious SC
+  EXPECT_EQ(run_sys.reg.peek(), tape_sys.reg.peek());
 }
 
 // ---------------------------------------------------- fiber substrate

@@ -27,12 +27,12 @@
 namespace bss::service {
 namespace {
 
-using explore::ActionKind;
 using explore::Counterexample;
-using explore::decode_action;
 using explore::ExploreOptions;
 using explore::ExploreResult;
 using explore::ReplayOutcome;
+using sim::ActionKind;
+using sim::decode_action;
 
 /// On an unexpected violation, persist the counterexample so CI can upload
 /// it (BSS_ARTIFACT_DIR is set by the workflow; no-op locally when unset).
