@@ -1,6 +1,8 @@
 #include "explore/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <type_traits>
 #include <utility>
 
 #include "obs/json.h"
@@ -37,50 +39,31 @@ json::Value fp_partials_to_json(
   return json::Value(std::move(array));
 }
 
-json::Value stats_to_json(const ExploreStats& stats) {
-  json::Object object;
-  object.emplace("schedules", json::Value(stats.schedules));
-  object.emplace("transitions", json::Value(stats.transitions));
-  object.emplace("timer_grants", json::Value(stats.timer_grants));
-  object.emplace("sleep_set_prunes", json::Value(stats.sleep_set_prunes));
-  object.emplace("preemption_prunes", json::Value(stats.preemption_prunes));
-  object.emplace("truncated", json::Value(stats.truncated));
-  object.emplace("max_depth_seen", json::Value(stats.max_depth_seen));
-  object.emplace("shrink_runs", json::Value(stats.shrink_runs));
-  object.emplace("shrink_budget_hits", json::Value(stats.shrink_budget_hits));
-  object.emplace("fault_prunes", json::Value(stats.fault_prunes));
-  object.emplace("faults_injected", json::Value(stats.faults_injected));
-  // Omitted when zero so prune-off artifacts keep their historical byte
-  // shape; parses back as zero either way.
-  if (stats.fingerprint_prunes > 0) {
-    object.emplace("fingerprint_prunes",
-                   json::Value(stats.fingerprint_prunes));
+/// A counter table's rows as a JSON object, joined to `object`, which
+/// holds the record's other keys.  omit_zero rows are left out while zero.
+json::Value counters_to_json(const auto& rows, const auto& record,
+                             json::Object object = {}) {
+  for (const auto& row : rows) {
+    const std::uint64_t value = record.*row.member;
+    if (!row.omit_zero || value > 0) {
+      object.emplace(row.name, json::Value(value));
+    }
   }
-  object.emplace("fault_points", json::Value(stats.fault_points));
   return json::Value(std::move(object));
 }
 
 json::Value audit_to_json(const AuditSummary& audit) {
   json::Object object;
   object.emplace("enabled", json::Value(audit.enabled));
-  object.emplace("windows", json::Value(audit.windows));
-  object.emplace("accesses", json::Value(audit.accesses));
-  object.emplace("ledger_violations", json::Value(audit.ledger_violations));
-  object.emplace("schedules_cross_checked",
-                 json::Value(audit.schedules_cross_checked));
-  object.emplace("pairs_considered", json::Value(audit.pairs_considered));
-  object.emplace("swaps_replayed", json::Value(audit.swaps_replayed));
-  object.emplace("commute_mismatches", json::Value(audit.commute_mismatches));
   json::Array findings;
   for (const std::string& finding : audit.findings) {
     findings.emplace_back(finding);
   }
   object.emplace("findings", json::Value(std::move(findings)));
-  return json::Value(std::move(object));
+  return counters_to_json(kAuditCounters, audit, std::move(object));
 }
 
-json::Value fault_points_to_json(
-    const std::vector<std::pair<int, std::uint64_t>>& points) {
+json::Value fault_points_to_json(const std::set<FaultPoint>& points) {
   json::Array array;
   for (const auto& [action, steps] : points) {
     json::Array pair;
@@ -91,34 +74,29 @@ json::Value fault_points_to_json(
   return json::Value(std::move(array));
 }
 
-json::Value options_to_json(const CheckpointOptions& options) {
+json::Value options_to_json(const ExploreOptions& options) {
   json::Object object;
-  object.emplace("max_depth", json::Value(options.max_depth));
-  object.emplace("preemption_bound", json::Value(options.preemption_bound));
-  object.emplace("iterative", json::Value(options.iterative));
-  object.emplace("use_por", json::Value(options.use_por));
-  object.emplace("max_schedules", json::Value(options.max_schedules));
-  object.emplace("stop_at_first_violation",
-                 json::Value(options.stop_at_first_violation));
-  object.emplace("max_violations", json::Value(options.max_violations));
-  object.emplace("minimize", json::Value(options.minimize));
-  object.emplace("shrink_budget", json::Value(options.shrink_budget));
-  object.emplace("record_trace", json::Value(options.record_trace));
-  object.emplace("fault_bound", json::Value(options.fault_bound));
-  object.emplace("explore_crashes", json::Value(options.explore_crashes));
-  object.emplace("explore_restarts", json::Value(options.explore_restarts));
-  object.emplace("explore_sc_failures",
-                 json::Value(options.explore_sc_failures));
-  object.emplace("audit", json::Value(options.audit));
-  object.emplace("audit_commute_sample",
-                 json::Value(static_cast<std::uint64_t>(
-                     options.audit_commute_sample)));
-  // Serialized only when set, so prune-off artifacts keep their historical
-  // byte shape (and old artifacts parse as fingerprint_prune == false).
-  if (options.fingerprint_prune) {
-    object.emplace("fingerprint_prune", json::Value(true));
-  }
+  visit_key_options([&](const char* name, auto member, bool optional) {
+    const auto value = options.*member;
+    using T = std::remove_const_t<decltype(value)>;
+    if (optional && value == T{}) return;
+    if constexpr (std::is_same_v<T, bool> || std::is_signed_v<T>) {
+      object.emplace(name, json::Value(value));
+    } else {
+      object.emplace(name, json::Value(static_cast<std::uint64_t>(value)));
+    }
+  });
   return json::Value(std::move(object));
+}
+
+/// The UnitTally keys, shared by a frontier unit and each of its
+/// violations.
+void tally_to_json(const UnitTally& tally, json::Object& object) {
+  object.emplace("stats", counters_to_json(kExploreCounters, tally.stats));
+  object.emplace("audit", audit_to_json(tally.audit));
+  object.emplace("fault_points", fault_points_to_json(tally.fault_points));
+  object.emplace("budget_limited", json::Value(tally.budget_limited));
+  object.emplace("fault_limited", json::Value(tally.fault_limited));
 }
 
 json::Value unit_to_json(const CheckpointUnit& unit) {
@@ -140,31 +118,21 @@ json::Value unit_to_json(const CheckpointUnit& unit) {
   object.emplace("frames", json::Value(std::move(frames)));
   object.emplace("floor", json::Value(unit.floor));
   object.emplace("complete", json::Value(unit.complete));
-  object.emplace("stats", stats_to_json(unit.stats));
-  object.emplace("audit", audit_to_json(unit.audit));
-  object.emplace("fault_points", fault_points_to_json(unit.fault_points));
+  const UnitResult& result = unit.result;
+  tally_to_json(result, object);
   json::Array violations;
-  for (const CheckpointViolation& violation : unit.violations) {
-    json::Object violation_object;
-    violation_object.emplace("artifact",
-                             json::Value(violation.cex.to_artifact()));
-    violation_object.emplace("stats", stats_to_json(violation.stats));
-    violation_object.emplace("audit", audit_to_json(violation.audit));
-    violation_object.emplace("fault_points",
-                             fault_points_to_json(violation.fault_points));
-    violation_object.emplace("budget_limited",
-                             json::Value(violation.budget_limited));
-    violation_object.emplace("fault_limited",
-                             json::Value(violation.fault_limited));
-    violations.emplace_back(std::move(violation_object));
+  for (std::size_t i = 0; i < result.violations.size(); ++i) {
+    json::Object violation;
+    violation.emplace("artifact",
+                      json::Value(result.violations[i].to_artifact()));
+    tally_to_json(result.tallies[i], violation);
+    violations.emplace_back(std::move(violation));
   }
   object.emplace("violations", json::Value(std::move(violations)));
-  object.emplace("budget_limited", json::Value(unit.budget_limited));
-  object.emplace("fault_limited", json::Value(unit.fault_limited));
-  object.emplace("cap_hit", json::Value(unit.cap_hit));
-  object.emplace("stopped", json::Value(unit.stopped));
-  if (!unit.fp_partials.empty()) {
-    object.emplace("fp_partials", fp_partials_to_json(unit.fp_partials));
+  object.emplace("cap_hit", json::Value(result.cap_hit));
+  object.emplace("stopped", json::Value(result.stopped));
+  if (!result.fp_partials.empty()) {
+    object.emplace("fp_partials", fp_partials_to_json(result.fp_partials));
   }
   return json::Value(std::move(object));
 }
@@ -180,31 +148,27 @@ json::Value unit_to_json(const CheckpointUnit& unit) {
 /// (how fingerprint-prune fields extend the schema without invalidating
 /// pre-existing artifacts); anything else rejects.
 void check_keys(const json::Object& object,
-                std::initializer_list<const char*> required,
-                std::initializer_list<const char*> optional,
+                const std::vector<std::string_view>& required,
+                const std::vector<std::string_view>& optional,
                 const char* where) {
-  for (const char* key : required) {
-    expects(object.count(key) != 0,
-            std::string(where) + ": missing required key '" + key + "'");
+  for (const std::string_view key : required) {
+    expects(object.count(std::string(key)) != 0,
+            std::string(where) + ": missing required key '" +
+                std::string(key) + "'");
   }
+  const auto listed = [](const std::vector<std::string_view>& keys,
+                         const std::string& key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
   for (const auto& [key, value] : object) {
-    bool known = false;
-    for (const char* candidate : required) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    for (const char* candidate : optional) {
-      if (known) break;
-      if (key == candidate) known = true;
-    }
-    expects(known, std::string(where) + ": unknown key '" + key + "'");
+    expects(listed(required, key) || listed(optional, key),
+            std::string(where) + ": unknown key '" + key + "'");
   }
 }
 
 void check_keys(const json::Object& object,
-                std::initializer_list<const char*> keys, const char* where) {
+                const std::vector<std::string_view>& keys,
+                const char* where) {
   check_keys(object, keys, {}, where);
 }
 
@@ -272,8 +236,7 @@ bool get_bool_or(const json::Object& object, const std::string& key,
 
 /// Parses a 32-hex-char cache key back into its (lo, hi) halves; anything
 /// but exactly 32 lowercase hex digits rejects.
-std::pair<std::uint64_t, std::uint64_t> parse_fp_key(const std::string& text,
-                                                     const char* where) {
+FpKey parse_fp_key(const std::string& text, const char* where) {
   expects(text.size() == 32,
           std::string(where) + ": cache key must be 32 hex chars");
   std::uint64_t halves[2] = {0, 0};
@@ -337,51 +300,31 @@ int parse_decision(const json::Value& value, int processes,
   return *decision;
 }
 
-ExploreStats parse_stats(const json::Object& parent, const std::string& key,
-                         const char* where) {
-  const json::Object& object = get_object(parent, key, where);
-  check_keys(object,
-             {"schedules", "transitions", "timer_grants", "sleep_set_prunes",
-              "preemption_prunes", "truncated", "max_depth_seen",
-              "shrink_runs", "shrink_budget_hits", "fault_prunes",
-              "faults_injected", "fault_points"},
-             {"fingerprint_prunes"}, where);
-  ExploreStats stats;
-  stats.schedules = get_u64(object, "schedules", where);
-  stats.transitions = get_u64(object, "transitions", where);
-  stats.timer_grants = get_u64(object, "timer_grants", where);
-  stats.sleep_set_prunes = get_u64(object, "sleep_set_prunes", where);
-  stats.preemption_prunes = get_u64(object, "preemption_prunes", where);
-  stats.truncated = get_u64(object, "truncated", where);
-  stats.max_depth_seen = get_u64(object, "max_depth_seen", where);
-  stats.shrink_runs = get_u64(object, "shrink_runs", where);
-  stats.shrink_budget_hits = get_u64(object, "shrink_budget_hits", where);
-  stats.fault_prunes = get_u64(object, "fault_prunes", where);
-  stats.faults_injected = get_u64(object, "faults_injected", where);
-  stats.fingerprint_prunes =
-      get_u64_or(object, "fingerprint_prunes", 0, where);
-  stats.fault_points = get_u64(object, "fault_points", where);
-  return stats;
+/// Reads a counter table's rows into `record`.  `object` may carry no
+/// keys but the rows' and `required`; an omit_zero row parses as zero when
+/// absent.
+template <class Record>
+void parse_counters(const json::Object& object, const auto& rows,
+                    std::vector<std::string_view> required, Record& record,
+                    const char* where) {
+  std::vector<std::string_view> optional;
+  for (const CounterRow<Record>& row : rows) {
+    (row.omit_zero ? optional : required).push_back(row.name);
+  }
+  check_keys(object, required, optional, where);
+  for (const CounterRow<Record>& row : rows) {
+    record.*row.member = row.omit_zero
+                             ? get_u64_or(object, row.name, 0, where)
+                             : get_u64(object, row.name, where);
+  }
 }
 
-AuditSummary parse_audit(const json::Object& parent, const std::string& key,
-                         const char* where) {
-  const json::Object& object = get_object(parent, key, where);
-  check_keys(object,
-             {"enabled", "windows", "accesses", "ledger_violations",
-              "schedules_cross_checked", "pairs_considered", "swaps_replayed",
-              "commute_mismatches", "findings"},
-             where);
+AuditSummary parse_audit(const json::Object& parent, const char* where) {
+  const json::Object& object = get_object(parent, "audit", where);
   AuditSummary audit;
+  parse_counters(object, kAuditCounters, {"enabled", "findings"}, audit,
+                 where);
   audit.enabled = get_bool(object, "enabled", where);
-  audit.windows = get_u64(object, "windows", where);
-  audit.accesses = get_u64(object, "accesses", where);
-  audit.ledger_violations = get_u64(object, "ledger_violations", where);
-  audit.schedules_cross_checked =
-      get_u64(object, "schedules_cross_checked", where);
-  audit.pairs_considered = get_u64(object, "pairs_considered", where);
-  audit.swaps_replayed = get_u64(object, "swaps_replayed", where);
-  audit.commute_mismatches = get_u64(object, "commute_mismatches", where);
   for (const json::Value& finding : get_array(object, "findings", where)) {
     expects(finding.is_string(),
             std::string(where) + ": audit findings must be strings");
@@ -390,11 +333,17 @@ AuditSummary parse_audit(const json::Object& parent, const std::string& key,
   return audit;
 }
 
-std::vector<std::pair<int, std::uint64_t>> parse_fault_points(
-    const json::Object& parent, const std::string& key, int processes,
-    const char* where) {
-  std::vector<std::pair<int, std::uint64_t>> points;
-  for (const json::Value& entry : get_array(parent, key, where)) {
+ExploreStats parse_stats(const json::Object& parent, const char* where) {
+  ExploreStats stats;
+  parse_counters(get_object(parent, "stats", where), kExploreCounters, {},
+                 stats, where);
+  return stats;
+}
+
+std::set<FaultPoint> parse_fault_points(const json::Object& parent,
+                                        int processes, const char* where) {
+  std::set<FaultPoint> points;
+  for (const json::Value& entry : get_array(parent, "fault_points", where)) {
     expects(entry.is_array() && entry.as_array().size() == 2,
             std::string(where) +
                 ": fault point must be a [token, steps] pair");
@@ -404,43 +353,52 @@ std::vector<std::pair<int, std::uint64_t>> parse_fault_points(
     const json::Value& steps = entry.as_array()[1];
     expects(steps.is_int() && steps.as_int() >= 0,
             std::string(where) + ": fault point steps must be non-negative");
-    points.emplace_back(action, static_cast<std::uint64_t>(steps.as_int()));
+    points.emplace(action, static_cast<std::uint64_t>(steps.as_int()));
   }
   return points;
 }
 
-CheckpointOptions parse_options(const json::Object& parent,
-                                const char* where) {
+/// `keys` plus the keys tally_to_json writes.
+std::vector<std::string_view> with_tally_keys(
+    std::vector<std::string_view> keys) {
+  keys.insert(keys.end(), {"stats", "audit", "fault_points", "budget_limited",
+                           "fault_limited"});
+  return keys;
+}
+
+void parse_tally(const json::Object& object, int processes,
+                 const char* where, UnitTally& tally) {
+  tally.stats = parse_stats(object, where);
+  tally.audit = parse_audit(object, where);
+  tally.fault_points = parse_fault_points(object, processes, where);
+  tally.budget_limited = get_bool(object, "budget_limited", where);
+  tally.fault_limited = get_bool(object, "fault_limited", where);
+}
+
+ExploreOptions parse_options(const json::Object& parent, const char* where) {
   const json::Object& object = get_object(parent, "options", where);
-  check_keys(object,
-             {"max_depth", "preemption_bound", "iterative", "use_por",
-              "max_schedules", "stop_at_first_violation", "max_violations",
-              "minimize", "shrink_budget", "record_trace", "fault_bound",
-              "explore_crashes", "explore_restarts", "explore_sc_failures",
-              "audit", "audit_commute_sample"},
-             {"fingerprint_prune"}, where);
-  CheckpointOptions options;
-  options.max_depth = get_u64(object, "max_depth", where);
-  options.preemption_bound = get_int(object, "preemption_bound", where);
-  options.iterative = get_bool(object, "iterative", where);
-  options.use_por = get_bool(object, "use_por", where);
-  options.max_schedules = get_u64(object, "max_schedules", where);
-  options.stop_at_first_violation =
-      get_bool(object, "stop_at_first_violation", where);
-  options.max_violations = get_u64(object, "max_violations", where);
-  options.minimize = get_bool(object, "minimize", where);
-  options.shrink_budget = get_u64(object, "shrink_budget", where);
-  options.record_trace = get_bool(object, "record_trace", where);
-  options.fault_bound = get_int(object, "fault_bound", where);
-  options.explore_crashes = get_bool(object, "explore_crashes", where);
-  options.explore_restarts = get_bool(object, "explore_restarts", where);
-  options.explore_sc_failures =
-      get_bool(object, "explore_sc_failures", where);
-  options.audit = get_bool(object, "audit", where);
-  options.audit_commute_sample = checked_cast<std::uint32_t>(
-      get_u64(object, "audit_commute_sample", where));
-  options.fingerprint_prune =
-      get_bool_or(object, "fingerprint_prune", false, where);
+  std::vector<std::string_view> required;
+  std::vector<std::string_view> optional;
+  visit_key_options([&](const char* name, auto, bool is_optional) {
+    (is_optional ? optional : required).push_back(name);
+  });
+  check_keys(object, required, optional, where);
+  ExploreOptions options;
+  visit_key_options([&](const char* name, auto member, bool is_optional) {
+    auto& field = options.*member;
+    using T = std::remove_reference_t<decltype(field)>;
+    if (is_optional && object.count(name) == 0) {
+      field = T{};
+      return;
+    }
+    if constexpr (std::is_same_v<T, bool>) {
+      field = get_bool(object, name, where);
+    } else if constexpr (std::is_signed_v<T>) {
+      field = get_int(object, name, where);
+    } else {
+      field = checked_cast<T>(get_u64(object, name, where));
+    }
+  });
   return options;
 }
 
@@ -471,9 +429,8 @@ CheckpointUnit parse_unit(const json::Value& value, const std::string& system,
   expects(value.is_object(), "frontier entries must be objects");
   const json::Object& object = value.as_object();
   check_keys(object,
-             {"frames", "floor", "complete", "stats", "audit", "fault_points",
-              "violations", "budget_limited", "fault_limited", "cap_hit",
-              "stopped"},
+             with_tally_keys({"frames", "floor", "complete", "violations",
+                              "cap_hit", "stopped"}),
              {"fp_partials"}, where);
   CheckpointUnit unit;
   for (const json::Value& frame_value : get_array(object, "frames", where)) {
@@ -500,65 +457,35 @@ CheckpointUnit parse_unit(const json::Value& value, const std::string& system,
           "frontier unit floor exceeds its frame stack");
   expects(!unit.complete || unit.frames.empty(),
           "complete frontier unit still carries frames");
-  unit.stats = parse_stats(object, "stats", where);
-  unit.audit = parse_audit(object, "audit", where);
-  unit.fault_points =
-      parse_fault_points(object, "fault_points", processes, where);
+  UnitResult& result = unit.result;
+  parse_tally(object, processes, where, result);
   for (const json::Value& violation_value :
        get_array(object, "violations", where)) {
     expects(violation_value.is_object(),
             "frontier unit violations must be objects");
     const json::Object& violation_object = violation_value.as_object();
-    check_keys(
-        violation_object,
-        {"artifact", "stats", "audit", "fault_points", "budget_limited",
-         "fault_limited"},
-        "frontier violation");
-    CheckpointViolation violation;
-    violation.cex = parse_embedded_counterexample(
+    check_keys(violation_object, with_tally_keys({"artifact"}),
+               "frontier violation");
+    result.violations.push_back(parse_embedded_counterexample(
         violation_object.find("artifact")->second, system, processes,
-        "frontier violation");
-    violation.stats = parse_stats(violation_object, "stats", where);
-    violation.audit = parse_audit(violation_object, "audit", where);
-    violation.fault_points = parse_fault_points(violation_object,
-                                                "fault_points", processes,
-                                                where);
-    violation.budget_limited = get_bool(violation_object, "budget_limited",
-                                        where);
-    violation.fault_limited = get_bool(violation_object, "fault_limited",
-                                       where);
-    unit.violations.push_back(std::move(violation));
+        "frontier violation"));
+    parse_tally(violation_object, processes, where,
+                result.tallies.emplace_back());
   }
-  unit.budget_limited = get_bool(object, "budget_limited", where);
-  unit.fault_limited = get_bool(object, "fault_limited", where);
-  unit.cap_hit = get_bool(object, "cap_hit", where);
-  unit.stopped = get_bool(object, "stopped", where);
-  unit.fp_partials = parse_fp_partials(object, "fp_partials", where);
+  result.cap_hit = get_bool(object, "cap_hit", where);
+  result.stopped = get_bool(object, "stopped", where);
+  result.fp_partials = parse_fp_partials(object, "fp_partials", where);
   return unit;
 }
 
 }  // namespace
 
-CheckpointOptions CheckpointOptions::key_of(const ExploreOptions& options) {
-  CheckpointOptions key;
-  key.max_depth = options.max_depth;
-  key.preemption_bound = options.preemption_bound;
-  key.iterative = options.iterative;
-  key.use_por = options.use_por;
-  key.max_schedules = options.max_schedules;
-  key.stop_at_first_violation = options.stop_at_first_violation;
-  key.max_violations = static_cast<std::uint64_t>(options.max_violations);
-  key.minimize = options.minimize;
-  key.shrink_budget = options.shrink_budget;
-  key.record_trace = options.record_trace;
-  key.fault_bound = options.fault_bound;
-  key.explore_crashes = options.explore_crashes;
-  key.explore_restarts = options.explore_restarts;
-  key.explore_sc_failures = options.explore_sc_failures;
-  key.audit = options.audit;
-  key.audit_commute_sample = options.audit_commute_sample;
-  key.fingerprint_prune = options.fingerprint_prune;
-  return key;
+bool same_key_options(const ExploreOptions& a, const ExploreOptions& b) {
+  bool same = true;
+  visit_key_options([&](const char*, auto member, bool) {
+    same = same && a.*member == b.*member;
+  });
+  return same;
 }
 
 std::string Checkpoint::to_artifact() const {
@@ -581,7 +508,7 @@ std::string Checkpoint::to_artifact() const {
   progress.emplace("pass_budget_limited", json::Value(pass_budget_limited));
   progress.emplace("pass_fault_limited", json::Value(pass_fault_limited));
   root.emplace("progress", json::Value(std::move(progress)));
-  root.emplace("stats", stats_to_json(stats));
+  root.emplace("stats", counters_to_json(kExploreCounters, stats));
   root.emplace("audit", audit_to_json(audit));
   json::Array violation_artifacts;
   for (const Counterexample& cex : violations) {
@@ -658,16 +585,16 @@ std::optional<Checkpoint> Checkpoint::from_artifact(const std::string& text,
         get_bool(progress, "pass_budget_limited", "progress");
     checkpoint.pass_fault_limited =
         get_bool(progress, "pass_fault_limited", "progress");
-    checkpoint.stats = parse_stats(object, "stats", "checkpoint");
-    checkpoint.audit = parse_audit(object, "audit", "checkpoint");
+    checkpoint.stats = parse_stats(object, "checkpoint");
+    checkpoint.audit = parse_audit(object, "checkpoint");
     for (const json::Value& value :
          get_array(object, "violations", "checkpoint")) {
       checkpoint.violations.push_back(parse_embedded_counterexample(
           value, checkpoint.system, checkpoint.processes,
           "checkpoint violation"));
     }
-    checkpoint.fault_points = parse_fault_points(
-        object, "fault_points", checkpoint.processes, "checkpoint");
+    checkpoint.fault_points =
+        parse_fault_points(object, checkpoint.processes, "checkpoint");
     for (const json::Value& value :
          get_array(object, "frontier", "checkpoint")) {
       checkpoint.frontier.push_back(
@@ -678,7 +605,7 @@ std::optional<Checkpoint> Checkpoint::from_artifact(const std::string& text,
            get_array(object, "fp_cache", "checkpoint")) {
         expects(value.is_string(),
                 "checkpoint: fp_cache entries must be strings");
-        checkpoint.fp_cache.push_back(
+        checkpoint.fp_cache.insert(
             parse_fp_key(value.as_string(), "checkpoint fp_cache"));
       }
     }

@@ -9,6 +9,10 @@
 //   counterexample.cc  the bss-counterexample v1/v2 codec and action tokens
 //   explore.cc         explore(): the pass sweep, resume, the final
 //                      checkpoint, heartbeats and the runreport
+//
+// The records a checkpoint persists — UnitResult and its UnitTally,
+// FaultPoint, FpKey/FpCache, FingerprintPartial — are defined once, in
+// checkpoint.h, and the engine works on them directly.
 #pragma once
 
 #include <atomic>
@@ -31,10 +35,6 @@ namespace bss::explore::detail {
 /// Sentinel for "no choice"; distinct from every encoded action (grants are
 /// >= 0, faults are small negatives).
 constexpr int kNoChoice = std::numeric_limits<int>::min();
-
-using FpKey = std::pair<std::uint64_t, std::uint64_t>;
-/// Frozen for the duration of a pass; read concurrently without locks.
-using FpCache = std::set<FpKey>;
 
 /// One node of the DFS tree: the scheduling state after `index` decisions
 /// (grants and faults alike).
@@ -81,43 +81,6 @@ struct PassState {
   /// floor, and the victim's floor rises past the cut, so no two units ever
   /// own the same sibling choice.
   std::size_t floor = 0;
-};
-
-/// Fault-site coordinate: (encoded action, victim's lifetime op count).
-using FaultPoint = std::pair<int, std::uint64_t>;
-
-/// Snapshot of a unit's cumulative results taken right after a violation is
-/// recorded.  When the deterministic merge decides the serial explorer would
-/// have stopped at that violation, it folds the checkpoint instead of the
-/// full unit, discarding everything the worker explored speculatively past
-/// the stop point.
-struct UnitCheckpoint {
-  ExploreStats stats;
-  AuditSummary audit;
-  std::set<FaultPoint> fault_points;
-  bool budget_limited = false;
-  bool fault_limited = false;
-};
-
-/// Results of one merge unit: a contiguous segment of a pass's DFS.  Units
-/// are merged in DFS order, which makes the parallel explorer
-/// byte-identical to the serial one.
-struct UnitResult {
-  ExploreStats stats;
-  AuditSummary audit;
-  std::set<FaultPoint> fault_points;
-  std::vector<Counterexample> violations;
-  std::vector<UnitCheckpoint> checkpoints;  ///< parallel to `violations`
-  /// Visited-state coverage partials (fingerprint_prune only), emitted when
-  /// a keyed frame pops and for the still-open below-floor frames when the
-  /// unit drains.  Folded per key across all units between passes; dropped
-  /// wholesale on stop/cap (the campaign is over — the cache is dead).
-  std::vector<FingerprintPartial> fp_partials;
-  bool budget_limited = false;  ///< a branch was cut by the preemption budget
-  bool fault_limited = false;   ///< a branch was cut by the fault budget
-  bool cap_hit = false;         ///< max_schedules fired before some run
-  bool stopped = false;         ///< the worker hit its violation quota
-  bool skipped = false;         ///< past a confirmed stop, never run
 };
 
 /// Observability context threaded through the hot loop: the sink (null =

@@ -68,9 +68,6 @@ int resolve_jobs(const ExploreOptions& options) {
 }  // namespace
 
 using detail::CheckpointCtx;
-using detail::FaultPoint;
-using detail::FpCache;
-using detail::FpKey;
 using detail::merge_pass;
 using detail::MergeOutcome;
 using detail::PassConfig;
@@ -79,14 +76,14 @@ using detail::run_steal_pass;
 using detail::SharedBudget;
 using detail::StatusCtx;
 using detail::StealPassOutput;
-using detail::UnitResult;
 
 ExploreResult explore(const ExplorableSystem& system,
                       const ExploreOptions& requested) {
   ExploreOptions options = requested;
   options.audit = resolve_audit(requested);
-  // Resolved here (not at use sites) so CheckpointOptions::key_of sees the
-  // effective value — a resume under a different BSS_EXPLORE_FP is caught.
+  // Resolved here (not at use sites) so the checkpoint's option fields
+  // hold the effective value — a resume under a different BSS_EXPLORE_FP
+  // is caught.
   options.fingerprint_prune = resolve_fingerprint_prune(requested);
   ExploreResult result;
   result.audit.enabled = options.audit;
@@ -177,7 +174,7 @@ ExploreResult explore(const ExplorableSystem& system,
     expects(resume->system == system.name() &&
                 resume->processes == system.process_count(),
             "resume: checkpoint was taken on a different system");
-    expects(resume->options == CheckpointOptions::key_of(options),
+    expects(same_key_options(resume->options, options),
             "resume: result-affecting exploration options differ from the "
             "checkpointed campaign");
     skip_passes = resume->complete || resume->stopped || resume->cap_hit;
@@ -189,13 +186,11 @@ ExploreResult explore(const ExplorableSystem& system,
     result.audit = resume->audit;
     result.audit.enabled = options.audit;
     result.violations = resume->violations;
-    for (const auto& point : resume->fault_points) {
-      fault_points.emplace(point.first, point.second);
-    }
+    fault_points = resume->fault_points;
     cap_hit = resume->cap_hit;
     stopped = resume->stopped;
     last_pass_budget_limited = resume->last_pass_budget_limited;
-    for (const auto& key : resume->fp_cache) fp_cache.insert(key);
+    fp_cache = resume->fp_cache;
     restored_fp_partials = resume->fp_partials;
     // The in-progress pass resumes under its own ordinal; a pass that
     // already concluded (stop/cap confirmed in the folded prefix) counts as
@@ -209,7 +204,7 @@ ExploreResult explore(const ExplorableSystem& system,
     // once each, so the valve stays consistent with the re-exploration.
     std::uint64_t consumed = result.stats.schedules;
     for (const CheckpointUnit& cu : resume->frontier) {
-      consumed += cu.stats.schedules;
+      consumed += cu.result.stats.schedules;
     }
     budget_valve.schedules.store(consumed, std::memory_order_relaxed);
   }
@@ -386,7 +381,7 @@ ExploreResult explore(const ExplorableSystem& system,
     cp.seq = ckpt->seq++;
     cp.system = system.name();
     cp.processes = system.process_count();
-    cp.options = CheckpointOptions::key_of(options);
+    cp.options = options;
     cp.complete = true;
     cp.exhausted = result.exhausted;
     cp.pass_ordinal = pass_ordinal;
@@ -396,9 +391,7 @@ ExploreResult explore(const ExplorableSystem& system,
     cp.stats = result.stats;
     cp.audit = result.audit;
     cp.violations = result.violations;
-    for (const FaultPoint& point : fault_points) {
-      cp.fault_points.emplace_back(point.first, point.second);
-    }
+    cp.fault_points = fault_points;
     expects(write_checkpoint_file(options.checkpoint_path, cp.to_artifact()),
             "failed to write checkpoint artifact: " + options.checkpoint_path);
     ++ckpt->written;
@@ -435,19 +428,9 @@ ExploreResult explore(const ExplorableSystem& system,
     report.option("audit", options.audit);
     report.option("fingerprint_prune", options.fingerprint_prune);
     const ExploreStats& stats = result.stats;
-    report.stat("schedules", stats.schedules);
-    report.stat("transitions", stats.transitions);
-    report.stat("timer_grants", stats.timer_grants);
-    report.stat("sleep_set_prunes", stats.sleep_set_prunes);
-    report.stat("preemption_prunes", stats.preemption_prunes);
-    report.stat("truncated", stats.truncated);
-    report.stat("max_depth_seen", stats.max_depth_seen);
-    report.stat("shrink_runs", stats.shrink_runs);
-    report.stat("shrink_budget_hits", stats.shrink_budget_hits);
-    report.stat("fault_prunes", stats.fault_prunes);
-    report.stat("faults_injected", stats.faults_injected);
-    report.stat("fingerprint_prunes", stats.fingerprint_prunes);
-    report.stat("fault_points", stats.fault_points);
+    for (const CounterRow<ExploreStats>& row : kExploreCounters) {
+      report.stat(row.name, stats.*row.member);
+    }
     report.stat("violations", result.violations.size());
     report.coverage("exhausted", result.exhausted);
     report.coverage("passes", pass_ordinal);
@@ -494,21 +477,30 @@ ExploreResult explore(const ExplorableSystem& system,
 
 // ---------------------------------------------------------------- reporting
 
+namespace {
+
+/// Folds `from` into `into` by each counter row's fold.
+template <class Record>
+void fold_counters(const auto& rows, Record& into, const Record& from) {
+  for (const CounterRow<Record>& row : rows) {
+    std::uint64_t& total = into.*row.member;
+    switch (row.fold) {
+      case CounterFold::kSum:
+        total += from.*row.member;
+        break;
+      case CounterFold::kMax:
+        total = std::max(total, from.*row.member);
+        break;
+      case CounterFold::kNone:
+        break;
+    }
+  }
+}
+
+}  // namespace
+
 void ExploreStats::merge_from(const ExploreStats& other) {
-  schedules += other.schedules;
-  transitions += other.transitions;
-  timer_grants += other.timer_grants;
-  sleep_set_prunes += other.sleep_set_prunes;
-  preemption_prunes += other.preemption_prunes;
-  truncated += other.truncated;
-  max_depth_seen = std::max(max_depth_seen, other.max_depth_seen);
-  shrink_runs += other.shrink_runs;
-  shrink_budget_hits += other.shrink_budget_hits;
-  fault_prunes += other.fault_prunes;
-  faults_injected += other.faults_injected;
-  fingerprint_prunes += other.fingerprint_prunes;
-  // fault_points intentionally untouched: distinct sites dedup through a
-  // set and are written once at the end of explore().
+  fold_counters(kExploreCounters, *this, other);
 }
 
 std::string ExploreStats::summary() const {
@@ -536,13 +528,7 @@ void AuditSummary::note(std::string finding) {
 
 void AuditSummary::merge_from(const AuditSummary& other) {
   enabled |= other.enabled;
-  windows += other.windows;
-  accesses += other.accesses;
-  ledger_violations += other.ledger_violations;
-  schedules_cross_checked += other.schedules_cross_checked;
-  pairs_considered += other.pairs_considered;
-  swaps_replayed += other.swaps_replayed;
-  commute_mismatches += other.commute_mismatches;
+  fold_counters(kAuditCounters, *this, other);
   for (const auto& finding : other.findings) note(finding);
 }
 

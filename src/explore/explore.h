@@ -75,6 +75,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -288,13 +289,84 @@ struct ExploreStats {
   /// pairs — "every single-crash point" means every such pair was hit.
   std::uint64_t fault_points = 0;
 
-  /// Folds `other` into this: counters add, max_depth_seen maxes.  The
-  /// parallel merge applies this to per-unit stats in DFS order;
-  /// fault_points is NOT summed (distinct sites dedup through a set and are
-  /// written once at the end of explore()).
+  /// Folds `other` into this by each kExploreCounters row's fold: counters
+  /// add, max_depth_seen maxes, fault_points is untouched (distinct sites
+  /// dedup through a set and are written once at the end of explore()).
+  /// The parallel merge applies this to per-unit stats in DFS order.
   void merge_from(const ExploreStats& other);
 
   std::string summary() const;
+};
+
+/// How merge_from folds one counter of a partial result into a total.
+enum class CounterFold {
+  kSum,   ///< counts add
+  kMax,   ///< high-water marks keep the larger value
+  kNone,  ///< untouched: fault_points is a set's size, written once at the
+          ///< end of explore()
+};
+
+/// One ExploreStats or AuditSummary counter, listed once.  The tables below
+/// drive merge_from, the `bss-checkpoint v1` codec, the runreport `stats`
+/// section and the per-unit metrics.
+template <class Record>
+struct CounterRow {
+  const char* name;  ///< JSON key in the checkpoint and the runreport
+  std::uint64_t Record::*member;
+  CounterFold fold = CounterFold::kSum;
+  /// The checkpoint omits the counter while it is zero and parses a missing
+  /// key as zero, so counters added after v1 shipped leave older artifacts'
+  /// bytes unchanged.
+  bool omit_zero = false;
+  /// Per-unit metric fed from the counter's delta (a kMax row feeds a
+  /// gauge); nullptr means none.
+  const char* metric = nullptr;
+};
+
+inline constexpr CounterRow<ExploreStats> kExploreCounters[] = {
+    {.name = "schedules", .member = &ExploreStats::schedules,
+     .metric = "explore.schedules"},
+    {.name = "transitions", .member = &ExploreStats::transitions,
+     .metric = "explore.transitions"},
+    {.name = "timer_grants", .member = &ExploreStats::timer_grants,
+     .metric = "explore.timer_grants"},
+    {.name = "sleep_set_prunes", .member = &ExploreStats::sleep_set_prunes},
+    {.name = "preemption_prunes", .member = &ExploreStats::preemption_prunes},
+    {.name = "truncated", .member = &ExploreStats::truncated,
+     .metric = "explore.truncated"},
+    {.name = "max_depth_seen", .member = &ExploreStats::max_depth_seen,
+     .fold = CounterFold::kMax, .metric = "explore.max_depth_seen"},
+    {.name = "shrink_runs", .member = &ExploreStats::shrink_runs,
+     .metric = "shrink.replays"},
+    {.name = "shrink_budget_hits",
+     .member = &ExploreStats::shrink_budget_hits},
+    {.name = "fault_prunes", .member = &ExploreStats::fault_prunes},
+    {.name = "faults_injected", .member = &ExploreStats::faults_injected,
+     .metric = "explore.faults_injected"},
+    {.name = "fingerprint_prunes",
+     .member = &ExploreStats::fingerprint_prunes, .omit_zero = true,
+     .metric = "explore.fingerprint_prunes"},
+    {.name = "fault_points", .member = &ExploreStats::fault_points,
+     .fold = CounterFold::kNone},
+};
+static_assert(std::size(kExploreCounters) ==
+                  sizeof(ExploreStats) / sizeof(std::uint64_t),
+              "every ExploreStats counter needs a kExploreCounters row");
+
+/// AuditSummary's counters; `enabled` and `findings` are not counters and
+/// are handled by hand wherever the table is used.
+inline constexpr CounterRow<AuditSummary> kAuditCounters[] = {
+    {.name = "windows", .member = &AuditSummary::windows},
+    {.name = "accesses", .member = &AuditSummary::accesses},
+    {.name = "ledger_violations", .member = &AuditSummary::ledger_violations},
+    {.name = "schedules_cross_checked",
+     .member = &AuditSummary::schedules_cross_checked,
+     .metric = "audit.schedules_cross_checked"},
+    {.name = "pairs_considered", .member = &AuditSummary::pairs_considered},
+    {.name = "swaps_replayed", .member = &AuditSummary::swaps_replayed,
+     .metric = "audit.swaps_replayed"},
+    {.name = "commute_mismatches",
+     .member = &AuditSummary::commute_mismatches},
 };
 
 /// A refutation: a decision sequence that drives the system factory into a

@@ -12,7 +12,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,17 +24,11 @@
 namespace bss::explore::detail {
 namespace {
 
-/// Records a violation plus a checkpoint of the unit's cumulative state, so
-/// the merge can cut this unit exactly at any of its violations.
+/// Records a violation plus a copy of the unit's tally, so the merge can
+/// cut this unit exactly at any of its violations.
 void record_violation(UnitResult& unit, Counterexample cex) {
   unit.violations.push_back(std::move(cex));
-  UnitCheckpoint cp;
-  cp.stats = unit.stats;
-  cp.audit = unit.audit;
-  cp.fault_points = unit.fault_points;
-  cp.budget_limited = unit.budget_limited;
-  cp.fault_limited = unit.fault_limited;
-  unit.checkpoints.push_back(std::move(cp));
+  unit.tallies.push_back(static_cast<const UnitTally&>(unit));
 }
 
 Counterexample build_counterexample(const ExplorableSystem& system,
@@ -66,34 +59,30 @@ void publish_unit_metrics(obs::MetricShard* shard, const UnitResult& claimed,
   const auto add = [shard](const char* name, std::uint64_t delta) {
     if (delta > 0) shard->counter(name) += delta;
   };
-  const ExploreStats& a = claimed.stats;
-  const ExploreStats& b = done.stats;
-  add("explore.schedules", b.schedules - a.schedules);
-  add("explore.transitions", b.transitions - a.transitions);
-  add("explore.timer_grants", b.timer_grants - a.timer_grants);
-  add("explore.faults_injected", b.faults_injected - a.faults_injected);
-  add("explore.fingerprint_prunes",
-      b.fingerprint_prunes - a.fingerprint_prunes);
-  add("explore.truncated", b.truncated - a.truncated);
-  add("shrink.replays", b.shrink_runs - a.shrink_runs);
+  // Gauges (kMax rows) only from units that ran a schedule.
+  const bool ran = done.stats.schedules > claimed.stats.schedules;
+  const auto publish = [&](const auto& rows, const auto& a, const auto& b) {
+    for (const auto& row : rows) {
+      if (row.metric == nullptr) continue;
+      if (row.fold != CounterFold::kMax) {
+        add(row.metric, b.*row.member - a.*row.member);
+      } else if (ran) {
+        shard->gauge_max(row.metric, b.*row.member);
+      }
+    }
+  };
+  publish(kExploreCounters, claimed.stats, done.stats);
+  publish(kAuditCounters, claimed.audit, done.audit);
   add("explore.violations_found",
       done.violations.size() - claimed.violations.size());
-  const AuditSummary& audit_a = claimed.audit;
-  const AuditSummary& audit_b = done.audit;
-  add("audit.schedules_cross_checked",
-      audit_b.schedules_cross_checked - audit_a.schedules_cross_checked);
-  add("audit.swaps_replayed", audit_b.swaps_replayed - audit_a.swaps_replayed);
-  if (b.schedules > a.schedules) {
-    shard->gauge_max("explore.max_depth_seen", b.max_depth_seen);
-  }
 }
 
 /// Folds ONE unit into `result` under the serial explorer's stop rule:
 /// the first violation at which the serial loop would have stopped cuts the
-/// fold at that unit's checkpoint, discarding everything the worker explored
-/// speculatively past the stop point.  Returns true when the merge ends AT
-/// this unit (violation cut or schedule cap) — later units must not be
-/// folded.  With a non-null `sink` the fold emits the deterministic
+/// fold at that violation's tally, discarding everything the worker
+/// explored speculatively past the stop point.  Returns true when the merge
+/// ends AT this unit (violation cut or schedule cap) — later units must not
+/// be folded.  With a non-null `sink` the fold emits the deterministic
 /// merge-time events (the real merge); the checkpoint snapshot fold passes
 /// nullptr and reproduces the exact same fold silently, on copies.
 bool merge_one(UnitResult& unit, const ExploreOptions& opts,
@@ -133,40 +122,34 @@ bool merge_one(UnitResult& unit, const ExploreOptions& opts,
       }
     }
   };
-  std::optional<std::size_t> cut;
+  // Fold the whole unit, or only up to the first violation that meets the
+  // stop rule — the tally recorded with it.
+  const UnitTally* tally = &unit;
+  std::size_t taken = unit.violations.size();
+  bool cut = false;
   for (std::size_t i = 0; i < unit.violations.size(); ++i) {
     if (opts.stop_at_first_violation ||
         result.violations.size() + i + 1 >= opts.max_violations) {
-      cut = i;
+      tally = &unit.tallies[i];
+      taken = i + 1;
+      cut = true;
       break;
     }
   }
-  if (cut.has_value()) {
-    const UnitCheckpoint& cp = unit.checkpoints[*cut];
-    result.stats.merge_from(cp.stats);
-    result.audit.merge_from(cp.audit);
-    cover_fault_points(cp.fault_points);
-    out.budget_limited |= cp.budget_limited;
-    out.fault_limited |= cp.fault_limited;
-    for (std::size_t i = 0; i <= *cut; ++i) {
-      note_violation(std::move(unit.violations[i]));
-    }
+  result.stats.merge_from(tally->stats);
+  result.audit.merge_from(tally->audit);
+  cover_fault_points(tally->fault_points);
+  out.budget_limited |= tally->budget_limited;
+  out.fault_limited |= tally->fault_limited;
+  for (std::size_t i = 0; i < taken; ++i) {
+    note_violation(std::move(unit.violations[i]));
+  }
+  if (cut) {
     out.stopped = true;
-    return true;
-  }
-  result.stats.merge_from(unit.stats);
-  result.audit.merge_from(unit.audit);
-  cover_fault_points(unit.fault_points);
-  out.budget_limited |= unit.budget_limited;
-  out.fault_limited |= unit.fault_limited;
-  for (auto& cex : unit.violations) {
-    note_violation(std::move(cex));
-  }
-  if (unit.cap_hit) {
+  } else if (unit.cap_hit) {
     out.cap_hit = true;
-    return true;
   }
-  return false;
+  return cut || unit.cap_hit;
 }
 
 }  // namespace
@@ -267,38 +250,17 @@ CheckpointUnit serialize_steal_unit(const StealUnit& unit) {
   if (!out.complete) {
     out.frames.reserve(unit.frames.size());
     for (const Frame& frame : unit.frames) {
-      CheckpointFrame cf;
-      cf.chosen = frame.chosen;
-      cf.done = frame.done;
-      cf.fp_dirty = frame.fp_dirty;  // key recomputed by the resume replay
-      out.frames.push_back(std::move(cf));
+      // The key is recomputed by the resume replay; only the dirty
+      // accumulator is persisted.
+      out.frames.push_back({frame.chosen, frame.done, frame.fp_dirty});
     }
     out.floor = unit.floor;
   }
-  const UnitResult& r = unit.result;
-  out.fp_partials = r.fp_partials;
-  out.stats = r.stats;
-  out.audit = r.audit;
-  out.fault_points.assign(r.fault_points.begin(), r.fault_points.end());
-  for (std::size_t i = 0; i < r.violations.size(); ++i) {
-    CheckpointViolation v;
-    v.cex = r.violations[i];
-    const UnitCheckpoint& cp = r.checkpoints[i];
-    v.stats = cp.stats;
-    v.audit = cp.audit;
-    v.fault_points.assign(cp.fault_points.begin(), cp.fault_points.end());
-    v.budget_limited = cp.budget_limited;
-    v.fault_limited = cp.fault_limited;
-    out.violations.push_back(std::move(v));
-  }
-  out.budget_limited = r.budget_limited;
-  out.fault_limited = r.fault_limited;
-  out.cap_hit = r.cap_hit;
-  out.stopped = r.stopped;
+  out.result = unit.result;
   return out;
 }
 
-/// Re-materializes a persisted unit: partial results restore directly; the
+/// Re-materializes a persisted unit: its results restore as they are; the
 /// frame stack replays its decisions on a fresh SimEnv, recomputing the
 /// runnable sets, pending operations, bitmasks and sleep sets the artifact
 /// deliberately does not store.  The replay doubles as an integrity check —
@@ -307,25 +269,7 @@ StealUnit materialize_steal_unit(const ExplorableSystem& system,
                                  const PassState& base,
                                  const CheckpointUnit& cu) {
   StealUnit unit;
-  UnitResult& r = unit.result;
-  r.fp_partials = cu.fp_partials;
-  r.stats = cu.stats;
-  r.audit = cu.audit;
-  r.fault_points.insert(cu.fault_points.begin(), cu.fault_points.end());
-  for (const CheckpointViolation& v : cu.violations) {
-    r.violations.push_back(v.cex);
-    UnitCheckpoint cp;
-    cp.stats = v.stats;
-    cp.audit = v.audit;
-    cp.fault_points.insert(v.fault_points.begin(), v.fault_points.end());
-    cp.budget_limited = v.budget_limited;
-    cp.fault_limited = v.fault_limited;
-    r.checkpoints.push_back(std::move(cp));
-  }
-  r.budget_limited = cu.budget_limited;
-  r.fault_limited = cu.fault_limited;
-  r.cap_hit = cu.cap_hit;
-  r.stopped = cu.stopped;
+  unit.result = cu.result;
   if (cu.complete) {
     unit.status = StealUnit::Status::kComplete;
     return unit;
@@ -500,7 +444,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
     cp.seq = ckpt->seq++;
     cp.system = system.name();
     cp.processes = system.process_count();
-    cp.options = CheckpointOptions::key_of(opts);
+    cp.options = opts;
     cp.pass_ordinal = ckpt->pass_ordinal;
     cp.fault_index = ckpt->fault_index;
     cp.preemption_index = ckpt->preemption_index;
@@ -511,7 +455,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
     folded.stats = ckpt->merged->stats;
     folded.audit = ckpt->merged->audit;
     folded.violations = ckpt->merged->violations;
-    std::set<FaultPoint> covered = *ckpt->covered;
+    cp.fault_points = *ckpt->covered;
     MergeOutcome fold;
     fold.budget_limited = ckpt->restored_budget_limited;
     fold.fault_limited = ckpt->restored_fault_limited;
@@ -524,7 +468,8 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
            it->status == StealUnit::Status::kComplete &&
            !it->result.skipped) {
       UnitResult copy = it->result;
-      const bool ends = merge_one(copy, opts, folded, covered, fold, nullptr);
+      const bool ends =
+          merge_one(copy, opts, folded, cp.fault_points, fold, nullptr);
       cp.fp_partials.insert(cp.fp_partials.end(), it->result.fp_partials.begin(),
                             it->result.fp_partials.end());
       ++it;
@@ -537,13 +482,10 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
     cp.cap_hit |= fold.cap_hit;
     cp.pass_budget_limited = fold.budget_limited;
     cp.pass_fault_limited = fold.fault_limited;
-    folded.stats.fault_points = covered.size();
+    folded.stats.fault_points = cp.fault_points.size();
     cp.stats = folded.stats;
     cp.audit = folded.audit;
     cp.violations = std::move(folded.violations);
-    for (const FaultPoint& point : covered) {
-      cp.fault_points.emplace_back(point.first, point.second);
-    }
     if (!prefix_stopped) {
       for (; it != pool.units.end(); ++it) {
         cp.frontier.push_back(serialize_steal_unit(*it));
@@ -551,9 +493,9 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
     }
     if (ckpt->fp_cache != nullptr) {
       // The frozen cache is what the in-progress pass is pruning against;
-      // persisting it verbatim (std::set iteration = sorted) lets the
-      // resumed pass reproduce every pruning decision bit-for-bit.
-      cp.fp_cache.assign(ckpt->fp_cache->begin(), ckpt->fp_cache->end());
+      // persisting it verbatim lets the resumed pass reproduce every
+      // pruning decision bit-for-bit.
+      cp.fp_cache = *ckpt->fp_cache;
     }
     expects(write_checkpoint_file(opts.checkpoint_path, cp.to_artifact()),
             "failed to write checkpoint artifact: " + opts.checkpoint_path);

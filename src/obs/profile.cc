@@ -27,6 +27,38 @@ json::Object PhaseProfiler::to_json() const {
   return out;
 }
 
+void check_profile_cells(const json::Object& profile,
+                         std::vector<std::string>& errors) {
+  for (const auto& [name, cell] : profile) {
+    if (!is_phase_name(name)) {
+      errors.push_back("unknown profile phase \"" + name +
+                       "\" (not in the closed phase set)");
+      continue;
+    }
+    if (!cell.is_object()) {
+      errors.push_back("profile phase \"" + name + "\" is not an object");
+      continue;
+    }
+    const json::Object& fields = cell.as_object();
+    for (const std::string_view field : {"calls", "ns"}) {
+      const auto it = fields.find(std::string(field));
+      if (it == fields.end() || !it->second.is_int() ||
+          it->second.as_int() < 0) {
+        errors.push_back("profile phase \"" + name + "\" field \"" +
+                         std::string(field) +
+                         "\" is missing or not a non-negative integer");
+      }
+    }
+    for (const auto& [field, value] : fields) {
+      (void)value;
+      if (field != "calls" && field != "ns") {
+        errors.push_back("profile phase \"" + name +
+                         "\" has unknown field \"" + field + "\"");
+      }
+    }
+  }
+}
+
 std::uint64_t PhaseProfiler::now_ns() {
   // The profiler IS the wall-clock channel: everything it measures flows
   // only into the quarantined `profile` sections of runreport and status.

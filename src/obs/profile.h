@@ -16,15 +16,17 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/json.h"
 
 namespace bss::obs {
 
-/// The closed phase set.  Adding a phase means adding an enumerator here,
-/// a JSON name in kPhaseNames, and a validator row — the runreport and
-/// status validators reject names outside this list.
+/// The closed phase set.  Adding a phase means adding an enumerator here
+/// and a JSON name in kPhaseNames — check_profile_cells, which both the
+/// runreport and status validators call, rejects names outside this list.
 enum class Phase : int {
   kReplay = 0,       ///< re-running a recorded tape through the simulator
   kStep,             ///< executing one fresh schedule (run_one)
@@ -49,6 +51,13 @@ constexpr bool is_phase_name(std::string_view name) {
   }
   return false;
 }
+
+/// Validates a `profile` section against the closed phase set: one error
+/// per phase name outside kPhaseNames, per cell that is not an object, per
+/// missing or negative `calls`/`ns` field, and per unknown field.  Shared
+/// by the runreport and status validators.
+void check_profile_cells(const json::Object& profile,
+                         std::vector<std::string>& errors);
 
 /// Thread-safe accumulator: per-phase {calls, ns} cells bumped with relaxed
 /// atomics (totals are exact, cross-phase ordering is irrelevant).  One

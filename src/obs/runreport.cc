@@ -264,34 +264,7 @@ std::vector<std::string> validate_runreport(std::string_view text) {
     // The profile section is keyed by the closed phase set (obs/profile.h):
     // an unknown phase name is schema drift, and each cell is exactly the
     // {calls, ns} pair the profiler emits.
-    for (const auto& [name, cell] : profile->as_object()) {
-      if (!is_phase_name(name)) {
-        errors.push_back("unknown profile phase \"" + name +
-                         "\" (not in the closed phase set)");
-        continue;
-      }
-      if (!cell.is_object()) {
-        errors.push_back("profile phase \"" + name + "\" is not an object");
-        continue;
-      }
-      const json::Object& fields = cell.as_object();
-      for (const std::string_view field : {"calls", "ns"}) {
-        const auto it = fields.find(std::string(field));
-        if (it == fields.end() || !it->second.is_int() ||
-            it->second.as_int() < 0) {
-          errors.push_back("profile phase \"" + name + "\" field \"" +
-                           std::string(field) +
-                           "\" is missing or not a non-negative integer");
-        }
-      }
-      for (const auto& [field, member] : fields) {
-        (void)member;
-        if (field != "calls" && field != "ns") {
-          errors.push_back("profile phase \"" + name +
-                           "\" has unknown field \"" + field + "\"");
-        }
-      }
-    }
+    check_profile_cells(profile->as_object(), errors);
   }
   if (const json::Value* timing = value->find("timing");
       timing != nullptr && timing->is_object()) {

@@ -104,33 +104,7 @@ void check_profile(const json::Object& profile,
   if (profile.empty()) {
     errors.emplace_back("\"profile\" is present but empty (omit it instead)");
   }
-  for (const auto& [name, cell] : profile) {
-    if (!is_phase_name(name)) {
-      errors.push_back("unknown profile phase \"" + name +
-                       "\" (not in the closed phase set)");
-      continue;
-    }
-    if (!cell.is_object()) {
-      errors.push_back("profile phase \"" + name + "\" is not an object");
-      continue;
-    }
-    const json::Object& fields = cell.as_object();
-    for (const std::string_view field : {"calls", "ns"}) {
-      const auto it = fields.find(std::string(field));
-      if (it == fields.end() || !counter_ok(it->second)) {
-        errors.push_back("profile phase \"" + name + "\" field \"" +
-                         std::string(field) +
-                         "\" is missing or not a non-negative integer");
-      }
-    }
-    for (const auto& [field, value] : fields) {
-      (void)value;
-      if (field != "calls" && field != "ns") {
-        errors.push_back("profile phase \"" + name +
-                         "\" has unknown field \"" + field + "\"");
-      }
-    }
-  }
+  check_profile_cells(profile, errors);
 }
 
 void check_timing(const json::Object& timing,

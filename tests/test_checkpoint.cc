@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -25,6 +26,8 @@
 #include "explore/explore.h"
 #include "explore/skewed_system.h"
 #include "obs/json.h"
+#include "obs/obs.h"
+#include "runtime/sim_env.h"
 #include "util/checked.h"
 
 namespace bss::explore {
@@ -212,6 +215,14 @@ TEST(Checkpoint, ResumeRejectsDifferentSystem) {
   EXPECT_THROW(explore(other, resume), InvariantError);
 }
 
+/// BSS_AUDIT / BSS_EXPLORE_FP force their option on in every explore()
+/// call, so flipping that option on cannot change the resolved fingerprint.
+bool forced_by_env(const char* variable) {
+  const char* raw = std::getenv(variable);
+  return raw != nullptr && raw[0] != '\0' &&
+         !(raw[0] == '0' && raw[1] == '\0');
+}
+
 TEST(Checkpoint, ResumeRejectsDifferentResultAffectingOptions) {
   const std::string path = temp_path("cp_wrong_options.json");
   OneShotSystem system(4, 3);
@@ -219,16 +230,227 @@ TEST(Checkpoint, ResumeRejectsDifferentResultAffectingOptions) {
   options.checkpoint_path = path;
   explore(system, options);
 
-  ExploreOptions resume = options;
-  resume.resume_path = path;
-  resume.use_por = false;  // result-affecting: must be rejected
-  EXPECT_THROW(explore(system, resume), InvariantError);
+  // Every result-affecting field, flipped one at a time.
+  using Flip = void (*)(ExploreOptions&);
+  const std::pair<const char*, Flip> flips[] = {
+      {"max_depth", [](ExploreOptions& o) { o.max_depth -= 1; }},
+      {"preemption_bound", [](ExploreOptions& o) { o.preemption_bound = 5; }},
+      {"iterative", [](ExploreOptions& o) { o.iterative = true; }},
+      {"use_por", [](ExploreOptions& o) { o.use_por = false; }},
+      {"max_schedules", [](ExploreOptions& o) { o.max_schedules -= 1; }},
+      {"stop_at_first_violation",
+       [](ExploreOptions& o) { o.stop_at_first_violation = false; }},
+      {"max_violations", [](ExploreOptions& o) { o.max_violations -= 1; }},
+      {"minimize", [](ExploreOptions& o) { o.minimize = false; }},
+      {"shrink_budget", [](ExploreOptions& o) { o.shrink_budget -= 1; }},
+      {"record_trace", [](ExploreOptions& o) { o.record_trace = true; }},
+      {"fault_bound", [](ExploreOptions& o) { o.fault_bound = 1; }},
+      {"explore_crashes",
+       [](ExploreOptions& o) { o.explore_crashes = false; }},
+      {"explore_restarts",
+       [](ExploreOptions& o) { o.explore_restarts = false; }},
+      {"explore_sc_failures",
+       [](ExploreOptions& o) { o.explore_sc_failures = true; }},
+      {"audit", [](ExploreOptions& o) { o.audit = true; }},
+      {"audit_commute_sample",
+       [](ExploreOptions& o) { o.audit_commute_sample = 8; }},
+      {"fingerprint_prune",
+       [](ExploreOptions& o) { o.fingerprint_prune = true; }},
+  };
+  for (const auto& [name, flip] : flips) {
+    if ((std::string(name) == "audit" && forced_by_env("BSS_AUDIT")) ||
+        (std::string(name) == "fingerprint_prune" &&
+         forced_by_env("BSS_EXPLORE_FP"))) {
+      continue;
+    }
+    ExploreOptions resume = options;
+    resume.resume_path = path;
+    flip(resume);
+    EXPECT_THROW(explore(system, resume), InvariantError) << name;
+  }
 
+  // Scheduling and observation knobs are excluded from the fingerprint.
+  obs::Telemetry telemetry;
   ExploreOptions benign = options;
   benign.resume_path = path;
-  benign.jobs = 4;        // scheduling knob: excluded from the fingerprint
+  benign.jobs = 4;
   benign.steal_depth = 2;
+  benign.checkpoint_every = 7;
+  benign.status_path =
+      temp_path("cp_benign_status." + std::to_string(getpid()) + ".json");
+  benign.status_every_ms = 5;
+  benign.telemetry = &telemetry;
   EXPECT_FALSE(explore(system, benign).halted);
+  std::remove(benign.status_path.c_str());
+}
+
+// ----------------------------------------------------- counter listings
+
+TEST(Checkpoint, EveryCounterRoundTripsUnderItsOwnKeyAndFolds) {
+  // Each counter gets a distinct value, so a table row bound to the wrong
+  // member (or the wrong key) cannot round-trip unnoticed.  The key lists
+  // here are written out independently of the engine's counter tables.
+  using StatsMember = std::uint64_t ExploreStats::*;
+  const std::pair<const char*, StatsMember> stats_keys[] = {
+      {"schedules", &ExploreStats::schedules},
+      {"transitions", &ExploreStats::transitions},
+      {"timer_grants", &ExploreStats::timer_grants},
+      {"sleep_set_prunes", &ExploreStats::sleep_set_prunes},
+      {"preemption_prunes", &ExploreStats::preemption_prunes},
+      {"truncated", &ExploreStats::truncated},
+      {"max_depth_seen", &ExploreStats::max_depth_seen},
+      {"shrink_runs", &ExploreStats::shrink_runs},
+      {"shrink_budget_hits", &ExploreStats::shrink_budget_hits},
+      {"fault_prunes", &ExploreStats::fault_prunes},
+      {"faults_injected", &ExploreStats::faults_injected},
+      {"fingerprint_prunes", &ExploreStats::fingerprint_prunes},
+      {"fault_points", &ExploreStats::fault_points},
+  };
+  using AuditMember = std::uint64_t AuditSummary::*;
+  const std::pair<const char*, AuditMember> audit_keys[] = {
+      {"windows", &AuditSummary::windows},
+      {"accesses", &AuditSummary::accesses},
+      {"ledger_violations", &AuditSummary::ledger_violations},
+      {"schedules_cross_checked", &AuditSummary::schedules_cross_checked},
+      {"pairs_considered", &AuditSummary::pairs_considered},
+      {"swaps_replayed", &AuditSummary::swaps_replayed},
+      {"commute_mismatches", &AuditSummary::commute_mismatches},
+  };
+  const auto stats_with = [&](std::uint64_t base) {
+    ExploreStats stats;
+    std::uint64_t value = base;
+    for (const auto& [key, member] : stats_keys) stats.*member = ++value;
+    return stats;
+  };
+  const auto audit_with = [&](std::uint64_t base) {
+    AuditSummary audit;
+    audit.enabled = true;
+    std::uint64_t value = base;
+    for (const auto& [key, member] : audit_keys) audit.*member = ++value;
+    audit.note("finding " + std::to_string(base));
+    return audit;
+  };
+
+  // The prefix result and a frontier unit's tally, plus the tally of one
+  // of its violations, each with its own values.
+  Checkpoint cp;
+  cp.system = "counters";
+  cp.processes = 2;
+  cp.stats = stats_with(100);
+  cp.audit = audit_with(200);
+  CheckpointUnit unit;
+  unit.complete = true;
+  unit.result.stats = stats_with(300);
+  unit.result.audit = audit_with(400);
+  unit.result.fault_points = {
+      {sim::encode_action(sim::ActionKind::kCrash, 1), 3}};
+  Counterexample cex;
+  cex.system = cp.system;
+  cex.processes = cp.processes;
+  cex.violation = "counter probe";
+  cex.decisions = {0, 1};
+  cex.shrunk_from = 2;
+  unit.result.violations.push_back(cex);
+  UnitTally tally;
+  tally.stats = stats_with(500);
+  tally.audit = audit_with(600);
+  tally.budget_limited = true;
+  unit.result.tallies.push_back(tally);
+  cp.frontier.push_back(unit);
+
+  const std::string text = cp.to_artifact();
+  const auto root = obs::json::Value::parse(text);
+  ASSERT_TRUE(root.has_value());
+  const obs::json::Object& json_unit =
+      root->as_object().at("frontier").as_array().at(0).as_object();
+  const obs::json::Object& json_violation =
+      json_unit.at("violations").as_array().at(0).as_object();
+  const auto expect_keys = [&](const obs::json::Object& object,
+                               const ExploreStats& stats,
+                               const AuditSummary& audit,
+                               const std::string& label) {
+    const obs::json::Object& json_stats = object.at("stats").as_object();
+    EXPECT_EQ(json_stats.size(), std::size(stats_keys)) << label;
+    for (const auto& [key, member] : stats_keys) {
+      ASSERT_EQ(json_stats.count(key), 1u) << label << " " << key;
+      EXPECT_EQ(json_stats.at(key).as_int(),
+                static_cast<std::int64_t>(stats.*member))
+          << label << " " << key;
+    }
+    const obs::json::Object& json_audit = object.at("audit").as_object();
+    EXPECT_EQ(json_audit.size(), std::size(audit_keys) + 2) << label;
+    for (const auto& [key, member] : audit_keys) {
+      ASSERT_EQ(json_audit.count(key), 1u) << label << " " << key;
+      EXPECT_EQ(json_audit.at(key).as_int(),
+                static_cast<std::int64_t>(audit.*member))
+          << label << " " << key;
+    }
+  };
+  expect_keys(root->as_object(), cp.stats, cp.audit, "prefix");
+  expect_keys(json_unit, unit.result.stats, unit.result.audit, "unit");
+  expect_keys(json_violation, tally.stats, tally.audit, "violation");
+
+  std::string error;
+  const auto parsed = Checkpoint::from_artifact(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->to_artifact(), text);
+  ASSERT_EQ(parsed->frontier.size(), 1u);
+  const UnitResult& result = parsed->frontier[0].result;
+  ASSERT_EQ(result.tallies.size(), 1u);
+  const auto expect_same = [&](const ExploreStats& stats,
+                               const ExploreStats& want,
+                               const AuditSummary& audit,
+                               const AuditSummary& audit_want,
+                               const std::string& label) {
+    for (const auto& [key, member] : stats_keys) {
+      EXPECT_EQ(stats.*member, want.*member) << label << " " << key;
+    }
+    for (const auto& [key, member] : audit_keys) {
+      EXPECT_EQ(audit.*member, audit_want.*member) << label << " " << key;
+    }
+    EXPECT_EQ(audit.enabled, audit_want.enabled) << label;
+    EXPECT_EQ(audit.findings, audit_want.findings) << label;
+  };
+  expect_same(parsed->stats, cp.stats, parsed->audit, cp.audit, "prefix");
+  expect_same(result.stats, unit.result.stats, result.audit,
+              unit.result.audit, "unit");
+  expect_same(result.tallies[0].stats, tally.stats, result.tallies[0].audit,
+              tally.audit, "violation");
+  EXPECT_EQ(result.fault_points, unit.result.fault_points);
+  EXPECT_TRUE(result.tallies[0].budget_limited);
+  EXPECT_FALSE(result.tallies[0].fault_limited);
+
+  // merge_from: sums add, max_depth_seen keeps the larger value,
+  // fault_points is left alone.
+  ExploreStats total = stats_with(100);
+  const ExploreStats part = stats_with(1000);
+  total.merge_from(part);
+  const ExploreStats before = stats_with(100);
+  for (const auto& [key, member] : stats_keys) {
+    const std::string name = key;
+    if (name == "max_depth_seen") {
+      EXPECT_EQ(total.*member, part.*member) << key;
+    } else if (name == "fault_points") {
+      EXPECT_EQ(total.*member, before.*member) << key;
+    } else {
+      EXPECT_EQ(total.*member, before.*member + part.*member) << key;
+    }
+  }
+  total.merge_from(stats_with(0));  // a smaller high-water mark
+  EXPECT_EQ(total.max_depth_seen, part.max_depth_seen);
+
+  AuditSummary audit_total = audit_with(200);
+  audit_total.enabled = false;
+  const AuditSummary audit_part = audit_with(2000);
+  audit_total.merge_from(audit_part);
+  const AuditSummary audit_before = audit_with(200);
+  for (const auto& [key, member] : audit_keys) {
+    EXPECT_EQ(audit_total.*member, audit_before.*member + audit_part.*member)
+        << key;
+  }
+  EXPECT_TRUE(audit_total.enabled);
+  EXPECT_EQ(audit_total.findings,
+            (std::vector<std::string>{"finding 200", "finding 2000"}));
 }
 
 // --------------------------------------------------- malformed artifacts

@@ -5,6 +5,7 @@
 // sink to explore() must leave every result byte-identical, at every worker
 // count, across the whole mutant suite.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -705,8 +706,13 @@ TEST(StatusArtifact, ValidatorRejectsNegativeTimingFields) {
 
 // ---------------------------------------------------------- status writer
 
+/// A per-process path: ctest runs each case as its own process, and cases
+/// that share a file name (every expect_status_passive caller) must not
+/// delete or rewrite one another's heartbeat under `ctest -j`.
 std::string temp_status_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(getpid()) + "." + name))
+      .string();
 }
 
 TEST(StatusWriterTest, DisabledWriterIsANoOp) {

@@ -38,18 +38,22 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-// Tokens the three artifact grammars actually react to; splicing them in
-// reaches far deeper than byte noise alone.
+// Tokens the four artifact grammars (counterexample, checkpoint, runreport,
+// status) actually react to; splicing them in reaches far deeper than byte
+// noise alone.
 const char* const kDictionary[] = {
     "bss-counterexample v1", "bss-counterexample v2", "bss-checkpoint v1",
-    "bss-runreport v1",      "schema",                "processes",
-    "shrunk_from",           "decisions",             "frontier",
-    "timing",                "schedules_per_second",  "stats",
-    "1e999",                 "-1",                    "18446744073709551616",
-    "nan",                   "null",                  "\"\"",
-    "{",                     "}",                     "[",
-    "]",                     ":",                     ",",
-    "\\u0000",               "0x7f",                  " c 3 17",
+    "bss-runreport v1",      "bss-status v1",         "schema",
+    "processes",             "shrunk_from",           "decisions",
+    "frontier",              "complete",              "progress",
+    "workers",               "profile",               "fp_cache",
+    "fp_partials",           "fp_dirty",              "timing",
+    "schedules_per_second",  "stats",                 "1e999",
+    "-1",                    "18446744073709551616",  "nan",
+    "null",                  "\"\"",                  "{",
+    "}",                     "[",                     "]",
+    ":",                     ",",                     "\\u0000",
+    "0x7f",                  " c 3 17",
 };
 
 std::string mutate(const std::string& base, std::uint64_t& state) {
