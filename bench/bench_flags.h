@@ -27,8 +27,6 @@ inline std::string campaign_list(const std::vector<std::string>& campaigns) {
 struct BenchFlags {
   bool json = false;  ///< machine-readable output instead of the table
   int jobs = 1;       ///< explorer worker threads (ExploreOptions::jobs)
-  int steal_depth = 0;  ///< steal granularity (ExploreOptions::steal_depth;
-                        ///< 0 keeps the explorer default)
   /// When non-empty, a `bss-runreport v1` document is also written to this
   /// path (stdout keeps the table / --json rows either way).
   std::string out;
@@ -48,7 +46,7 @@ inline void print_usage(const char* program, bool accepts_jobs,
                         const std::vector<std::string>& campaigns = {}) {
   std::fprintf(stderr, "usage: %s%s%s [--out PATH]%s\n", program,
                accepts_json ? " [--json]" : "",
-               accepts_jobs ? " [--jobs N] [--steal-depth N]" : "",
+               accepts_jobs ? " [--jobs N]" : "",
                accepts_checkpoint
                    ? " [--campaign NAME] [--checkpoint PATH]"
                      " [--checkpoint-every N] [--resume PATH]"
@@ -61,10 +59,6 @@ inline void print_usage(const char* program, bool accepts_jobs,
     std::fprintf(stderr,
                  "  --jobs N   explorer worker threads (1..64, default 1; "
                  "results are identical for every N)\n");
-    std::fprintf(stderr,
-                 "  --steal-depth N  steal granularity in frames (0..64, "
-                 "default 0 = explorer default; results are identical for "
-                 "every N)\n");
   }
   std::fprintf(stderr,
                "  --out PATH write a bss-runreport v1 artifact to PATH "
@@ -72,7 +66,7 @@ inline void print_usage(const char* program, bool accepts_jobs,
   if (accepts_checkpoint) {
     std::fprintf(stderr,
                  "  --campaign NAME      run one named campaign (%s) "
-                 "instead of the tables\n"
+                 "instead of the gate\n"
                  "  --checkpoint PATH    write bss-checkpoint v1 artifacts "
                  "to PATH during the campaign\n"
                  "  --checkpoint-every N checkpoint cadence in schedules "
@@ -154,9 +148,6 @@ inline BenchFlags parse_flags(int argc, char** argv, bool accepts_jobs,
       std::exit(0);
     } else if (accepts_jobs && (value = value_of(arg, "--jobs", &i))) {
       parse_ranged_int("--jobs", value, 1, 64, &flags.jobs);
-    } else if (accepts_jobs &&
-               (value = value_of(arg, "--steal-depth", &i))) {
-      parse_ranged_int("--steal-depth", value, 0, 64, &flags.steal_depth);
     } else if ((value = value_of(arg, "--out", &i))) {
       parse_string(value, &flags.out);
     } else if (accepts_checkpoint &&

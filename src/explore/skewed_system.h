@@ -4,8 +4,8 @@
 // nothing and the DFS branches fully at every node — but the long writer's
 // subtrees are far deeper than the short writers', so any split fixed up
 // front produces wildly unequal pieces.  This is the stress shape the
-// work-stealing engine exists for, and the workload the steal/scaling tests
-// and bench_explore's scaling table measure.
+// work-stealing engine exists for, and the workload the steal and fastpath
+// tests and bench_explore's skewed campaign run.
 #pragma once
 
 #include <memory>

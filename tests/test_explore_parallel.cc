@@ -1,10 +1,9 @@
-// Determinism suite for parallel schedule-space exploration: the worker
-// pool must be invisible in the results.  For every seeded mutant and for
-// clean exhaustive sweeps — fault-free and fault-budget alike — jobs=1 and
-// jobs=N produce identical ExploreStats, identical violation sets (same
-// order, same minimized tapes), and identical artifacts.  Plus the dense
-// action encoding's overflow guard and a 100-seed parallel storm on the
-// std::thread backend.
+// Parallel exploration beyond result identity (which tests/
+// test_explore_steal.cc sweeps across worker counts and steal depths): a
+// counterexample minimized at jobs=4 replays with zero divergences, the
+// shrink budget cuts ddmin but keeps tapes replayable, the dense action
+// encoding's overflow guard, a 100-seed parallel storm on the std::thread
+// backend, and the algebra of ExploreStats::merge_from.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +23,6 @@ namespace {
 
 using core::OneShotMutant;
 using core::RecoverableConcurrentReport;
-using core::RestartBehavior;
 using core::run_recoverable_concurrent_election;
 using sim::Action;
 using sim::ActionKind;
@@ -33,90 +31,7 @@ using sim::encode_action;
 using sim::is_fault_action;
 using sim::kMaxActionPid;
 
-/// Byte-level equality of two ExploreResults: every stats field (via the
-/// summary string, which prints them all), the exhausted verdict, and every
-/// violation's full artifact text (system, violation, tape, shrunk-from).
-void expect_identical(const ExploreResult& serial,
-                      const ExploreResult& parallel,
-                      const std::string& label) {
-  EXPECT_EQ(serial.stats.summary(), parallel.stats.summary()) << label;
-  EXPECT_EQ(serial.exhausted, parallel.exhausted) << label;
-  ASSERT_EQ(serial.violations.size(), parallel.violations.size()) << label;
-  for (std::size_t i = 0; i < serial.violations.size(); ++i) {
-    EXPECT_EQ(serial.violations[i].to_artifact(),
-              parallel.violations[i].to_artifact())
-        << label << " violation " << i;
-  }
-}
-
-/// Runs `system` under `options` at jobs=1 and at each given worker count
-/// and asserts every result is byte-identical to the serial one.
-void expect_jobs_invariant(const ExplorableSystem& system,
-                           ExploreOptions options,
-                           std::initializer_list<int> worker_counts) {
-  options.jobs = 1;
-  const ExploreResult serial = explore(system, options);
-  for (const int jobs : worker_counts) {
-    ExploreOptions parallel_options = options;
-    parallel_options.jobs = jobs;
-    const ExploreResult parallel = explore(system, parallel_options);
-    expect_identical(serial, parallel,
-                     system.name() + " jobs=" + std::to_string(jobs));
-  }
-}
-
-// ------------------------------------------------- clean exhaustive sweeps
-
-TEST(ParallelExplore, CleanOneShotPorIdenticalAcrossWorkerCounts) {
-  OneShotSystem system(4, 3);
-  expect_jobs_invariant(system, {}, {2, 4, 8});
-}
-
-TEST(ParallelExplore, CleanOneShotNaiveCountsExactInterleavings) {
-  OneShotSystem system(4, 3);
-  ExploreOptions options;
-  options.use_por = false;
-  options.jobs = 4;
-  const ExploreResult result = explore(system, options);
-  EXPECT_TRUE(result.ok()) << result.summary();
-  EXPECT_TRUE(result.exhausted);
-  // 9 steps, 3 per process: 9!/(3!)^3 — the exact serial count.
-  EXPECT_EQ(result.stats.schedules, 1680u);
-  expect_jobs_invariant(system, options, {2, 4});
-}
-
-TEST(ParallelExplore, IterativePreemptionBoundIdentical) {
-  LlScSystem system(3, 2);
-  ExploreOptions options;
-  options.preemption_bound = 2;
-  options.iterative = true;
-  expect_jobs_invariant(system, options, {4});
-}
-
-// ------------------------------------------------------- mutant refutation
-
-TEST(ParallelExplore, ClaimAfterCasMutantIdenticalMinimizedArtifact) {
-  OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
-  expect_jobs_invariant(system, {}, {2, 4});
-}
-
-TEST(ParallelExplore, SplitCasMutantIdenticalMinimizedArtifact) {
-  OneShotSystem system(4, 2, OneShotMutant::kSplitCas);
-  expect_jobs_invariant(system, {}, {4, 8});
-}
-
-TEST(ParallelExplore, ScBlindLlScMutantIdenticalMinimizedArtifact) {
-  LlScSystem system(3, 2, /*sc_blind=*/true);
-  expect_jobs_invariant(system, {}, {4});
-}
-
-TEST(ParallelExplore, CollectAllViolationsIdenticalOrderAndTapes) {
-  OneShotSystem system(4, 2, OneShotMutant::kSplitCas);
-  ExploreOptions options;
-  options.stop_at_first_violation = false;
-  options.max_violations = 8;
-  expect_jobs_invariant(system, options, {2, 4});
-}
+// ------------------------------------------------------ parallel replay
 
 TEST(ParallelExplore, ParallelCounterexampleReplaysWithZeroDivergences) {
   OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
@@ -128,25 +43,6 @@ TEST(ParallelExplore, ParallelCounterexampleReplaysWithZeroDivergences) {
       replay_counterexample(system, result.violations.front());
   EXPECT_TRUE(replay.violated);
   EXPECT_EQ(replay.divergences, 0u);
-}
-
-// ------------------------------------------------------ fault-budget sweeps
-
-TEST(ParallelExplore, FaultSweepIdenticalIncludingFaultPoints) {
-  OneShotSystem system(4, 2, OneShotMutant::kNone, /*restartable=*/true);
-  ExploreOptions options;
-  options.fault_bound = 1;
-  options.iterative = true;
-  expect_jobs_invariant(system, options, {2, 4});
-}
-
-TEST(ParallelExplore, FreshClaimMutantFaultRefutationIdentical) {
-  RecoverableFvtSystem system(3, 2, RestartBehavior::kFreshClaim);
-  ExploreOptions options;
-  options.fault_bound = 1;
-  options.iterative = true;
-  options.explore_crashes = false;  // the bug needs a restart, not a death
-  expect_jobs_invariant(system, options, {4});
 }
 
 // ----------------------------------------------------------- shrink budget

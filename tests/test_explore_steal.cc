@@ -9,6 +9,7 @@
 // vacuously if no one ever stole).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <initializer_list>
 #include <string>
 
@@ -101,12 +102,30 @@ TEST(StealExplore, SplitCasMutantIdenticalMinimizedArtifact) {
   expect_steal_invariant(system, {}, {4, 8}, {0, 2});
 }
 
+TEST(StealExplore, ScBlindLlScMutantIdenticalMinimizedArtifact) {
+  LlScSystem system(3, 2, /*sc_blind=*/true);
+  expect_steal_invariant(system, {}, {4}, {0, 1});
+}
+
 TEST(StealExplore, CollectAllViolationsIdenticalOrderAndTapes) {
   OneShotSystem system(4, 2, OneShotMutant::kSplitCas);
   ExploreOptions options;
   options.stop_at_first_violation = false;
   options.max_violations = 8;
   expect_steal_invariant(system, options, {2, 4}, {0, 1});
+}
+
+// The mutant-refutation workload uncapped: naive DFS collecting every one
+// of the mutant's violations unminimized, so the merge must order thousands
+// of tapes from many stolen units exactly as the serial DFS finds them.
+TEST(StealExplore, UncappedCollectAllRefutationIdentical) {
+  OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
+  ExploreOptions options;
+  options.use_por = false;
+  options.stop_at_first_violation = false;
+  options.max_violations = std::size_t{1} << 20;
+  options.minimize = false;
+  expect_steal_invariant(system, options, {4}, {0, 1});
 }
 
 // ------------------------------------------------------ fault-budget sweeps

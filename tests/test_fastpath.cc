@@ -108,6 +108,26 @@ TEST(Fastpath, PruneResultsInvariantAcrossJobsAndStealDepth) {
   }
 }
 
+// Audit and telemetry stay passive with the cache engaged: a fully observed
+// prune-on run (every schedule commute-checked, metrics and events on)
+// prunes the same subtrees and ends byte-identical to the plain one.
+TEST(Fastpath, AuditAndTelemetryPassiveUnderPruning) {
+  SkewedWriterSystem system(4, 6, 1);
+  ExploreOptions options = iterative_options(true);
+  options.preemption_bound = 4;
+  const ExploreResult plain = explore(system, options);
+  EXPECT_GT(plain.stats.fingerprint_prunes, 0u);
+
+  obs::Telemetry::Options obs_options;
+  obs_options.metrics = true;
+  obs_options.events = true;
+  obs::Telemetry telemetry(obs_options);
+  options.audit = true;
+  options.audit_commute_sample = 1;
+  options.telemetry = &telemetry;
+  expect_identical(plain, explore(system, options), "audited + telemetry");
+}
+
 // ------------------------------------------------------- coverage soundness
 
 TEST(Fastpath, PrunedCleanCampaignKeepsCoverageAndVerdict) {
