@@ -1,13 +1,11 @@
 #include "runtime/sim_env.h"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <cstdint>
 #include <new>
 #include <sstream>
-#include <system_error>
 #include <utility>
 
 #include "obs/obs.h"
@@ -34,6 +32,103 @@
 #endif
 #if defined(SIM_ENV_TSAN)
 #include <sanitizer/tsan_interface.h>
+#endif
+
+#if defined(__x86_64__)
+// The fiber switch.  It saves what the System V ABI makes callee-saved:
+// rbp, rbx, r12-r15 and the control bits of MXCSR and the x87 control word.
+// It saves no signal mask, so a switch makes no system call.
+//
+// bss_fiber_switch(save_sp, load_sp) pushes those registers and one 8-byte
+// slot holding the two control words, stores rsp through save_sp, loads
+// load_sp and pops the same frame there.  The frame looks the same on both
+// sides of the rsp swap, so one set of CFI describes the whole function.
+//
+// bss_fiber_start is where a new fiber's first switch returns to (see
+// SwitchFrame).  It calls the entry held in rbx, which never returns.
+// `.cfi_undefined rip` makes it the outermost frame: an unwind of a fiber's
+// stack ends here instead of walking onto whatever lies above it.
+extern "C" {
+void bss_fiber_switch(void** save_sp, void* load_sp);
+void bss_fiber_start();
+}
+
+asm(R"(
+  .pushsection .text
+  .globl bss_fiber_switch
+  .hidden bss_fiber_switch
+  .type bss_fiber_switch, @function
+  .p2align 4
+bss_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %rbp, -16
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %rbx, -24
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %r12, -32
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %r13, -40
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %r14, -48
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  .cfi_offset %r15, -56
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r15
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r14
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r13
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r12
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %rbx
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %rbp
+  ret
+  .cfi_endproc
+  .size bss_fiber_switch, .-bss_fiber_switch
+
+  .globl bss_fiber_start
+  .hidden bss_fiber_start
+  .type bss_fiber_start, @function
+  .p2align 4
+bss_fiber_start:
+  .cfi_startproc
+  .cfi_undefined %rip
+  call *%rbx
+  ud2
+  .cfi_endproc
+  .size bss_fiber_start, .-bss_fiber_start
+  .popsection
+)");
+#else
+#include <ucontext.h>
+
+#include <cerrno>
+#include <system_error>
 #endif
 
 namespace bss::sim {
@@ -93,10 +188,31 @@ class StackPool {
 
 thread_local StackPool stack_pool;
 
-/// The process start() is entering for the first time: makecontext passes
-/// no pointer portably, and the first switch runs fiber_entry at once on
-/// this thread.
+/// The process start() is entering for the first time: a fiber's entry
+/// takes no argument, and the first switch runs fiber_entry at once on this
+/// thread.
 thread_local Ctx* entering = nullptr;
+
+#if defined(__x86_64__)
+/// What bss_fiber_switch pops, lowest address first.  A new fiber's stack
+/// starts with one at its top, so its first switch "returns" into
+/// bss_fiber_start with rsp 16-byte aligned, and bss_fiber_start's call
+/// enters the fiber as the ABI expects.
+struct SwitchFrame {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_control = 0;
+  std::uint16_t unused = 0;
+  std::uint64_t r15 = 0;
+  std::uint64_t r14 = 0;
+  std::uint64_t r13 = 0;
+  std::uint64_t r12 = 0;
+  void (*rbx)() = nullptr;  ///< the entry bss_fiber_start calls
+  std::uint64_t rbp = 0;
+  void (*return_address)() = &bss_fiber_start;
+};
+static_assert(sizeof(SwitchFrame) == 64,
+              "bss_fiber_switch pops six registers, a control slot and rip");
+#endif
 
 }  // namespace
 
@@ -106,7 +222,11 @@ FiberStackStats fiber_stack_stats() { return stack_pool.stats(); }
 /// fiber is whatever stack run()/step_process were called on, and learns
 /// its bounds (for ASan) from each fiber it resumes.
 struct SimEnv::Fiber {
+#if defined(__x86_64__)
+  void* sp = nullptr;  ///< the stack pointer saved while switched out
+#else
   ucontext_t context{};
+#endif
   void* mapping = nullptr;  ///< pooled stack mapping; null for the engine
   const void* stack_bottom = nullptr;
   std::size_t stack_size = 0;
@@ -116,13 +236,29 @@ struct SimEnv::Fiber {
   Fiber() = default;  // the engine
 
   explicit Fiber(void (*entry)()) {
+#if !defined(__x86_64__)
     if (getcontext(&context) != 0) {
       throw std::system_error(errno, std::generic_category(), "getcontext");
     }
+#endif
     mapping = stack_pool.acquire();
     void* const usable = static_cast<char*>(mapping) + page_bytes();
     stack_bottom = usable;
     stack_size = kStackBytes;
+#if defined(__x86_64__)
+#if defined(SIM_ENV_ASAN)
+    // A reused stack still carries the shadow of its last fiber's frames.
+    __asan_unpoison_memory_region(usable, kStackBytes);
+#endif
+    auto* const frame = new (static_cast<char*>(usable) + kStackBytes -
+                             sizeof(SwitchFrame)) SwitchFrame;
+    frame->rbx = entry;
+    // The control words start as the launching thread's, as they would on
+    // a new thread.
+    asm("stmxcsr %0\n\tfnstcw %1"
+        : "=m"(frame->mxcsr), "=m"(frame->x87_control));
+    sp = frame;
+#else
     context.uc_stack.ss_sp = usable;
     context.uc_stack.ss_size = stack_size;
     context.uc_link = nullptr;  // fiber_entry never returns
@@ -134,6 +270,7 @@ struct SimEnv::Fiber {
     // clear a reused stack's leftover shadow once, here, instead.
     __asan_unpoison_memory_region(usable, kStackBytes);
     context.uc_stack = {};
+#endif
 #endif
 #if defined(SIM_ENV_TSAN)
     tsan_fiber = __tsan_create_fiber(0);
@@ -165,7 +302,11 @@ struct SimEnv::Fiber {
     tsan_fiber = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(to.tsan_fiber, 0);
 #endif
+#if defined(__x86_64__)
+    bss_fiber_switch(&sp, to.sp);
+#else
     swapcontext(&context, &to.context);
+#endif
 #if defined(SIM_ENV_ASAN)
     // Records the engine's stack bounds, which a fiber learns no other way.
     __sanitizer_finish_switch_fiber(asan_fake_stack, &to.stack_bottom,

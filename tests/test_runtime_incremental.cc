@@ -3,7 +3,11 @@
 // entry points applicable()/apply() that run(), the explorer and the audit
 // share, and the cooperative-fiber substrate underneath it.
 #include <gtest/gtest.h>
+#include <unwind.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -572,6 +576,92 @@ TEST(Fibers, EngineInsideACatchHandlerMayStillDriveProcesses) {
     EXPECT_TRUE(report.clean()) << report.summary();
   }
   EXPECT_EQ(reg.peek(), 2);
+}
+
+__attribute__((noinline)) bool frame_is_16_byte_aligned() {
+  return reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)) % 16 ==
+         0;
+}
+
+TEST(Fibers, FloatingPointControlStateStaysWithItsContext) {
+  // The rounding mode lives in MXCSR and the x87 control word; a switch
+  // must carry both, and land every fiber on an ABI-aligned stack.
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  bool aligned_at_entry = false;
+  bool aligned_after_park = false;
+  int mode_after_park = -1;
+  double third_after_park = 0.0;
+  char printed[16] = {};
+  env.add_process([&](Ctx& ctx) {
+    aligned_at_entry = frame_is_16_byte_aligned();
+    std::fesetround(FE_UPWARD);
+    reg.write(ctx, 1);
+    aligned_after_park = frame_is_16_byte_aligned();
+    mode_after_park = std::fegetround();
+    third_after_park = one / three;
+    std::snprintf(printed, sizeof printed, "%.3f", 1.0 / 3);
+  });
+  env.start();
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(one / three, 1.0 / 3);  // SSE division rounds to nearest
+  env.step_process(0);
+  ASSERT_TRUE(env.is_finished(0));
+  env.finish();
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_TRUE(aligned_at_entry);
+  EXPECT_TRUE(aligned_after_park);
+  EXPECT_EQ(mode_after_park, FE_UPWARD);
+  EXPECT_GT(third_after_park, 1.0 / 3);  // rounded up, in the fiber's MXCSR
+  EXPECT_STREQ(printed, "0.334");
+}
+
+struct Backtrace {
+  std::uintptr_t low = 0;   ///< every frame of the walk lies at or above
+  std::uintptr_t high = 0;  ///< this, and below this
+  int frames = 0;
+  bool left_the_stack = false;
+};
+
+_Unwind_Reason_Code count_frame(_Unwind_Context* context, void* arg) {
+  auto& trace = *static_cast<Backtrace*>(arg);
+  const std::uintptr_t cfa = _Unwind_GetCFA(context);
+  if (cfa < trace.low || cfa >= trace.high) trace.left_the_stack = true;
+  // A walk that runs away ends here instead of in a crash.
+  return ++trace.frames < 64 ? _URC_NO_REASON : _URC_NORMAL_STOP;
+}
+
+/// Walks the calling fiber's stack.  No frame on a stack of `stack_bytes`
+/// lies farther than that from this one.
+__attribute__((noinline)) _Unwind_Reason_Code walk_own_stack(
+    Backtrace& trace, std::uintptr_t stack_bytes) {
+  const auto here =
+      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  trace.low = here - stack_bytes;
+  trace.high = here + stack_bytes;
+  return _Unwind_Backtrace(&count_frame, &trace);
+}
+
+TEST(Fibers, BacktraceFromAParkedBodyEndsOnItsOwnStack) {
+  // The fiber's bottom frame must end the unwind: nothing above it on the
+  // fiber's stack is a caller, and the engine's frames are another stack.
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  Backtrace trace;
+  _Unwind_Reason_Code reason = _URC_NO_REASON;
+  env.add_process([&](Ctx& ctx) {
+    reg.write(ctx, 1);
+    reason = walk_own_stack(trace, std::uintptr_t{1} << 20);
+  });
+  env.start();
+  env.step_process(0);
+  env.finish();
+  EXPECT_EQ(reason, _URC_END_OF_STACK);
+  EXPECT_GE(trace.frames, 2);
+  EXPECT_LE(trace.frames, 16);
+  EXPECT_FALSE(trace.left_the_stack);
 }
 
 #if defined(__SANITIZE_ADDRESS__)
