@@ -77,8 +77,8 @@ void run_policy(const AblationRow& row, int k, int n, int trials,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bss::bench::BenchFlags flags = bss::bench::parse_flags(
-      argc, argv, /*accepts_jobs=*/false, /*accepts_json=*/false);
+  const bss::bench::BenchFlags flags =
+      bss::bench::parse_flags(argc, argv, /*accepts_jobs=*/false);
   bss::bench::BenchReport report(flags, "bench_ablation");
   constexpr int kK = 5;
   constexpr int kN = 24;

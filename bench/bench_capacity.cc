@@ -148,8 +148,8 @@ void print_composition_table(bss::bench::BenchReport& bench_report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bss::bench::BenchFlags flags = bss::bench::parse_flags(
-      argc, argv, /*accepts_jobs=*/false, /*accepts_json=*/false);
+  const bss::bench::BenchFlags flags =
+      bss::bench::parse_flags(argc, argv, /*accepts_jobs=*/false);
   bss::bench::BenchReport report(flags, "bench_capacity");
   print_bounds_table(report);
   print_witness_table(report);

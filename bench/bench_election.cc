@@ -132,11 +132,10 @@ BENCHMARK(BM_OneShotElection)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 // Hand-rolled main instead of BENCHMARK_MAIN(): `--json` is sugar for
-// google-benchmark's JSON reporter, so every bench binary in this repo
-// shares one machine-readable flag (EXPERIMENTS.md), and `--out PATH`
-// writes the shared bss-runreport v1 artifact (bench_gbench.h).  Flags are
-// accepted in any position; anything neither we nor google-benchmark
-// recognize gets a usage message instead of being silently ignored.
+// google-benchmark's JSON reporter, and `--out PATH` writes the shared
+// bss-runreport v1 artifact (bench_gbench.h).  Flags are accepted in any
+// position; anything neither we nor google-benchmark recognize gets a usage
+// message instead of being silently ignored.
 int main(int argc, char** argv) {
   auto pre = bss::bench::preprocess_gbench_args(argc, argv);
   int args_count = bss::checked_cast<int>(pre.args.size());
@@ -149,5 +148,5 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 1;
   }
-  return bss::bench::run_gbench_with_report(pre.flags, "bench_election");
+  return bss::bench::run_gbench_with_report(pre, "bench_election");
 }

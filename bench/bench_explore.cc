@@ -12,11 +12,10 @@
 // pass.  The explorer's rates are measured by perfbench; the identity
 // checks across worker counts, pruning, telemetry and audit live in ctest.
 //
-// `--json` prints the rows as a JSON array instead of the table; `--jobs N`
-// sets the explorer worker count; `--out PATH` additionally writes a
-// `bss-runreport v1` artifact carrying every row.  The runreport labels the
-// one documented nondeterminism exception (the max_schedules valve)
-// explicitly, so downstream tooling never mistakes a valve-capped
+// `--jobs N` sets the explorer worker count; `--out PATH` additionally
+// writes a `bss-runreport v1` artifact carrying every row.  The runreport
+// labels the one documented nondeterminism exception (the max_schedules
+// valve) explicitly, so downstream tooling never mistakes a valve-capped
 // comparison for a determinism violation.
 //
 // `--campaign NAME [--checkpoint PATH] [--checkpoint-every N]
@@ -78,19 +77,6 @@ void print_table(const Row& row) {
               static_cast<unsigned long long>(stats.sleep_set_prunes),
               static_cast<unsigned long long>(stats.preemption_prunes),
               row.result.exhausted ? "exhaustive" : "bounded");
-}
-
-void print_json(const Row& row) {
-  const auto& stats = row.result.stats;
-  std::printf(
-      "[\n  {\"system\": \"%s\", \"schedules\": %llu, \"transitions\": %llu, "
-      "\"schedules_per_sec\": %.0f, \"sleep_set_prunes\": %llu, "
-      "\"preemption_prunes\": %llu, \"exhausted\": %s}\n]\n",
-      row.label.c_str(), static_cast<unsigned long long>(stats.schedules),
-      static_cast<unsigned long long>(stats.transitions), rate_of(row),
-      static_cast<unsigned long long>(stats.sleep_set_prunes),
-      static_cast<unsigned long long>(stats.preemption_prunes),
-      row.result.exhausted ? "true" : "false");
 }
 
 // ------------------------------------------------------- fast-path gate
@@ -261,15 +247,10 @@ int run_campaign(const bss::bench::BenchFlags& flags) {
   report.row(std::move(object));
   report.schedules(row.result.stats.schedules);
 
-  if (flags.json) {
-    print_json(row);
-  } else {
-    print_table(row);
-    std::printf("  checkpoints written: %llu%s\n",
-                static_cast<unsigned long long>(
-                    row.result.checkpoints_written),
-                flags.resume.empty() ? "" : " (resumed)");
-  }
+  print_table(row);
+  std::printf("  checkpoints written: %llu%s\n",
+              static_cast<unsigned long long>(row.result.checkpoints_written),
+              flags.resume.empty() ? "" : " (resumed)");
   report.finalize();
   return row.result.exhausted ? 0 : 1;
 }
@@ -278,8 +259,8 @@ int run_campaign(const bss::bench::BenchFlags& flags) {
 
 int main(int argc, char** argv) {
   const bss::bench::BenchFlags flags = bss::bench::parse_flags(
-      argc, argv, /*accepts_jobs=*/true, /*accepts_json=*/true,
-      /*accepts_checkpoint=*/true, kCampaigns);
+      argc, argv, /*accepts_jobs=*/true, /*accepts_checkpoint=*/true,
+      kCampaigns);
   if (!flags.campaign.empty()) return run_campaign(flags);
   // Constructed before any exploration: the report's wall clock must span
   // the actual work or the schedules/second headline is meaningless.
@@ -311,38 +292,21 @@ int main(int argc, char** argv) {
                           bss::obs::json::Value(gate.speedup()));
   report.schedules(gate.schedules * 2 * kRepeats);
 
-  if (flags.json) {
-    std::printf("[\n");
-    for (const Side& side : sides) {
-      std::printf(
-          "  {\"workload\": \"mutant-refutation\", \"mode\": \"%s\", "
-          "\"jobs\": %d, \"repeats\": %d, \"schedules\": %llu, "
-          "\"violations\": %llu, \"seconds\": %.4f},\n",
-          side.mode, flags.jobs, kRepeats,
-          static_cast<unsigned long long>(gate.schedules),
-          static_cast<unsigned long long>(gate.violations), side.seconds);
-    }
-    std::printf("  {\"workload\": \"fastpath-gate\", \"speedup\": %.2f, "
-                "\"min_speedup\": %.1f, \"identical\": %s}\n]\n",
-                gate.speedup(), kMinSpeedup,
-                gate.identical ? "true" : "false");
-  } else {
-    std::printf("fast-path gate: mutant-refutation, jobs %d, fastest of %d "
-                "passes per side\n%-10s %9s %10s %9s\n",
-                flags.jobs, kRepeats, "mode", "schedules", "violations",
-                "seconds");
-    for (const Side& side : sides) {
-      std::printf("%-10s %9llu %10llu %9.3f\n", side.mode,
-                  static_cast<unsigned long long>(gate.schedules),
-                  static_cast<unsigned long long>(gate.violations),
-                  side.seconds);
-    }
-    std::printf("  audited/off: %.2fx (gate >= %.1fx)%s\n", gate.speedup(),
-                kMinSpeedup, gate.speedup() >= kMinSpeedup ? "" : " BELOW GATE");
-    if (!gate.identical) {
-      std::printf("FATAL: a pass's result differs from the first off pass "
-                  "(determinism or observer passivity violated)\n");
-    }
+  std::printf("fast-path gate: mutant-refutation, jobs %d, fastest of %d "
+              "passes per side\n%-10s %9s %10s %9s\n",
+              flags.jobs, kRepeats, "mode", "schedules", "violations",
+              "seconds");
+  for (const Side& side : sides) {
+    std::printf("%-10s %9llu %10llu %9.3f\n", side.mode,
+                static_cast<unsigned long long>(gate.schedules),
+                static_cast<unsigned long long>(gate.violations),
+                side.seconds);
+  }
+  std::printf("  audited/off: %.2fx (gate >= %.1fx)%s\n", gate.speedup(),
+              kMinSpeedup, gate.speedup() >= kMinSpeedup ? "" : " BELOW GATE");
+  if (!gate.identical) {
+    std::printf("FATAL: a pass's result differs from the first off pass "
+                "(determinism or observer passivity violated)\n");
   }
   report.finalize();
   return ok ? 0 : 1;

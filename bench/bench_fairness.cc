@@ -60,8 +60,8 @@ void histogram(const char* name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bss::bench::BenchFlags flags = bss::bench::parse_flags(
-      argc, argv, /*accepts_jobs=*/false, /*accepts_json=*/false);
+  const bss::bench::BenchFlags flags =
+      bss::bench::parse_flags(argc, argv, /*accepts_jobs=*/false);
   bss::bench::BenchReport report(flags, "bench_fairness");
   constexpr int kK = 5;
   constexpr int kN = 24;

@@ -1,8 +1,8 @@
 // Shared command-line parsing for the table-shaped bench binaries
 // (bench_explore, bench_faults, …): flags are accepted in any position,
 // unknown arguments get a usage message instead of being silently ignored.
-// (The google-benchmark binaries keep benchmark's own flag handling and only
-// borrow the `--json` spelling.)
+// (The google-benchmark binaries keep benchmark's own flag handling; see
+// bench_gbench.h.)
 #pragma once
 
 #include <cstdio>
@@ -25,13 +25,12 @@ inline std::string campaign_list(const std::vector<std::string>& campaigns) {
 }
 
 struct BenchFlags {
-  bool json = false;  ///< machine-readable output instead of the table
-  int jobs = 1;       ///< explorer worker threads (ExploreOptions::jobs)
+  int jobs = 1;  ///< explorer worker threads (ExploreOptions::jobs)
   /// When non-empty, a `bss-runreport v1` document is also written to this
-  /// path (stdout keeps the table / --json rows either way).
+  /// path (stdout keeps the table either way).
   std::string out;
-  // Checkpoint/resume campaign flags (bench_explore only; other benches
-  // reject them like any unknown argument).
+  // Checkpoint/resume campaign flags (bench_explore and bench_service; other
+  // benches reject them like any unknown argument).
   std::string campaign;          ///< run ONE named long campaign instead
   std::string checkpoint;        ///< ExploreOptions::checkpoint_path
   std::uint64_t checkpoint_every = 0;  ///< 0 keeps the explorer default
@@ -41,20 +40,15 @@ struct BenchFlags {
 };
 
 inline void print_usage(const char* program, bool accepts_jobs,
-                        bool accepts_json = true,
                         bool accepts_checkpoint = false,
                         const std::vector<std::string>& campaigns = {}) {
-  std::fprintf(stderr, "usage: %s%s%s [--out PATH]%s\n", program,
-               accepts_json ? " [--json]" : "",
+  std::fprintf(stderr, "usage: %s%s [--out PATH]%s\n", program,
                accepts_jobs ? " [--jobs N]" : "",
                accepts_checkpoint
                    ? " [--campaign NAME] [--checkpoint PATH]"
                      " [--checkpoint-every N] [--resume PATH]"
                      " [--status PATH] [--status-every MS]"
                    : "");
-  if (accepts_json) {
-    std::fprintf(stderr, "  --json     print rows as a JSON array\n");
-  }
   if (accepts_jobs) {
     std::fprintf(stderr,
                  "  --jobs N   explorer worker threads (1..64, default 1; "
@@ -66,7 +60,7 @@ inline void print_usage(const char* program, bool accepts_jobs,
   if (accepts_checkpoint) {
     std::fprintf(stderr,
                  "  --campaign NAME      run one named campaign (%s) "
-                 "instead of the gate\n"
+                 "instead of the default run\n"
                  "  --checkpoint PATH    write bss-checkpoint v1 artifacts "
                  "to PATH during the campaign\n"
                  "  --checkpoint-every N checkpoint cadence in schedules "
@@ -82,24 +76,20 @@ inline void print_usage(const char* program, bool accepts_jobs,
   }
 }
 
-/// Parses [--json] [--jobs N] [--out PATH] (and, with accepts_checkpoint,
-/// the campaign/checkpoint/resume flags) anywhere on the command line.
-/// Exits with status 2 (after printing usage) on unknown arguments, missing
-/// or malformed values; exits 0 on --help.  Benches whose stdout has no
-/// machine-readable twin pass accepts_json=false and --json is rejected
-/// like any other unknown flag.  `campaigns` is the bench's set of valid
-/// --campaign names: a value outside it is rejected HERE, with the valid
-/// names enumerated, instead of falling through to the bench's campaign
-/// dispatch (where a typo used to die without saying what would have
-/// worked).
+/// Parses [--jobs N] [--out PATH] (and, with accepts_checkpoint, the
+/// campaign/checkpoint/resume flags) anywhere on the command line.  Exits
+/// with status 2 (after printing usage) on unknown arguments, missing or
+/// malformed values; exits 0 on --help.  `campaigns` is the bench's set of
+/// valid --campaign names: a value outside it is rejected HERE, with the
+/// valid names enumerated, instead of falling through to the bench's
+/// campaign dispatch (where a typo used to die without saying what would
+/// have worked).
 inline BenchFlags parse_flags(int argc, char** argv, bool accepts_jobs,
-                              bool accepts_json = true,
                               bool accepts_checkpoint = false,
                               const std::vector<std::string>& campaigns = {}) {
   BenchFlags flags;
   const auto fail = [&]() {
-    print_usage(argv[0], accepts_jobs, accepts_json, accepts_checkpoint,
-                campaigns);
+    print_usage(argv[0], accepts_jobs, accepts_checkpoint, campaigns);
     std::exit(2);
   };
   // Range errors name the flag, the offending value and the valid range
@@ -140,11 +130,8 @@ inline BenchFlags parse_flags(int argc, char** argv, bool accepts_jobs,
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
-    if (accepts_json && arg == "--json") {
-      flags.json = true;
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(argv[0], accepts_jobs, accepts_json, accepts_checkpoint,
-                  campaigns);
+    if (arg == "--help" || arg == "-h") {
+      print_usage(argv[0], accepts_jobs, accepts_checkpoint, campaigns);
       std::exit(0);
     } else if (accepts_jobs && (value = value_of(arg, "--jobs", &i))) {
       parse_ranged_int("--jobs", value, 1, 64, &flags.jobs);

@@ -36,8 +36,8 @@ std::uint64_t best_random(int k, int m, int trials) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bss::bench::BenchFlags flags = bss::bench::parse_flags(
-      argc, argv, /*accepts_jobs=*/false, /*accepts_json=*/false);
+  const bss::bench::BenchFlags flags =
+      bss::bench::parse_flags(argc, argv, /*accepts_jobs=*/false);
   bss::bench::BenchReport report(flags, "bench_game");
   std::printf("T2a — exact maxima (exhaustive) vs the m^k bound\n");
   std::printf("%3s %3s %10s %12s %14s\n", "k", "m", "exact-max", "bound=m^k",

@@ -23,7 +23,8 @@ namespace bss::bench {
 
 struct GBenchArgs {
   std::vector<char*> args;  ///< what benchmark::Initialize should consume
-  BenchFlags flags;         ///< --json / --out, decoded for the report
+  BenchFlags flags;         ///< --out, decoded for the report
+  bool json = false;        ///< --json: benchmark's JSON display reporter
 };
 
 /// Extracts `--out PATH` / `--out=PATH` and maps `--json` onto
@@ -35,7 +36,7 @@ inline GBenchArgs preprocess_gbench_args(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--json" || arg == "--benchmark_format=json") {
-      result.flags.json = true;
+      result.json = true;
       result.args.push_back(json_flag);
     } else if (arg == "--out" && i + 1 < argc) {
       result.flags.out = argv[++i];
@@ -81,10 +82,10 @@ class CapturingReporter final : public Base {
 /// Runs the registered benchmarks under a capture reporter matching the
 /// --json choice, finalizes the report (writing --out when given), and
 /// shuts benchmark down.  The whole tail of main().
-inline int run_gbench_with_report(const BenchFlags& flags,
+inline int run_gbench_with_report(const GBenchArgs& pre,
                                   std::string producer) {
-  BenchReport report(flags, std::move(producer));
-  if (flags.json) {
+  BenchReport report(pre.flags, std::move(producer));
+  if (pre.json) {
     CapturingReporter<benchmark::JSONReporter> reporter(&report);
     benchmark::RunSpecifiedBenchmarks(&reporter);
   } else {

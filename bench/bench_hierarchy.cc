@@ -119,8 +119,8 @@ void print_universal(bss::bench::BenchReport& bench_report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bss::bench::BenchFlags flags = bss::bench::parse_flags(
-      argc, argv, /*accepts_jobs=*/false, /*accepts_json=*/false);
+  const bss::bench::BenchFlags flags =
+      bss::bench::parse_flags(argc, argv, /*accepts_jobs=*/false);
   bss::bench::BenchReport report(flags, "bench_hierarchy");
   const auto table = bss::hierarchy::build_hierarchy_table();
   std::printf("T3a — the hierarchy table (all cells recomputed)\n%s\n",

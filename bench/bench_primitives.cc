@@ -128,5 +128,5 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 1;
   }
-  return bss::bench::run_gbench_with_report(pre.flags, "bench_primitives");
+  return bss::bench::run_gbench_with_report(pre, "bench_primitives");
 }

@@ -175,8 +175,8 @@ void show_history_tree(bss::bench::BenchReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bss::bench::BenchFlags flags = bss::bench::parse_flags(
-      argc, argv, /*accepts_jobs=*/false, /*accepts_json=*/false);
+  const bss::bench::BenchFlags flags =
+      bss::bench::parse_flags(argc, argv, /*accepts_jobs=*/false);
   bss::bench::BenchReport report(flags, "bench_reduction");
   sweep_fvt(report);
   sweep_token_race(report);

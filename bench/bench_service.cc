@@ -1,27 +1,33 @@
-// bench_service — cost curves of the lease-based election service
+// bench_service — the lease-based election service's certificate
 // (DESIGN.md §10).
 //
 // Two experiments:
 //
-//  1. Model-checking throughput over the service: exhaustive sweeps of the
-//     two-process lease protocol (fault-free and under a one-fault budget
-//     with crashes, restarts, and spurious SC failures all enabled) plus a
-//     preemption-bounded three-process sweep.  The schedule space here is
-//     steps x timers x faults — every timer firing is an explorer decision —
-//     so these rows track how expensive virtual time makes the service's
-//     safety certificate.
+//  1. Model checking the service: exhaustive sweeps of the two-process
+//     lease protocol (fault-free and under a one-fault budget with crashes,
+//     restarts, and spurious SC failures all enabled), a preemption-bounded
+//     three-process sweep, and the refutation of two seeded mutants.  The
+//     schedule space here is steps x timers x faults — every timer firing is
+//     an explorer decision — so each row reports schedules, timer grants,
+//     violations, and whether the sweep was exhaustive.
 //
-//  2. Thread-backend storm throughput: full lease sessions per second on
-//     real std::threads under seeded crash-restart storms, with the merged
-//     service counters (acquisitions, takeovers, renewals, step-downs)
-//     reported as `service.*` stats in the runreport.
+//  2. Thread-backend storm: full lease sessions on real std::threads under
+//     seeded crash-restart storms; the bench exits 1 on the first session
+//     that breaks lease safety.  Thread interleavings are real, so only the
+//     verified-run count is a certificate; the merged service counters
+//     (acquisitions, takeovers, renewals, step-downs) go to the runreport as
+//     `service.*` stats.
+//
+// The table must equal the one recorded below at every --jobs, or the bench
+// prints the differing rows and exits 1.  The explorer's rates are measured
+// by perfbench, not here.
 //
 // `--campaign exhaustive` replaces the tables with the long n=3 certificate:
 // the full one-fault-budget exhaustive sweep (~1M schedules), wired to
 // --checkpoint/--resume so CI can SIGKILL and resume it.  Exits 0 iff the
 // sweep was exhaustive and violation-free.
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -34,7 +40,6 @@
 
 namespace {
 
-using bss::explore::ExplorableSystem;
 using bss::explore::ExploreOptions;
 using bss::explore::ExploreResult;
 using bss::service::LeaseConfig;
@@ -63,39 +68,41 @@ LeaseConfig med_config() {
   return config;
 }
 
+/// The certificate as last reviewed (EXPERIMENTS.md "S1 — lease service").
+constexpr const char* kRecorded = R"(
+service sweep                 schedules timers viol coverage
+lease[n=2] fb=0                     144    286    0 exhaustive
+lease[n=2] fb=1 c+r+s             19188  48644    0 exhaustive
+lease[n=3] fb=1 c+r+s pb=2       143300 327220    0 bounded
+mutant:renew-after-expiry          8448  72225    1 bounded
+mutant:no-step-down                5047  23932    1 bounded
+
+thread storm                  runs verified
+lease[n=4] fault-free          100      100
+lease[n=4] crash-storm         100      100
+)";
+
 struct SweepRow {
   std::string label;
   ExploreResult result;
-  double seconds = 0;
 };
-
-SweepRow timed_explore(std::string label, const ExplorableSystem& system,
-                       const ExploreOptions& options) {
-  SweepRow row;
-  row.label = std::move(label);
-  const auto start = std::chrono::steady_clock::now();
-  row.result = bss::explore::explore(system, options);
-  row.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  return row;
-}
 
 struct StormRow {
   std::string label;
   int runs = 0;
+  int verified = 0;  ///< runs with no lease-safety violation
   int restarts = 0;
   int spurious = 0;
   bss::service::LeaseStats stats;
-  double seconds = 0;
 };
 
-StormRow timed_storm(std::string label, const LeaseConfig& config,
-                     int max_crashes, int runs) {
+/// Runs `runs` seeded thread-backend lease sessions; a session that breaks
+/// lease safety ends the bench with exit 1.
+StormRow storm(std::string label, const LeaseConfig& config, int max_crashes,
+               int runs) {
   StormRow row;
   row.label = std::move(label);
   row.runs = runs;
-  const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < runs; ++i) {
     const auto report = bss::service::run_thread_lease_storm(
         config, static_cast<std::uint64_t>(i), max_crashes);
@@ -104,83 +111,28 @@ StormRow timed_storm(std::string label, const LeaseConfig& config,
                    report.violation->c_str());
       std::exit(1);
     }
+    ++row.verified;
     row.restarts += report.restarts;
     row.spurious += report.spurious_delivered;
     row.stats.merge_from(report.stats);
   }
-  row.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
   return row;
 }
 
-void print_tables(const std::vector<SweepRow>& sweeps,
-                  const std::vector<StormRow>& storms) {
-  std::printf("%-38s %9s %8s %6s %5s %s\n", "service sweep", "schedules",
-              "sched/s", "timers", "viol", "coverage");
+/// The certificate table's sweep section: a header and one row per sweep.
+std::string sweep_table(const std::vector<SweepRow>& sweeps) {
+  std::string table;
+  bss::bench::appendf(table, "%-29s %9s %6s %4s %s\n", "service sweep",
+                      "schedules", "timers", "viol", "coverage");
   for (const auto& row : sweeps) {
-    const auto& stats = row.result.stats;
-    const double rate =
-        row.seconds > 0 ? static_cast<double>(stats.schedules) / row.seconds
-                        : 0;
-    std::printf("%-38s %9llu %8.0f %6llu %5zu %s\n", row.label.c_str(),
-                static_cast<unsigned long long>(stats.schedules), rate,
-                static_cast<unsigned long long>(stats.timer_grants),
-                row.result.violations.size(),
-                row.result.exhausted ? "exhaustive" : "bounded");
-  }
-  std::printf("\n%-38s %5s %7s %8s %8s %7s %9s %7s\n", "thread storm", "runs",
-              "runs/s", "acquired", "renewals", "retries", "step-downs",
-              "crashes");
-  for (const auto& row : storms) {
-    const double rate =
-        row.seconds > 0 ? static_cast<double>(row.runs) / row.seconds : 0;
-    std::printf("%-38s %5d %7.0f %8llu %8llu %7llu %9llu %7d\n",
-                row.label.c_str(), row.runs, rate,
-                static_cast<unsigned long long>(row.stats.leases_acquired),
-                static_cast<unsigned long long>(row.stats.renewals),
-                static_cast<unsigned long long>(row.stats.retries),
-                static_cast<unsigned long long>(row.stats.step_downs),
-                row.restarts);
-  }
-}
-
-void print_json(const std::vector<SweepRow>& sweeps,
-                const std::vector<StormRow>& storms) {
-  std::printf("[\n");
-  bool first = true;
-  for (const auto& row : sweeps) {
-    const auto& stats = row.result.stats;
-    const double rate =
-        row.seconds > 0 ? static_cast<double>(stats.schedules) / row.seconds
-                        : 0;
-    std::printf(
-        "%s  {\"kind\": \"sweep\", \"label\": \"%s\", \"schedules\": %llu, "
-        "\"schedules_per_sec\": %.0f, \"timer_grants\": %llu, "
-        "\"violations\": %zu, \"exhausted\": %s}",
-        first ? "" : ",\n", row.label.c_str(),
-        static_cast<unsigned long long>(stats.schedules), rate,
-        static_cast<unsigned long long>(stats.timer_grants),
+    bss::bench::appendf(
+        table, "%-29s %9llu %6llu %4zu %s\n", row.label.c_str(),
+        static_cast<unsigned long long>(row.result.stats.schedules),
+        static_cast<unsigned long long>(row.result.stats.timer_grants),
         row.result.violations.size(),
-        row.result.exhausted ? "true" : "false");
-    first = false;
+        row.result.exhausted ? "exhaustive" : "bounded");
   }
-  for (const auto& row : storms) {
-    const double rate =
-        row.seconds > 0 ? static_cast<double>(row.runs) / row.seconds : 0;
-    std::printf(
-        "%s  {\"kind\": \"storm\", \"label\": \"%s\", \"runs\": %d, "
-        "\"runs_per_sec\": %.0f, \"leases_acquired\": %llu, "
-        "\"renewals\": %llu, \"step_downs\": %llu, \"restarts\": %d, "
-        "\"spurious_sc\": %d}",
-        first ? "" : ",\n", row.label.c_str(), row.runs, rate,
-        static_cast<unsigned long long>(row.stats.leases_acquired),
-        static_cast<unsigned long long>(row.stats.renewals),
-        static_cast<unsigned long long>(row.stats.step_downs), row.restarts,
-        row.spurious);
-    first = false;
-  }
-  std::printf("\n]\n");
+  return table;
 }
 
 /// Records a storm's merged LeaseStats as the closed `service.*` stat family
@@ -225,11 +177,13 @@ int run_campaign(const bss::bench::BenchFlags& flags) {
   options.status_path = flags.status;
   options.status_every_ms = flags.status_every;
 
-  LeaseServiceSystem system(small_config(3));
-  const SweepRow row = timed_explore("campaign:exhaustive[n=3,fb=1]", system,
-                                     options);
-
+  // Constructed before the exploration so the report's wall clock
+  // (timing.wall_ns) covers the campaign itself.
   bss::bench::BenchReport report(flags, "bench_service");
+  LeaseServiceSystem system(small_config(3));
+  const SweepRow row = {"campaign:exhaustive[n=3,fb=1]",
+                        bss::explore::explore(system, options)};
+
   report.builder().set_system(system.name());
   report.builder().environment("campaign",
                                bss::obs::json::Value(flags.campaign));
@@ -246,18 +200,12 @@ int run_campaign(const bss::bench::BenchFlags& flags) {
   object.emplace("exhausted", bss::obs::json::Value(row.result.exhausted));
   object.emplace("checkpoints_written",
                  bss::obs::json::Value(row.result.checkpoints_written));
-  object.emplace("seconds", bss::obs::json::Value(row.seconds));
   report.row(std::move(object));
 
-  if (flags.json) {
-    print_json({row}, {});
-  } else {
-    print_tables({row}, {});
-    std::printf("  checkpoints written: %llu%s\n",
-                static_cast<unsigned long long>(
-                    row.result.checkpoints_written),
-                flags.resume.empty() ? "" : " (resumed)");
-  }
+  std::fputs(sweep_table({row}).c_str(), stdout);
+  std::printf("  checkpoints written: %llu%s\n",
+              static_cast<unsigned long long>(row.result.checkpoints_written),
+              flags.resume.empty() ? "" : " (resumed)");
   report.finalize();
   return row.result.exhausted && row.result.violations.empty() ? 0 : 1;
 }
@@ -266,21 +214,25 @@ int run_campaign(const bss::bench::BenchFlags& flags) {
 
 int main(int argc, char** argv) {
   const bss::bench::BenchFlags flags = bss::bench::parse_flags(
-      argc, argv, /*accepts_jobs=*/true, /*accepts_json=*/true,
-      /*accepts_checkpoint=*/true, kCampaigns);
+      argc, argv, /*accepts_jobs=*/true, /*accepts_checkpoint=*/true,
+      kCampaigns);
   if (!flags.campaign.empty()) return run_campaign(flags);
+  // Constructed first so the report's wall clock covers the whole bench.
+  bss::bench::BenchReport report(flags, "bench_service");
 
   std::vector<SweepRow> sweeps;
   {
     LeaseServiceSystem system(small_config(2));
     ExploreOptions fault_free;
     fault_free.jobs = flags.jobs;
-    sweeps.push_back(timed_explore("lease[n=2] fb=0", system, fault_free));
+    sweeps.push_back(
+        {"lease[n=2] fb=0", bss::explore::explore(system, fault_free)});
     ExploreOptions budget;
     budget.jobs = flags.jobs;
     budget.fault_bound = 1;
     budget.explore_sc_failures = true;
-    sweeps.push_back(timed_explore("lease[n=2] fb=1 c+r+s", system, budget));
+    sweeps.push_back(
+        {"lease[n=2] fb=1 c+r+s", bss::explore::explore(system, budget)});
   }
   {
     LeaseServiceSystem system(small_config(3));
@@ -289,16 +241,17 @@ int main(int argc, char** argv) {
     bounded.fault_bound = 1;
     bounded.explore_sc_failures = true;
     bounded.preemption_bound = 2;
-    sweeps.push_back(
-        timed_explore("lease[n=3] fb=1 c+r+s pb=2", system, bounded));
+    sweeps.push_back({"lease[n=3] fb=1 c+r+s pb=2",
+                      bss::explore::explore(system, bounded)});
   }
   {
-    // Refutation cost: how long until the explorer convicts each mutant.
+    // Refutation: the schedules the explorer needs to convict each mutant.
     ExploreOptions refute;
     refute.jobs = flags.jobs;
     refute.fault_bound = 1;
     LeaseServiceSystem m1(med_config(), LeaseMutant::kRenewAfterExpiry);
-    sweeps.push_back(timed_explore("mutant:renew-after-expiry", m1, refute));
+    sweeps.push_back(
+        {"mutant:renew-after-expiry", bss::explore::explore(m1, refute)});
     LeaseConfig m2cfg = med_config();
     m2cfg.sc_retries = 0;
     ExploreOptions sc_only = refute;
@@ -306,7 +259,8 @@ int main(int argc, char** argv) {
     sc_only.explore_restarts = false;
     sc_only.explore_sc_failures = true;
     LeaseServiceSystem m2(m2cfg, LeaseMutant::kNoStepDownOnRenewFailure);
-    sweeps.push_back(timed_explore("mutant:no-step-down", m2, sc_only));
+    sweeps.push_back(
+        {"mutant:no-step-down", bss::explore::explore(m2, sc_only)});
   }
 
   std::vector<StormRow> storms;
@@ -314,16 +268,14 @@ int main(int argc, char** argv) {
     LeaseConfig storm_config = med_config();
     storm_config.n = 4;
     storm_config.acquire_attempts = 3;
-    storms.push_back(
-        timed_storm("lease[n=4] fault-free", storm_config, 0, 100));
-    storms.push_back(
-        timed_storm("lease[n=4] crash-storm", storm_config, 2, 100));
+    storms.push_back(storm("lease[n=4] fault-free", storm_config, 0, 100));
+    storms.push_back(storm("lease[n=4] crash-storm", storm_config, 2, 100));
   }
 
-  bss::bench::BenchReport report(flags, "bench_service");
   bss::service::LeaseStats merged;
   for (const auto& row : storms) merged.merge_from(row.stats);
   report_service_stats(report, merged);
+  std::string table = sweep_table(sweeps);
   for (const auto& row : sweeps) {
     bss::obs::json::Object object;
     object.emplace("kind", bss::obs::json::Value(std::string("sweep")));
@@ -336,29 +288,30 @@ int main(int argc, char** argv) {
                    bss::obs::json::Value(static_cast<std::uint64_t>(
                        row.result.violations.size())));
     object.emplace("exhausted", bss::obs::json::Value(row.result.exhausted));
-    object.emplace("seconds", bss::obs::json::Value(row.seconds));
     report.row(std::move(object));
   }
+  // Thread interleavings are real, so only the verdict is a certificate; the
+  // lease counters stay in the runreport (service.* stats, storm rows).
+  bss::bench::appendf(table, "\n%-29s %4s %8s\n", "thread storm", "runs",
+                      "verified");
   for (const auto& row : storms) {
+    bss::bench::appendf(table, "%-29s %4d %8d\n", row.label.c_str(), row.runs,
+                        row.verified);
+
     bss::obs::json::Object object;
     object.emplace("kind", bss::obs::json::Value(std::string("storm")));
     object.emplace("label", bss::obs::json::Value(row.label));
     object.emplace("runs", bss::obs::json::Value(row.runs));
+    object.emplace("verified", bss::obs::json::Value(row.verified));
     object.emplace("restarts", bss::obs::json::Value(row.restarts));
     object.emplace("spurious_sc", bss::obs::json::Value(row.spurious));
     object.emplace("leases_acquired",
                    bss::obs::json::Value(row.stats.leases_acquired));
     object.emplace("step_downs",
                    bss::obs::json::Value(row.stats.step_downs));
-    object.emplace("seconds", bss::obs::json::Value(row.seconds));
     report.row(std::move(object));
   }
-
-  if (flags.json) {
-    print_json(sweeps, storms);
-  } else {
-    print_tables(sweeps, storms);
-  }
   report.finalize();
+  bss::bench::print_certificate(table, kRecorded);
   return 0;
 }
