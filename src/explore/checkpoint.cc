@@ -152,17 +152,19 @@ void check_keys(const json::Object& object,
                 const std::vector<std::string_view>& optional,
                 const char* where) {
   for (const std::string_view key : required) {
-    expects(object.count(std::string(key)) != 0,
-            std::string(where) + ": missing required key '" +
-                std::string(key) + "'");
+    expects(object.count(std::string(key)) != 0, [&] {
+      return std::string(where) + ": missing required key '" +
+             std::string(key) + "'";
+    });
   }
   const auto listed = [](const std::vector<std::string_view>& keys,
                          const std::string& key) {
     return std::find(keys.begin(), keys.end(), key) != keys.end();
   };
-  for (const auto& [key, value] : object) {
+  for (const auto& entry : object) {
+    const std::string& key = entry.first;
     expects(listed(required, key) || listed(optional, key),
-            std::string(where) + ": unknown key '" + key + "'");
+            [&] { return std::string(where) + ": unknown key '" + key + "'"; });
   }
 }
 
@@ -175,50 +177,57 @@ void check_keys(const json::Object& object,
 const json::Object& get_object(const json::Object& object,
                                const std::string& key, const char* where) {
   const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_object(),
-          std::string(where) + ": '" + key + "' must be an object");
+  expects(it != object.end() && it->second.is_object(), [&] {
+    return std::string(where) + ": '" + key + "' must be an object";
+  });
   return it->second.as_object();
 }
 
 const json::Array& get_array(const json::Object& object,
                              const std::string& key, const char* where) {
   const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_array(),
-          std::string(where) + ": '" + key + "' must be an array");
+  expects(it != object.end() && it->second.is_array(), [&] {
+    return std::string(where) + ": '" + key + "' must be an array";
+  });
   return it->second.as_array();
 }
 
 std::uint64_t get_u64(const json::Object& object, const std::string& key,
                       const char* where) {
   const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_int() &&
-              it->second.as_int() >= 0,
-          std::string(where) + ": '" + key +
-              "' must be a non-negative integer");
+  expects(
+      it != object.end() && it->second.is_int() && it->second.as_int() >= 0,
+      [&] {
+        return std::string(where) + ": '" + key +
+               "' must be a non-negative integer";
+      });
   return static_cast<std::uint64_t>(it->second.as_int());
 }
 
 int get_int(const json::Object& object, const std::string& key,
             const char* where) {
   const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_int(),
-          std::string(where) + ": '" + key + "' must be an integer");
+  expects(it != object.end() && it->second.is_int(), [&] {
+    return std::string(where) + ": '" + key + "' must be an integer";
+  });
   return checked_cast<int>(it->second.as_int());
 }
 
 bool get_bool(const json::Object& object, const std::string& key,
               const char* where) {
   const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_bool(),
-          std::string(where) + ": '" + key + "' must be a boolean");
+  expects(it != object.end() && it->second.is_bool(), [&] {
+    return std::string(where) + ": '" + key + "' must be a boolean";
+  });
   return it->second.as_bool();
 }
 
 const std::string& get_string(const json::Object& object,
                               const std::string& key, const char* where) {
   const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_string(),
-          std::string(where) + ": '" + key + "' must be a string");
+  expects(it != object.end() && it->second.is_string(), [&] {
+    return std::string(where) + ": '" + key + "' must be a string";
+  });
   return it->second.as_string();
 }
 
@@ -237,8 +246,9 @@ bool get_bool_or(const json::Object& object, const std::string& key,
 /// Parses a 32-hex-char cache key back into its (lo, hi) halves; anything
 /// but exactly 32 lowercase hex digits rejects.
 FpKey parse_fp_key(const std::string& text, const char* where) {
-  expects(text.size() == 32,
-          std::string(where) + ": cache key must be 32 hex chars");
+  expects(text.size() == 32, [&] {
+    return std::string(where) + ": cache key must be 32 hex chars";
+  });
   std::uint64_t halves[2] = {0, 0};
   for (std::size_t i = 0; i < 32; ++i) {
     const char c = text[i];
@@ -248,8 +258,9 @@ FpKey parse_fp_key(const std::string& text, const char* where) {
     } else if (c >= 'a' && c <= 'f') {
       digit = static_cast<std::uint64_t>(c - 'a') + 10;
     } else {
-      expects(false, std::string(where) +
-                         ": cache key must be lowercase hex");
+      expects(false, [&] {
+        return std::string(where) + ": cache key must be lowercase hex";
+      });
     }
     halves[i / 16] = (halves[i / 16] << 4) | digit;
   }
@@ -262,16 +273,18 @@ std::vector<FingerprintPartial> parse_fp_partials(const json::Object& parent,
   std::vector<FingerprintPartial> partials;
   if (parent.count(key) == 0) return partials;  // pre-prune artifacts
   for (const json::Value& entry : get_array(parent, key, where)) {
-    expects(entry.is_array() && entry.as_array().size() == 2,
-            std::string(where) +
-                ": fp partial must be a [key, dirty] pair");
+    expects(entry.is_array() && entry.as_array().size() == 2, [&] {
+      return std::string(where) + ": fp partial must be a [key, dirty] pair";
+    });
     const json::Value& key_value = entry.as_array()[0];
-    expects(key_value.is_string(),
-            std::string(where) + ": fp partial key must be a string");
+    expects(key_value.is_string(), [&] {
+      return std::string(where) + ": fp partial key must be a string";
+    });
     const auto [lo, hi] = parse_fp_key(key_value.as_string(), where);
     const json::Value& dirty = entry.as_array()[1];
-    expects(dirty.is_bool(),
-            std::string(where) + ": fp partial dirty must be a boolean");
+    expects(dirty.is_bool(), [&] {
+      return std::string(where) + ": fp partial dirty must be a boolean";
+    });
     FingerprintPartial partial;
     partial.lo = lo;
     partial.hi = hi;
@@ -286,17 +299,20 @@ std::vector<FingerprintPartial> parse_fp_partials(const json::Object& parent,
 /// like one in a counterexample artifact.
 int parse_decision(const json::Value& value, int processes,
                    const char* where) {
-  expects(value.is_string(),
-          std::string(where) + ": decision token must be a string");
+  expects(value.is_string(), [&] {
+    return std::string(where) + ": decision token must be a string";
+  });
   const std::optional<int> decision = parse_action_token(value.as_string());
-  expects(decision.has_value(),
-          std::string(where) + ": malformed decision token '" +
-              value.as_string() + "'");
+  expects(decision.has_value(), [&] {
+    return std::string(where) + ": malformed decision token '" +
+           value.as_string() + "'";
+  });
   const sim::Action action = sim::decode_action(*decision);
-  expects(action.pid < processes,
-          std::string(where) + ": decision token pid " +
-              std::to_string(action.pid) + " out of range for " +
-              std::to_string(processes) + " processes");
+  expects(action.pid < processes, [&] {
+    return std::string(where) + ": decision token pid " +
+           std::to_string(action.pid) + " out of range for " +
+           std::to_string(processes) + " processes";
+  });
   return *decision;
 }
 
@@ -326,8 +342,9 @@ AuditSummary parse_audit(const json::Object& parent, const char* where) {
                  where);
   audit.enabled = get_bool(object, "enabled", where);
   for (const json::Value& finding : get_array(object, "findings", where)) {
-    expects(finding.is_string(),
-            std::string(where) + ": audit findings must be strings");
+    expects(finding.is_string(), [&] {
+      return std::string(where) + ": audit findings must be strings";
+    });
     audit.note(finding.as_string());
   }
   return audit;
@@ -344,15 +361,17 @@ std::set<FaultPoint> parse_fault_points(const json::Object& parent,
                                         int processes, const char* where) {
   std::set<FaultPoint> points;
   for (const json::Value& entry : get_array(parent, "fault_points", where)) {
-    expects(entry.is_array() && entry.as_array().size() == 2,
-            std::string(where) +
-                ": fault point must be a [token, steps] pair");
+    expects(entry.is_array() && entry.as_array().size() == 2, [&] {
+      return std::string(where) + ": fault point must be a [token, steps] pair";
+    });
     const int action = parse_decision(entry.as_array()[0], processes, where);
-    expects(sim::is_fault_action(action),
-            std::string(where) + ": fault point carries a non-fault token");
+    expects(sim::is_fault_action(action), [&] {
+      return std::string(where) + ": fault point carries a non-fault token";
+    });
     const json::Value& steps = entry.as_array()[1];
-    expects(steps.is_int() && steps.as_int() >= 0,
-            std::string(where) + ": fault point steps must be non-negative");
+    expects(steps.is_int() && steps.as_int() >= 0, [&] {
+      return std::string(where) + ": fault point steps must be non-negative";
+    });
     points.emplace(action, static_cast<std::uint64_t>(steps.as_int()));
   }
   return points;
@@ -406,19 +425,22 @@ Counterexample parse_embedded_counterexample(const json::Value& value,
                                              const std::string& system,
                                              int processes,
                                              const char* where) {
-  expects(value.is_string(),
-          std::string(where) + ": counterexample artifact must be a string");
+  expects(value.is_string(), [&] {
+    return std::string(where) + ": counterexample artifact must be a string";
+  });
   const std::optional<Counterexample> cex =
       Counterexample::from_artifact(value.as_string());
-  expects(cex.has_value(),
-          std::string(where) + ": embedded counterexample does not parse");
-  expects(cex->system == system && cex->processes == processes,
-          std::string(where) +
-              ": embedded counterexample targets a different system");
+  expects(cex.has_value(), [&] {
+    return std::string(where) + ": embedded counterexample does not parse";
+  });
+  expects(cex->system == system && cex->processes == processes, [&] {
+    return std::string(where) +
+           ": embedded counterexample targets a different system";
+  });
   for (const int decision : cex->decisions) {
-    expects(sim::decode_action(decision).pid < processes,
-            std::string(where) +
-                ": embedded counterexample pid out of range");
+    expects(sim::decode_action(decision).pid < processes, [&] {
+      return std::string(where) + ": embedded counterexample pid out of range";
+    });
   }
   return *cex;
 }
@@ -550,8 +572,9 @@ std::optional<Checkpoint> Checkpoint::from_artifact(const std::string& text,
     const auto schema = object.find("schema");
     expects(schema != object.end() && schema->second.is_string(),
             "missing schema key");
-    expects(schema->second.as_string() == kCheckpointSchema,
-            "unknown schema version '" + schema->second.as_string() + "'");
+    expects(schema->second.as_string() == kCheckpointSchema, [&] {
+      return "unknown schema version '" + schema->second.as_string() + "'";
+    });
     check_keys(object,
                {"schema", "seq", "system", "processes", "options", "complete",
                 "exhausted", "progress", "stats", "audit", "violations",

@@ -561,7 +561,9 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     // A violating path must never enter the cache clean: pruning it in a
     // later pass would suppress re-finding the violation.
     if (pass.fp_prune) mark_path_dirty(pass);
-    outcome.decisions = std::move(actions);
+    // Copied, not moved: the arena's tape keeps its capacity, so the next
+    // run does not regrow it from empty.
+    outcome.decisions = actions;
   } else if (auditor.has_value() &&
              commute_sampled(actions, opts.audit_commute_sample)) {
     // Differential cross-check of the POR commutation oracle: replay this

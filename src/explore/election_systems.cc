@@ -76,10 +76,17 @@ std::optional<std::string> check_outcomes(
     const std::int64_t mine = elected[static_cast<std::size_t>(pid)];
     if (leader == -1) leader = mine;
     if (mine != leader) {
-      std::ostringstream out;
-      out << "inconsistent: p" << pid << " elected " << mine
-          << " but an earlier process elected " << leader;
-      return out.str();
+      // Every violating schedule of a mutant lands here, so the message is
+      // built by appends into one buffer.
+      std::string message;
+      message.reserve(80);
+      message += "inconsistent: p";
+      message += std::to_string(pid);
+      message += " elected ";
+      message += std::to_string(mine);
+      message += " but an earlier process elected ";
+      message += std::to_string(leader);
+      return message;
     }
   }
   if (leader != -1 && (leader < kIdBase || leader >= kIdBase + n)) {

@@ -164,13 +164,15 @@ ExploreResult explore(const ExplorableSystem& system,
   bool skip_passes = false;
   if (!options.resume_path.empty()) {
     std::ifstream in(options.resume_path, std::ios::binary);
-    expects(static_cast<bool>(in),
-            "resume: cannot read checkpoint: " + options.resume_path);
+    expects(static_cast<bool>(in), [&] {
+      return "resume: cannot read checkpoint: " + options.resume_path;
+    });
     std::ostringstream buf;
     buf << in.rdbuf();
     std::string error;
     resume = Checkpoint::from_artifact(buf.str(), &error);
-    expects(resume.has_value(), "resume: invalid checkpoint: " + error);
+    expects(resume.has_value(),
+            [&] { return "resume: invalid checkpoint: " + error; });
     expects(resume->system == system.name() &&
                 resume->processes == system.process_count(),
             "resume: checkpoint was taken on a different system");
@@ -393,7 +395,10 @@ ExploreResult explore(const ExplorableSystem& system,
     cp.violations = result.violations;
     cp.fault_points = fault_points;
     expects(write_checkpoint_file(options.checkpoint_path, cp.to_artifact()),
-            "failed to write checkpoint artifact: " + options.checkpoint_path);
+            [&] {
+              return "failed to write checkpoint artifact: " +
+                     options.checkpoint_path;
+            });
     ++ckpt->written;
     result.checkpoints_written = ckpt->written;
     if (status != nullptr) status->writer.note_checkpoint();

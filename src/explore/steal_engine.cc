@@ -31,11 +31,14 @@ void record_violation(UnitResult& unit, Counterexample cex) {
   unit.tallies.push_back(static_cast<const UnitTally&>(unit));
 }
 
+/// `system_name` is system.name(), computed once per pass: collect-all
+/// campaigns build a counterexample for most of their schedules.
 Counterexample build_counterexample(const ExplorableSystem& system,
+                                    const std::string& system_name,
                                     const ExploreOptions& opts,
                                     RunOutcome&& outcome, ExploreStats& stats) {
   Counterexample cex;
-  cex.system = system.name();
+  cex.system = system_name;
   cex.processes = system.process_count();
   cex.violation = std::move(*outcome.violation);
   cex.decisions = std::move(outcome.decisions);
@@ -176,11 +179,11 @@ namespace {
 
 /// One unit of the stealing frontier: a contiguous segment of the pass's
 /// DFS, owned by at most one worker at a time.  `frames`/`floor`/`result`
-/// are the owner's last *published* snapshot (claim, split and checkpoint
-/// boundaries); between publishes the owner works on private copies, so a
-/// checkpoint taken from the snapshots simply re-explores anything past
-/// them on resume — sound, because unit exploration is a pure function of
-/// the frames.
+/// are the owner's last *published* snapshot (claim, split and due
+/// checkpoint boundaries); between publishes the owner works on private
+/// copies, so a checkpoint taken from the snapshots simply re-explores
+/// anything past them on resume — sound, because unit exploration is a pure
+/// function of the frames.
 struct StealUnit {
   enum class Status { kPending, kRunning, kComplete };
   std::vector<Frame> frames;
@@ -223,19 +226,25 @@ struct StealPool {
 /// segments with the victim's strictly first, so inserting the thief right
 /// after the victim preserves global DFS order; a later, necessarily deeper
 /// split inserts between them, which is again the DFS order.
+///
+/// Each depth is probed in place: the current choice joins `done` only for
+/// the select_choice call (which never reads `chosen`), so a probe that
+/// finds nothing copies nothing; frames are copied only for the split taken.
 bool try_split(PassState& pass, int steal_depth, StealUnit& thief) {
   const std::size_t base =
       pass.floor + static_cast<std::size_t>(std::max(steal_depth, 0));
   for (std::size_t d = base; d < pass.frames.size(); ++d) {
-    Frame probe = pass.frames[d];
-    probe.done.push_back(probe.chosen);
-    probe.chosen = kNoChoice;
-    const int next = select_choice(probe, pass);
-    if (next == kNoChoice) continue;
-    probe.chosen = next;
-    thief.frames.assign(pass.frames.begin(),
-                        pass.frames.begin() + static_cast<std::ptrdiff_t>(d));
-    thief.frames.push_back(std::move(probe));
+    Frame& frame = pass.frames[d];
+    frame.done.push_back(frame.chosen);
+    const int next = select_choice(frame, pass);
+    if (next == kNoChoice) {
+      frame.done.pop_back();
+      continue;
+    }
+    const auto cut = pass.frames.begin() + static_cast<std::ptrdiff_t>(d);
+    thief.frames.assign(pass.frames.begin(), std::next(cut));
+    frame.done.pop_back();
+    thief.frames.back().chosen = next;
     thief.floor = pass.floor;
     thief.stolen = true;
     pass.floor = d + 1;
@@ -371,6 +380,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
       budget.schedules.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
 
+  const std::string system_name = system.name();
   obs::ObsSink* sink = opts.telemetry;
   const bool events = sink != nullptr && sink->events_enabled();
   const bool spans = sink != nullptr && sink->timeline_enabled();
@@ -442,7 +452,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
                                             obs::Phase::kCheckpointWrite);
     Checkpoint cp;
     cp.seq = ckpt->seq++;
-    cp.system = system.name();
+    cp.system = system_name;
     cp.processes = system.process_count();
     cp.options = opts;
     cp.pass_ordinal = ckpt->pass_ordinal;
@@ -498,7 +508,10 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
       cp.fp_cache = *ckpt->fp_cache;
     }
     expects(write_checkpoint_file(opts.checkpoint_path, cp.to_artifact()),
-            "failed to write checkpoint artifact: " + opts.checkpoint_path);
+            [&] {
+              return "failed to write checkpoint artifact: " +
+                     opts.checkpoint_path;
+            });
     ++ckpt->written;
     ++ckpt->periodic;
     if (status != nullptr) status->writer.note_checkpoint();
@@ -637,12 +650,21 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
                 }
                 pool.cv.notify_one();
               }
-              // Publish the snapshot other threads read: splits moved the
-              // floor, and the checkpoint writer serializes running units
-              // from exactly these fields.
-              self->frames = pass.frames;
-              self->floor = pass.floor;
-              self->result = local;
+              // Publish the snapshot other threads read, and only when
+              // one reads it: a split moved the floor, and a due
+              // checkpoint serializes running units from exactly these
+              // fields.  The three move together: a new floor over stale
+              // frames would overlap the thief's range, and new frames
+              // over a stale result would lose the runs in between on
+              // resume.  Idle thieves keep attention raised, so this
+              // block runs after every run while one waits; it copies
+              // nothing when it cannot split.
+              if (splits > 0 ||
+                  pool.checkpoint_due.load(std::memory_order_relaxed)) {
+                self->frames = pass.frames;
+                self->floor = pass.floor;
+                self->result = local;
+              }
               halted = checkpoint_if_due(octx);
               refresh_attention();
             }
@@ -671,8 +693,8 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
           }
           if (outcome.violation.has_value()) {
             record_violation(
-                local, build_counterexample(system, opts, std::move(outcome),
-                                            local.stats));
+                local, build_counterexample(system, system_name, opts,
+                                            std::move(outcome), local.stats));
             if (opts.stop_at_first_violation ||
                 local.violations.size() >= quota) {
               local.stopped = true;

@@ -39,7 +39,8 @@ std::string violation_name(check::Violation violation) {
 std::string refutation(const check::Protocol& protocol, int n) {
   const auto result = check::check_consensus(
       protocol, check::all_input_vectors(n, kBinary));
-  expects(!result.solves, "expected the checker to refute " + protocol.name());
+  expects(!result.solves,
+          [&] { return "expected the checker to refute " + protocol.name(); });
   return protocol.name() + " fails " + violation_name(result.violation) +
          " at n=" + std::to_string(n);
 }

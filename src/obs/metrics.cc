@@ -70,8 +70,9 @@ HistogramData& MetricShard::histogram(
   if (it == histograms_.end()) {
     return histograms_.emplace(name, HistogramData(bounds)).first->second;
   }
-  expects(it->second.bounds == bounds,
-          "histogram re-registered with different bounds: " + name);
+  expects(it->second.bounds == bounds, [&] {
+    return "histogram re-registered with different bounds: " + name;
+  });
   return it->second;
 }
 

@@ -13,9 +13,11 @@ CasRegisterK::CasRegisterK(std::string name, int k)
 }
 
 void CasRegisterK::check_symbol(int symbol, const char* what) const {
-  expects(symbol >= 0 && symbol < k_,
-          std::string("compare&swap-(") + std::to_string(k_) + "): " + what +
-              " symbol " + std::to_string(symbol) + " outside value domain");
+  // Runs twice per c&s: the message is formatted only once the check fails.
+  expects(symbol >= 0 && symbol < k_, [&] {
+    return std::string("compare&swap-(") + std::to_string(k_) + "): " + what +
+           " symbol " + std::to_string(symbol) + " outside value domain";
+  });
 }
 
 void CasRegisterK::count_access(int pid) const {

@@ -15,12 +15,16 @@ AtomicSnapshot::AtomicSnapshot(std::string name, int n,
       cells_(static_cast<std::size_t>(n)),
       owners_(static_cast<std::size_t>(n), -1) {
   expects(n >= 1, "snapshot needs at least one component");
+  cell_names_.reserve(cells_.size());
+  for (int i = 0; i < n; ++i) {
+    cell_names_.push_back(name_ + "[" + std::to_string(i) + "]");
+  }
 }
 
 std::vector<AtomicSnapshot::Cell> AtomicSnapshot::collect(Ctx& ctx) const {
   std::vector<Cell> copy(static_cast<std::size_t>(n_));
   for (int i = 0; i < n_; ++i) {
-    const std::string cell = name_ + "[" + std::to_string(i) + "]";
+    const std::string& cell = cell_names_[static_cast<std::size_t>(i)];
     ctx.sync({cell, "read", 0, 0});
     ctx.access_token().read(cell);
     copy[static_cast<std::size_t>(i)] = cells_[static_cast<std::size_t>(i)];
@@ -43,7 +47,8 @@ void AtomicSnapshot::update(Ctx& ctx, int component, std::int64_t value) {
   // updater; this is what makes scan() wait-free.
   std::vector<std::int64_t> view = scan(ctx);
   Cell& cell = cells_[static_cast<std::size_t>(component)];
-  const std::string cell_name = name_ + "[" + std::to_string(component) + "]";
+  const std::string& cell_name =
+      cell_names_[static_cast<std::size_t>(component)];
   ctx.sync({cell_name, "write", value, 0});
   ctx.access_token().write(cell_name);
   cell.value = value;

@@ -61,6 +61,7 @@ class AtomicSnapshot {
   int n_;
   bool enforce_single_writer_;
   std::vector<Cell> cells_;
+  std::vector<std::string> cell_names_;  // "name[i]", the objects synced on
   std::vector<int> owners_;  // fixed at first update when enforcing SWMR
   mutable std::vector<std::uint64_t> last_scan_reads_;  // by pid
 };

@@ -7,6 +7,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 namespace bss {
@@ -19,13 +20,28 @@ class InvariantError : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
-/// Checks a precondition/invariant; throws InvariantError with location info.
-inline void expects(bool condition, const std::string& what,
+/// Checks a precondition/invariant; throws InvariantError with location info
+/// ("file:line: what").  A passing check costs a compare and allocates
+/// nothing: the message is viewed, not copied, and the text is built only
+/// on failure.  A message that needs formatting goes through the overload
+/// below, never pre-built into a check that usually passes (DESIGN.md §4f).
+inline void expects(bool condition, std::string_view what,
                     std::source_location loc = std::source_location::current()) {
   if (!condition) {
     throw InvariantError(std::string(loc.file_name()) + ":" +
-                         std::to_string(loc.line()) + ": " + what);
+                         std::to_string(loc.line()) + ": " +
+                         std::string(what));
   }
+}
+
+/// expects() for a message that needs formatting: `message` is a callable
+/// returning the text, and it runs only once the check has failed, so a
+/// passing check still allocates nothing.
+template <class MakeMessage>
+  requires std::is_invocable_r_v<std::string, MakeMessage&>
+void expects(bool condition, MakeMessage&& message,
+             std::source_location loc = std::source_location::current()) {
+  if (!condition) expects(false, std::string_view(message()), loc);
 }
 
 /// Cast that throws if the value does not round-trip (GSL narrow).

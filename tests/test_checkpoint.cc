@@ -60,18 +60,19 @@ void expect_identical(const ExploreResult& serial, const ExploreResult& other,
 }
 
 /// Runs the campaign to completion through repeated kill-and-resume cycles:
-/// every cycle halts right after ONE periodic checkpoint (dropping the
-/// engine and all in-memory state on the floor, like a SIGKILL would), then
-/// the next cycle resumes from the artifact.  Returns the final,
+/// every cycle halts right after `halt_after` periodic checkpoints (dropping
+/// the engine and all in-memory state on the floor, like a SIGKILL would),
+/// then the next cycle resumes from the artifact.  Returns the final,
 /// non-halted result.
 ExploreResult run_killed_campaign(const ExplorableSystem& system,
                                   ExploreOptions options,
                                   const std::string& path,
                                   std::uint64_t checkpoint_every,
-                                  int* cycles_out = nullptr) {
+                                  int* cycles_out = nullptr,
+                                  std::uint64_t halt_after = 1) {
   options.checkpoint_path = path;
   options.checkpoint_every = checkpoint_every;
-  options.halt_after_checkpoints = 1;
+  options.halt_after_checkpoints = halt_after;
   int cycles = 0;
   for (; cycles < 1000; ++cycles) {
     ExploreOptions attempt = options;
@@ -81,8 +82,8 @@ ExploreResult run_killed_campaign(const ExplorableSystem& system,
       if (cycles_out != nullptr) *cycles_out = cycles;
       return result;
     }
-    EXPECT_EQ(result.checkpoints_written, 1u)
-        << "a halted cycle writes exactly the one periodic checkpoint";
+    EXPECT_EQ(result.checkpoints_written, halt_after)
+        << "a halted cycle writes exactly its periodic checkpoints";
   }
   ADD_FAILURE() << "campaign did not converge within 1000 resume cycles";
   if (cycles_out != nullptr) *cycles_out = cycles;
@@ -182,6 +183,39 @@ TEST(Checkpoint, KillAndResumeWithFourWorkersByteIdentical) {
   const ExploreResult resumed = run_killed_campaign(
       system, options, temp_path("cp_jobs4.json"), 80);
   expect_identical(uninterrupted, resumed, "jobs=4 kill-and-resume");
+}
+
+TEST(Checkpoint, KillAndResumeCollectAllWithFourWorkersByteIdentical) {
+  // The mutant-refutation shape (naive DFS, every violation kept, no ddmin)
+  // at jobs=4: owners publish their frames, floor and result only when they
+  // split or a checkpoint falls due, so every checkpoint serializes
+  // snapshots of both kinds, at both steal granularities.  A cycle is
+  // killed after its 16th checkpoint at checkpoint_every=7 and its second
+  // at 80, about ten cycles a campaign (a kill after every checkpoint
+  // takes over two minutes under TSan).
+  OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
+  ExploreOptions options;
+  options.use_por = false;
+  options.stop_at_first_violation = false;
+  options.max_violations = std::size_t{1} << 30;
+  options.minimize = false;
+  const ExploreResult uninterrupted = explore(system, options);  // serial
+  ASSERT_FALSE(uninterrupted.ok());
+  options.jobs = 4;
+  for (const int steal_depth : {0, 1}) {
+    for (const std::uint64_t every : {7u, 80u}) {
+      options.steal_depth = steal_depth;
+      const std::string label = "collect-all jobs=4 steal_depth=" +
+                                std::to_string(steal_depth) +
+                                " checkpoint_every=" + std::to_string(every);
+      int cycles = 0;
+      const ExploreResult resumed = run_killed_campaign(
+          system, options, temp_path("cp_collect_jobs4.json"), every, &cycles,
+          /*halt_after=*/every < 10 ? 16 : 2);
+      EXPECT_GE(cycles, 2) << label;
+      expect_identical(uninterrupted, resumed, label);
+    }
+  }
 }
 
 TEST(Checkpoint, ResumeFromCompleteArtifactReproducesTheResult) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <string>
 
 #include "registers/cas_register_k.h"
 #include "registers/fetch_add.h"
@@ -53,6 +55,46 @@ TEST(CasRegisterK, EnforcesValueDomain) {
   });
   EXPECT_EQ(report.outcomes[0], ProcOutcome::kFailed);
   EXPECT_NE(report.errors[0].find("value domain"), std::string::npos);
+}
+
+/// True iff `text` is the checker's "file:line: message" form for a throw
+/// in src/registers/cas_register_k.cc.
+bool thrown_by_cas_register(const std::string& text,
+                            const std::string& message) {
+  const std::string file = "src/registers/cas_register_k.cc:";
+  const std::size_t at = text.find(file);
+  if (at == std::string::npos) return false;
+  std::size_t end = at + file.size();
+  const std::size_t line = end;
+  while (end < text.size() &&
+         std::isdigit(static_cast<unsigned char>(text[end])) != 0) {
+    ++end;
+  }
+  return end > line &&
+         text.compare(end, std::string::npos, ": " + message) == 0;
+}
+
+TEST(CasRegisterK, OutOfDomainSymbolMessageIsPinned) {
+  // The domain check formats its message only once it fails; the text is
+  // the one it always was.
+  const auto rejection = [](int expect, int next) {
+    CasRegisterK cas("c", 3);
+    const auto report = run_solo([&](Ctx& ctx) {
+      cas.compare_and_swap(ctx, 0, 1);  // in domain: no message
+      cas.compare_and_swap(ctx, expect, next);
+    });
+    EXPECT_EQ(report.outcomes[0], ProcOutcome::kFailed);
+    EXPECT_EQ(cas.total_accesses(), 1u) << "a rejected c&s takes no step";
+    return report.errors[0];
+  };
+  const std::string expected = rejection(5, 1);
+  EXPECT_TRUE(thrown_by_cas_register(
+      expected, "compare&swap-(3): expected symbol 5 outside value domain"))
+      << expected;
+  const std::string next = rejection(1, -1);
+  EXPECT_TRUE(thrown_by_cas_register(
+      next, "compare&swap-(3): new symbol -1 outside value domain"))
+      << next;
 }
 
 TEST(CasRegisterK, RejectsTinyDomains) {

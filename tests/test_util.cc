@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "util/big_uint.h"
 #include "util/checked.h"
@@ -27,6 +28,52 @@ TEST(Checked, Factorial) {
   EXPECT_EQ(factorial_u64(20), 2432902008176640000ULL);
   EXPECT_THROW(factorial_u64(21), InvariantError);
   EXPECT_THROW(factorial_u64(-1), InvariantError);
+}
+
+/// The text of the InvariantError `fail` throws ("" when it throws none).
+template <class Fail>
+std::string invariant_text(Fail fail) {
+  try {
+    fail();
+  } catch (const InvariantError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string at_line(int line, const std::string& message) {
+  return std::string(__FILE__) + ":" + std::to_string(line) + ": " + message;
+}
+
+TEST(Checked, ExpectsThrowsFileLineMessageForEveryMessageKind) {
+  EXPECT_EQ(invariant_text([] { expects(true, "never thrown"); }), "");
+  // Each expects sits on the line after the `line` it is checked against.
+  int line = __LINE__ + 1;
+  std::string text = invariant_text([] { expects(false, "a literal"); });
+  EXPECT_EQ(text, at_line(line, "a literal"));
+
+  const std::string owned = "a std::string message";
+  line = __LINE__ + 1;
+  text = invariant_text([&] { expects(false, owned); });
+  EXPECT_EQ(text, at_line(line, "a std::string message"));
+
+  const int k = 3;
+  line = __LINE__ + 1;
+  text = invariant_text([&] { expects(false, "k=" + std::to_string(k)); });
+  EXPECT_EQ(text, at_line(line, "k=3"));
+
+  // The deferred form: the callable runs only when the check fails.
+  int built = 0;
+  const auto message = [&] {
+    ++built;
+    return "k=" + std::to_string(k);
+  };
+  expects(true, message);
+  EXPECT_EQ(built, 0);
+  line = __LINE__ + 1;
+  text = invariant_text([&] { expects(false, message); });
+  EXPECT_EQ(text, at_line(line, "k=3"));
+  EXPECT_EQ(built, 1);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
