@@ -27,16 +27,15 @@ std::string fp_key_to_hex(std::uint64_t lo, std::uint64_t hi) {
   return std::string(buf);
 }
 
-json::Value fp_partials_to_json(
-    const std::vector<FingerprintPartial>& partials) {
-  json::Array array;
+/// Appends `partials` to `array` as [key, dirty] pairs.
+void append_fp_partials(const std::vector<FingerprintPartial>& partials,
+                        json::Array& array) {
   for (const FingerprintPartial& partial : partials) {
     json::Array pair;
     pair.emplace_back(fp_key_to_hex(partial.lo, partial.hi));
     pair.emplace_back(partial.dirty);
     array.emplace_back(std::move(pair));
   }
-  return json::Value(std::move(array));
 }
 
 /// A counter table's rows as a JSON object, joined to `object`, which
@@ -132,7 +131,9 @@ json::Value unit_to_json(const CheckpointUnit& unit) {
   object.emplace("cap_hit", json::Value(result.cap_hit));
   object.emplace("stopped", json::Value(result.stopped));
   if (!result.fp_partials.empty()) {
-    object.emplace("fp_partials", fp_partials_to_json(result.fp_partials));
+    json::Array partials;
+    append_fp_partials(result.fp_partials, partials);
+    object.emplace("fp_partials", json::Value(std::move(partials)));
   }
   return json::Value(std::move(object));
 }
@@ -551,7 +552,11 @@ std::string Checkpoint::to_artifact() const {
     root.emplace("fp_cache", json::Value(std::move(cache)));
   }
   if (!fp_partials.empty()) {
-    root.emplace("fp_partials", fp_partials_to_json(fp_partials));
+    json::Array partials;
+    for (const auto& unit_partials : fp_partials) {
+      append_fp_partials(unit_partials, partials);
+    }
+    root.emplace("fp_partials", json::Value(std::move(partials)));
   }
   return json::Value(std::move(root)).dump(2) + "\n";
 }
@@ -632,8 +637,11 @@ std::optional<Checkpoint> Checkpoint::from_artifact(const std::string& text,
             parse_fp_key(value.as_string(), "checkpoint fp_cache"));
       }
     }
-    checkpoint.fp_partials =
+    std::vector<FingerprintPartial> partials =
         parse_fp_partials(object, "fp_partials", "checkpoint");
+    if (!partials.empty()) {
+      checkpoint.fp_partials.push_back(std::move(partials));
+    }
     expects(!checkpoint.complete || checkpoint.frontier.empty(),
             "complete checkpoint still carries a frontier");
     return checkpoint;

@@ -144,7 +144,6 @@ struct UnitResult : UnitTally {
   std::vector<FingerprintPartial> fp_partials;
   bool cap_hit = false;  ///< max_schedules fired before some run
   bool stopped = false;  ///< the worker hit its violation quota
-  bool skipped = false;  ///< past a confirmed stop, never run (not persisted)
 };
 
 /// One DFS frame of a persisted unit: the decision taken on the current
@@ -184,11 +183,12 @@ struct Checkpoint {
   bool cap_hit = false;
   bool stopped = false;
   bool last_pass_budget_limited = false;
-  /// MergeOutcome of the folded prefix of the in-progress pass; OR-ed into
-  /// the resumed pass's merge result.
+  /// The in-progress pass's running prefix so far cut a branch by the
+  /// preemption (fault) budget.  The fold sets them, a resumed pass starts
+  /// from them, and explore() consumes and clears them when the pass ends.
   bool pass_budget_limited = false;
   bool pass_fault_limited = false;
-  // The merged DFS-prefix result.
+  // The running DFS-prefix result.
   ExploreStats stats;
   AuditSummary audit;
   std::vector<Counterexample> violations;
@@ -197,11 +197,14 @@ struct Checkpoint {
   // Visited-state cache state (fingerprint_prune campaigns only, so
   // prune-off artifacts keep their historical shape): the cache frozen at
   // the start of the in-progress pass, plus the partials already folded
-  // into the merged prefix.  Together with the per-unit/per-frame partials
+  // into the running prefix.  Together with the per-unit/per-frame partials
   // above they make a resumed campaign's between-pass cache fold — and so
   // its pruning decisions — byte-identical to an uninterrupted run's.
   FpCache fp_cache;
-  std::vector<FingerprintPartial> fp_partials;
+  /// The artifact's one `fp_partials` list, kept as the folded units' own
+  /// vectors in fold order (moved in, never concatenated); a parsed
+  /// artifact restores it as one vector.  No entry is empty.
+  std::vector<std::vector<FingerprintPartial>> fp_partials;
 
   /// Canonical JSON with a trailing newline; dump(parse(text)) is a fixed
   /// point, so round-trip tests assert byte equality.

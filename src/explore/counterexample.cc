@@ -2,7 +2,6 @@
 // v1 (grants only) / v2 (grants + fault tokens) plain-text codec.
 #include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -18,6 +17,30 @@ std::size_t Counterexample::fault_count() const {
 }
 
 // ----------------------------------------------------------------- artifact
+
+namespace {
+
+// Strict base-10 parse for artifact header counts and token pids: every
+// byte must be a digit (no sign, no whitespace, no trailing junk) and the
+// result must not exceed `limit`.  The std::stoi/std::stoull these replace
+// threw straight through from_artifact on junk like "processes: x" and
+// silently wrapped "shrunk-from: -1" to 2^64-1; a corrupt artifact must
+// parse to nullopt, never to a crash or a bogus huge count.  (Found by
+// fuzz_counterexample.)
+std::optional<std::uint64_t> parse_artifact_count(const std::string& value,
+                                                  std::uint64_t limit) {
+  if (value.empty() || value.size() > 20) return std::nullopt;
+  std::uint64_t out = 0;
+  for (const char ch : value) {
+    if (ch < '0' || ch > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(ch - '0');
+    if (digit > limit || out > (limit - digit) / 10) return std::nullopt;
+    out = out * 10 + digit;
+  }
+  return out;
+}
+
+}  // namespace
 
 std::string action_token(int decision) {
   static constexpr const char* kPrefix[] = {"", "c", "r", "s"};  // by kind
@@ -49,40 +72,15 @@ std::optional<int> parse_action_token(const std::string& token) {
     default:
       break;
   }
-  int pid = 0;
-  try {
-    std::size_t used = 0;
-    pid = std::stoi(token.substr(offset), &used);
-    if (used != token.size() - offset) return std::nullopt;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  if (pid < 0 || pid > sim::kMaxActionPid) return std::nullopt;
-  return sim::encode_action(kind, pid);
+  // Only the spelling action_token writes: digits with no sign, space or
+  // leading zero, so every action has exactly one token.
+  const std::string digits = token.substr(offset);
+  if (digits.size() > 1 && digits.front() == '0') return std::nullopt;
+  const std::optional<std::uint64_t> pid = parse_artifact_count(
+      digits, static_cast<std::uint64_t>(sim::kMaxActionPid));
+  if (!pid.has_value()) return std::nullopt;
+  return sim::encode_action(kind, static_cast<int>(*pid));
 }
-
-namespace {
-
-// Strict base-10 parse for artifact header counts: every byte must be a
-// digit (no sign, no whitespace, no trailing junk) and the result must not
-// exceed `limit`.  The std::stoi/std::stoull these replace threw straight
-// through from_artifact on junk like "processes: x" and silently wrapped
-// "shrunk-from: -1" to 2^64-1; a corrupt artifact must parse to nullopt,
-// never to a crash or a bogus huge count.  (Found by fuzz_counterexample.)
-std::optional<std::uint64_t> parse_artifact_count(const std::string& value,
-                                                  std::uint64_t limit) {
-  if (value.empty() || value.size() > 20) return std::nullopt;
-  std::uint64_t out = 0;
-  for (const char ch : value) {
-    if (ch < '0' || ch > '9') return std::nullopt;
-    const auto digit = static_cast<std::uint64_t>(ch - '0');
-    if (digit > limit || out > (limit - digit) / 10) return std::nullopt;
-    out = out * 10 + digit;
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string Counterexample::to_artifact() const {
   std::ostringstream out;

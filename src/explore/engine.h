@@ -3,23 +3,25 @@
 //
 //   dfs.cc             the DFS core: frames, choice selection, prune
 //                      accounting, the visited-state key, run_one
-//   steal_engine.cc    the work-stealing pass engine, the DFS-ordered merge
-//                      and the periodic checkpoint writer
+//   steal_engine.cc    the work-stealing pass engine: the unit list, splits,
+//                      the DFS-ordered fold of finished units into the
+//                      running prefix (the one stop rule) and the periodic
+//                      checkpoint writer
 //   replay.cc          tape replay, ddmin minimization, replay_counterexample
 //   counterexample.cc  the bss-counterexample v1/v2 codec and action tokens
-//   explore.cc         explore(): the pass sweep, resume, the final
-//                      checkpoint, heartbeats and the runreport
+//   explore.cc         explore(): the pass sweep, resume, the checkpoint
+//                      builder, heartbeats and the runreport
 //
-// The records a checkpoint persists — UnitResult and its UnitTally,
-// FaultPoint, FpKey/FpCache, FingerprintPartial — are defined once, in
-// checkpoint.h, and the engine works on them directly.
+// The records a checkpoint persists — Checkpoint itself (explore()'s
+// campaign state: the running prefix and the pass position), UnitResult and
+// its UnitTally, FaultPoint, FpKey/FpCache, FingerprintPartial — are defined
+// once, in checkpoint.h, and the engine works on them directly.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -145,45 +147,12 @@ struct RunOutcome {
 struct PassConfig {
   PassState base;  ///< budgets + filter flags; frames empty, floor 0
   int jobs = 1;
-  std::size_t violations_so_far = 0;  ///< result.violations.size() at entry
 };
 
-/// What the DFS-ordered merge concluded about a pass.
-struct MergeOutcome {
-  bool stopped = false;        ///< stop policy met (serial `stopped`)
-  bool cap_hit = false;        ///< max_schedules fired (serial `cap_hit`)
-  bool budget_limited = false;
-  bool fault_limited = false;
-};
-
-/// Checkpoint-writer state threaded through a campaign: `seq` numbering
-/// spans passes (and resumes), the pass-position fields are refreshed by
-/// explore() before each pass, and `merged`/`covered` point at the result
-/// accumulated by the between-pass merges (never mutated while a pass
-/// runs, so the writer may read them without coordination).
+/// Checkpoint-writer counters of one explore() call (checkpoint_path set).
 struct CheckpointCtx {
-  std::uint64_t seq = 0;
   std::uint64_t written = 0;   ///< all artifacts this explore() call wrote
   std::uint64_t periodic = 0;  ///< periodic (non-final) artifacts only
-  std::uint64_t pass_ordinal = 0;
-  std::uint64_t fault_index = 0;
-  std::uint64_t preemption_index = 0;
-  bool cap_hit = false;
-  bool stopped = false;
-  bool last_pass_budget_limited = false;
-  /// MergeOutcome flags restored from a resumed pass's artifact, pre-seeded
-  /// into every snapshot fold of that pass.
-  bool restored_budget_limited = false;
-  bool restored_fault_limited = false;
-  const ExploreResult* merged = nullptr;
-  const std::set<FaultPoint>* covered = nullptr;
-  /// Visited-state cache state (fingerprint_prune only): the cache frozen
-  /// at the start of the current pass, and the coverage partials of units
-  /// already folded into `merged` (restored from a resumed artifact, then
-  /// extended as checkpoints fold more prefix units).  Both null when
-  /// pruning is off.
-  const FpCache* fp_cache = nullptr;
-  const std::vector<FingerprintPartial>* restored_partials = nullptr;
 };
 
 /// Fingerprint-prune hit rate in parts per million of all schedule
@@ -197,46 +166,39 @@ inline std::uint64_t fp_hit_ppm(std::uint64_t prunes,
 }
 
 /// Heartbeat state threaded through a campaign (ExploreOptions::status_path
-/// or BSS_STATUS): the writer's `seq` spans passes, the pass fields are
-/// refreshed by explore() before each pass, and `merged`/`ckpt` point at
-/// state owned by explore().  Strictly passive — nothing here may feed back
-/// into an exploration decision.
+/// or BSS_STATUS): the writer's `seq` spans passes, and `campaign`/`ckpt`
+/// point at state owned by explore(), which a running pass changes only
+/// under its pool lock.  Strictly passive — nothing here may feed back into
+/// an exploration decision.
 struct StatusCtx {
   obs::StatusWriter writer;
-  std::string system;
   std::uint64_t max_schedules = 0;
   std::uint64_t jobs = 0;
-  std::uint64_t pass_ordinal = 0;
-  const ExploreResult* merged = nullptr;
+  const Checkpoint* campaign = nullptr;
   const CheckpointCtx* ckpt = nullptr;
 
   StatusCtx(std::string path, std::uint64_t every_ms)
       : writer(std::move(path), every_ms) {}
 
-  /// Snapshot of the merged-prefix counters (between passes these are the
-  /// campaign totals; the steal pass's heartbeat thread overlays its live
-  /// view on top of this base).
+  /// Snapshot of the running prefix's counters (between passes these are
+  /// the campaign totals; the steal pass's heartbeat thread takes it under
+  /// the pool lock and overlays its live view on top).
   obs::Status snapshot(std::string state) const {
     obs::Status s;
     s.producer = "explore()";
-    s.system = system;
+    s.system = campaign->system;
     s.state = std::move(state);
-    s.schedules = merged->stats.schedules;
-    s.violations = merged->violations.size();
-    s.fingerprint_prunes = merged->stats.fingerprint_prunes;
+    s.schedules = campaign->stats.schedules;
+    s.violations = campaign->violations.size();
+    s.fingerprint_prunes = campaign->stats.fingerprint_prunes;
     s.fingerprint_hit_rate_ppm =
         fp_hit_ppm(s.fingerprint_prunes, s.schedules);
     s.checkpoints = ckpt != nullptr ? ckpt->written : 0;
     s.max_schedules = max_schedules;
-    s.passes = pass_ordinal;
+    s.passes = campaign->pass_ordinal;
     s.jobs = jobs;
     return s;
   }
-};
-
-struct StealPassOutput {
-  std::vector<UnitResult> units;  ///< DFS order, every unit complete
-  bool halted = false;            ///< halt_after_checkpoints fired mid-pass
 };
 
 // ------------------------------------------------------------------ dfs.cc
@@ -260,20 +222,24 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
 
 // --------------------------------------------------------- steal_engine.cc
 
-/// Folds a pass's units into `result` in DFS order (the serial stop rule).
-MergeOutcome merge_pass(std::vector<UnitResult>& units,
-                        const ExploreOptions& opts, ExploreResult& result,
-                        std::set<FaultPoint>& fault_points);
-/// Runs one (budget pair) pass on the work-stealing engine.
-StealPassOutput run_steal_pass(const ExplorableSystem& system,
-                               const ExploreOptions& opts,
-                               const PassConfig& cfg, SharedBudget& budget,
-                               const std::vector<CheckpointUnit>* seeds,
-                               CheckpointCtx* ckpt, StatusCtx* status);
+/// Runs one (budget pair) pass on the work-stealing engine, folding its
+/// units into `campaign`.  Returns true when halt_after_checkpoints fired
+/// mid-pass.
+bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
+                    const PassConfig& cfg, SharedBudget& budget,
+                    Checkpoint& campaign,
+                    const std::vector<CheckpointUnit>* seeds,
+                    CheckpointCtx* ckpt, StatusCtx* status);
 
 // -------------------------------------------------------------- explore.cc
 
 /// audit == false resolves through BSS_AUDIT (force-on only).
 bool resolve_audit(const ExploreOptions& options);
+/// Writes `campaign` — the running prefix plus whatever the caller put in
+/// its `frontier` — as the next checkpoint artifact, then empties the
+/// frontier and advances `seq`.  The periodic and the final artifact both
+/// come from here.
+void write_checkpoint(Checkpoint& campaign, CheckpointCtx& ckpt,
+                      StatusCtx* status);
 
 }  // namespace bss::explore::detail

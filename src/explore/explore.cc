@@ -7,7 +7,6 @@
 #include <fstream>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -67,15 +66,29 @@ int resolve_jobs(const ExploreOptions& options) {
 
 }  // namespace
 
+namespace detail {
+
+void write_checkpoint(Checkpoint& campaign, CheckpointCtx& ckpt,
+                      StatusCtx* status) {
+  const std::string& path = campaign.options.checkpoint_path;
+  expects(write_checkpoint_file(path, campaign.to_artifact()), [&] {
+    return "failed to write checkpoint artifact: " + path;
+  });
+  campaign.frontier.clear();
+  ++campaign.seq;
+  ++ckpt.written;
+  if (status != nullptr) status->writer.note_checkpoint();
+}
+
+}  // namespace detail
+
 using detail::CheckpointCtx;
-using detail::merge_pass;
-using detail::MergeOutcome;
 using detail::PassConfig;
 using detail::resolve_audit;
 using detail::run_steal_pass;
 using detail::SharedBudget;
 using detail::StatusCtx;
-using detail::StealPassOutput;
+using detail::write_checkpoint;
 
 ExploreResult explore(const ExplorableSystem& system,
                       const ExploreOptions& requested) {
@@ -85,13 +98,10 @@ ExploreResult explore(const ExplorableSystem& system,
   // hold the effective value — a resume under a different BSS_EXPLORE_FP
   // is caught.
   options.fingerprint_prune = resolve_fingerprint_prune(requested);
-  ExploreResult result;
-  result.audit.enabled = options.audit;
   const int jobs = resolve_jobs(options);
 
   obs::ObsSink* sink = options.telemetry;
   const bool events = sink != nullptr && sink->events_enabled();
-  const bool spans = sink != nullptr && sink->timeline_enabled();
   obs::PhaseProfiler* const profiler =
       sink != nullptr ? sink->profiler() : nullptr;
   // bss-lint: wallclock-ok(feeds only the runreport "timing" section)
@@ -139,29 +149,26 @@ ExploreResult explore(const ExplorableSystem& system,
     fault_budgets.push_back(options.fault_bound);
   }
 
-  std::set<FaultPoint> fault_points;
-  // Visited-state cache (fingerprint_prune only): frozen while a pass runs,
-  // extended between passes from the pass's aggregated coverage partials.
-  // `restored_fp_partials` carries the partials of units already folded
-  // into a resumed campaign's merged prefix — they join the resumed pass's
-  // own partials at its between-pass fold, so a killed-and-resumed campaign
-  // admits exactly the keys an uninterrupted one would.
-  FpCache fp_cache;
-  std::vector<FingerprintPartial> restored_fp_partials;
+  // The campaign record: the running prefix (every unit folded so far, in
+  // DFS order — stats, audit, violations, coverage, the in-progress pass's
+  // flags and cache partials), the pass position and the visited-state
+  // cache (fingerprint_prune only: frozen while a pass runs, extended
+  // between passes from the pass's partials).  The pass engine folds into
+  // it; the periodic checkpoint, the final checkpoint and the result all
+  // read it, and a resume seeds it straight from the artifact.
+  Checkpoint campaign;
+  // The in-progress pass's outstanding units, restored on resume.
+  std::vector<CheckpointUnit> restored_frontier;
+  const std::vector<CheckpointUnit>* seeds = nullptr;
   SharedBudget budget_valve(options.max_schedules);
-  bool cap_hit = false;
-  bool stopped = false;
-  bool last_pass_budget_limited = false;
-  std::uint64_t pass_ordinal = 0;
-
-  // Resume: restore the merged snapshot, the campaign position and the
-  // schedule valve from the artifact.  Everything result-affecting is
-  // cross-checked — a checkpoint from a different system, process count or
-  // option fingerprint is rejected, as is an out-of-range pass position.
-  std::optional<Checkpoint> resume;
   std::size_t start_fault = 0;
   std::size_t start_preempt = 0;
   bool skip_passes = false;
+
+  // Resume: restore the campaign record and the schedule valve from the
+  // artifact.  Everything result-affecting is cross-checked — a checkpoint
+  // from a different system, process count or option fingerprint is
+  // rejected, as is an out-of-range pass position.
   if (!options.resume_path.empty()) {
     std::ifstream in(options.resume_path, std::ios::binary);
     expects(static_cast<bool>(in), [&] {
@@ -170,56 +177,49 @@ ExploreResult explore(const ExplorableSystem& system,
     std::ostringstream buf;
     buf << in.rdbuf();
     std::string error;
-    resume = Checkpoint::from_artifact(buf.str(), &error);
+    std::optional<Checkpoint> resume =
+        Checkpoint::from_artifact(buf.str(), &error);
     expects(resume.has_value(),
             [&] { return "resume: invalid checkpoint: " + error; });
-    expects(resume->system == system.name() &&
-                resume->processes == system.process_count(),
+    campaign = std::move(*resume);
+    expects(campaign.system == system.name() &&
+                campaign.processes == system.process_count(),
             "resume: checkpoint was taken on a different system");
-    expects(same_key_options(resume->options, options),
+    expects(same_key_options(campaign.options, options),
             "resume: result-affecting exploration options differ from the "
             "checkpointed campaign");
-    skip_passes = resume->complete || resume->stopped || resume->cap_hit;
+    skip_passes = campaign.complete || campaign.stopped || campaign.cap_hit;
     expects(skip_passes ||
-                (resume->fault_index < fault_budgets.size() &&
-                 resume->preemption_index < preemption_budgets.size()),
+                (campaign.fault_index < fault_budgets.size() &&
+                 campaign.preemption_index < preemption_budgets.size()),
             "resume: checkpoint pass position is out of range");
-    result.stats = resume->stats;
-    result.audit = resume->audit;
-    result.audit.enabled = options.audit;
-    result.violations = resume->violations;
-    fault_points = resume->fault_points;
-    cap_hit = resume->cap_hit;
-    stopped = resume->stopped;
-    last_pass_budget_limited = resume->last_pass_budget_limited;
-    fp_cache = resume->fp_cache;
-    restored_fp_partials = resume->fp_partials;
     // The in-progress pass resumes under its own ordinal; a pass that
     // already concluded (stop/cap confirmed in the folded prefix) counts as
     // finished.  A complete artifact stores the final total verbatim.
-    pass_ordinal =
-        resume->pass_ordinal + ((skip_passes && !resume->complete) ? 1 : 0);
-    start_fault = static_cast<std::size_t>(resume->fault_index);
-    start_preempt = static_cast<std::size_t>(resume->preemption_index);
+    if (skip_passes && !campaign.complete) ++campaign.pass_ordinal;
+    start_fault = static_cast<std::size_t>(campaign.fault_index);
+    start_preempt = static_cast<std::size_t>(campaign.preemption_index);
+    restored_frontier = std::move(campaign.frontier);
+    campaign.frontier.clear();
+    seeds = &restored_frontier;
+    ++campaign.seq;  // the next artifact continues the sequence
     // The valve restores to schedules-merged + schedules-in-frontier: work
     // past the published snapshots re-runs and re-counts on resume, exactly
     // once each, so the valve stays consistent with the re-exploration.
-    std::uint64_t consumed = result.stats.schedules;
-    for (const CheckpointUnit& cu : resume->frontier) {
+    std::uint64_t consumed = campaign.stats.schedules;
+    for (const CheckpointUnit& cu : restored_frontier) {
       consumed += cu.result.stats.schedules;
     }
     budget_valve.schedules.store(consumed, std::memory_order_relaxed);
   }
+  campaign.system = system.name();
+  campaign.processes = system.process_count();
+  campaign.options = options;
+  campaign.audit.enabled = options.audit;
 
   CheckpointCtx ckpt_state;
   CheckpointCtx* const ckpt =
       options.checkpoint_path.empty() ? nullptr : &ckpt_state;
-  if (ckpt != nullptr) {
-    ckpt->seq = resume.has_value() ? resume->seq + 1 : 0;
-    ckpt->merged = &result;
-    ckpt->covered = &fault_points;
-    if (options.fingerprint_prune) ckpt->fp_cache = &fp_cache;
-  }
 
   // The heartbeat writer (bss-status v1): enabled by status_path or
   // BSS_STATUS, purely observational.  The seq-0 snapshot goes out before
@@ -229,11 +229,9 @@ ExploreResult explore(const ExplorableSystem& system,
   StatusCtx* const status =
       status_state.writer.enabled() ? &status_state : nullptr;
   if (status != nullptr) {
-    status_state.system = system.name();
     status_state.max_schedules = options.max_schedules;
     status_state.jobs = static_cast<std::uint64_t>(jobs);
-    status_state.pass_ordinal = pass_ordinal;
-    status_state.merged = &result;
+    status_state.campaign = &campaign;
     status_state.ckpt = ckpt;
     status_state.writer.set_profiler(profiler);
     status->writer.write(status->snapshot("running"));
@@ -247,19 +245,15 @@ ExploreResult explore(const ExplorableSystem& system,
     for (std::size_t pi = fi == start_fault ? start_preempt : 0;
          pi < preemption_budgets.size(); ++pi) {
       const int budget = preemption_budgets[pi];
-      const bool resumed_pass =
-          resume.has_value() && fi == start_fault && pi == start_preempt;
       if (events) {
         obs::Event event;
         event.kind = "pass.start";
-        event.step = pass_ordinal;
+        event.step = campaign.pass_ordinal;
         event.fields.emplace_back("fault_budget",
                                   std::to_string(faults_on ? fault_budget : 0));
         event.fields.emplace_back("preemption_budget", std::to_string(budget));
         sink->emit(std::move(event));
       }
-      const std::uint64_t this_pass = pass_ordinal;
-      ++pass_ordinal;
       PassConfig cfg;
       cfg.base.budget = budget;
       cfg.base.fault_budget = faults_on ? fault_budget : 0;
@@ -268,58 +262,22 @@ ExploreResult explore(const ExplorableSystem& system,
       cfg.base.explore_restarts = faults_on && options.explore_restarts;
       cfg.base.explore_sc = faults_on && options.explore_sc_failures;
       cfg.base.fp_prune = options.fingerprint_prune;
-      if (options.fingerprint_prune) cfg.base.fp_cache = &fp_cache;
+      if (options.fingerprint_prune) cfg.base.fp_cache = &campaign.fp_cache;
       cfg.jobs = jobs;
-      cfg.violations_so_far = result.violations.size();
-      if (ckpt != nullptr) {
-        ckpt->pass_ordinal = this_pass;
-        ckpt->fault_index = fi;
-        ckpt->preemption_index = pi;
-        ckpt->cap_hit = cap_hit;
-        ckpt->stopped = stopped;
-        ckpt->last_pass_budget_limited = last_pass_budget_limited;
-        ckpt->restored_budget_limited =
-            resumed_pass && resume->pass_budget_limited;
-        ckpt->restored_fault_limited =
-            resumed_pass && resume->pass_fault_limited;
-        ckpt->restored_partials =
-            resumed_pass ? &restored_fp_partials : nullptr;
-      }
-      if (status != nullptr) status->pass_ordinal = this_pass;
-      StealPassOutput out = run_steal_pass(
-          system, options, cfg, budget_valve,
-          resumed_pass ? &resume->frontier : nullptr, ckpt, status);
-      if (out.halted) {
-        halted = true;
-        break;
-      }
-      std::vector<UnitResult>& units = out.units;
-      const std::uint64_t merge_begin = spans ? sink->now_ns() : 0;
-      MergeOutcome merged;
-      {
-        const obs::ScopedPhase merge_scope(profiler, obs::Phase::kMerge);
-        merged = merge_pass(units, options, result, fault_points);
-      }
-      if (resumed_pass) {
-        // The folded prefix of the resumed pass contributed these flags
-        // before the kill; the frontier units cannot re-derive them.
-        merged.budget_limited |= resume->pass_budget_limited;
-        merged.fault_limited |= resume->pass_fault_limited;
-      }
-      if (spans) {
-        obs::Span span;
-        span.name = "merge";
-        span.track = obs::Timeline::kCoordinatorTrack;
-        span.begin_ns = merge_begin;
-        span.end_ns = sink->now_ns();
-        span.args.emplace_back("units", std::to_string(units.size()));
-        sink->record_span(std::move(span));
-      }
-      last_pass_budget_limited = merged.budget_limited;
-      fault_limited_at_this_budget = merged.fault_limited;
-      cap_hit |= merged.cap_hit;
-      stopped |= merged.stopped;
-      if (options.fingerprint_prune && !cap_hit && !stopped) {
+      campaign.fault_index = fi;
+      campaign.preemption_index = pi;
+      halted = run_steal_pass(system, options, cfg, budget_valve, campaign,
+                              seeds, ckpt, status);
+      if (halted) break;
+      seeds = nullptr;
+      // The prefix now holds the whole pass: consume its flags and
+      // partials, leaving the next pass a clean slate.
+      campaign.last_pass_budget_limited = campaign.pass_budget_limited;
+      fault_limited_at_this_budget = campaign.pass_fault_limited;
+      campaign.pass_budget_limited = false;
+      campaign.pass_fault_limited = false;
+      const bool ended = campaign.cap_hit || campaign.stopped;
+      if (options.fingerprint_prune && !ended) {
         // Between-pass cache fold: aggregate the pass's coverage partials
         // per key (OR of dirty across every unit — commutative and
         // idempotent, so steal splits need no reconciliation) and admit the
@@ -331,77 +289,60 @@ ExploreResult explore(const ExplorableSystem& system,
         // excluded from the key).  Passes that end the campaign (cap/stop)
         // fold nothing: their partials would never be consulted.
         std::map<FpKey, bool> aggregated;
-        if (resumed_pass) {
-          for (const FingerprintPartial& p : restored_fp_partials) {
-            auto [it, inserted] = aggregated.try_emplace({p.lo, p.hi}, false);
-            it->second |= p.dirty;
-          }
-        }
-        for (const UnitResult& u : units) {
-          for (const FingerprintPartial& p : u.fp_partials) {
+        for (const auto& unit_partials : campaign.fp_partials) {
+          for (const FingerprintPartial& p : unit_partials) {
             auto [it, inserted] = aggregated.try_emplace({p.lo, p.hi}, false);
             it->second |= p.dirty;
           }
         }
         for (const auto& [key, dirty] : aggregated) {
-          if (!dirty) fp_cache.insert(key);
+          if (!dirty) campaign.fp_cache.insert(key);
         }
       }
+      campaign.fp_partials.clear();
       // Pass-boundary heartbeat: cadence-gated so tiny passes don't spam.
       if (status != nullptr && status->writer.due()) {
         status->writer.write(status->snapshot("running"));
       }
-      if (cap_hit || stopped) break;
-      if (!merged.budget_limited) break;  // space covered at this budget
+      ++campaign.pass_ordinal;
+      if (ended) break;
+      if (!campaign.last_pass_budget_limited) break;  // space covered
     }
-    if (halted || cap_hit || stopped) break;
+    if (halted || campaign.cap_hit || campaign.stopped) break;
     // A fault budget that cut nothing covered the whole bounded-fault
     // space; deeper fault budgets would only re-explore it.
     if (!fault_limited_at_this_budget) break;
   }
 
+  ExploreResult result;
   if (halted) {
     // halt_after_checkpoints fired: the checkpoint artifact is the durable
-    // output; the in-memory partials are deliberately NOT finalized (no
-    // merge ran) and no explore.done/runreport is emitted — this return is
-    // the deterministic stand-in for a SIGKILL.
+    // output; the result carries no stats and no explore.done/runreport is
+    // emitted — this return is the deterministic stand-in for a SIGKILL.
     result.halted = true;
     result.checkpoints_written = ckpt != nullptr ? ckpt->written : 0;
     return result;
   }
 
-  result.stats.fault_points = fault_points.size();
-  result.exhausted = !cap_hit && !stopped && !last_pass_budget_limited &&
-                     result.stats.truncated == 0;
+  campaign.exhausted = !campaign.cap_hit && !campaign.stopped &&
+                       !campaign.last_pass_budget_limited &&
+                       campaign.stats.truncated == 0;
 
   if (ckpt != nullptr) {
-    // The final, `complete` checkpoint: the whole merged result, an empty
-    // frontier.  Resuming from it just re-emits the same result.
+    // The final, `complete` checkpoint: the whole result and no pass in
+    // progress — no position, pass flags, cache state or frontier.
+    // Resuming from it just re-emits the same result.
     const obs::ScopedPhase checkpoint_scope(profiler,
                                             obs::Phase::kCheckpointWrite);
-    Checkpoint cp;
-    cp.seq = ckpt->seq++;
-    cp.system = system.name();
-    cp.processes = system.process_count();
-    cp.options = options;
-    cp.complete = true;
-    cp.exhausted = result.exhausted;
-    cp.pass_ordinal = pass_ordinal;
-    cp.cap_hit = cap_hit;
-    cp.stopped = stopped;
-    cp.last_pass_budget_limited = last_pass_budget_limited;
-    cp.stats = result.stats;
-    cp.audit = result.audit;
-    cp.violations = result.violations;
-    cp.fault_points = fault_points;
-    expects(write_checkpoint_file(options.checkpoint_path, cp.to_artifact()),
-            [&] {
-              return "failed to write checkpoint artifact: " +
-                     options.checkpoint_path;
-            });
-    ++ckpt->written;
+    campaign.complete = true;
+    campaign.fault_index = 0;
+    campaign.preemption_index = 0;
+    campaign.pass_budget_limited = false;
+    campaign.pass_fault_limited = false;
+    campaign.fp_cache.clear();
+    campaign.fp_partials.clear();
+    write_checkpoint(campaign, *ckpt, status);
     result.checkpoints_written = ckpt->written;
-    if (status != nullptr) status->writer.note_checkpoint();
   }
 
   if (sink != nullptr) {
@@ -409,10 +350,10 @@ ExploreResult explore(const ExplorableSystem& system,
       obs::Event event;
       event.kind = "explore.done";
       event.fields.emplace_back("schedules",
-                                std::to_string(result.stats.schedules));
+                                std::to_string(campaign.stats.schedules));
       event.fields.emplace_back("violations",
-                                std::to_string(result.violations.size()));
-      event.fields.emplace_back("exhausted", result.exhausted ? "1" : "0");
+                                std::to_string(campaign.violations.size()));
+      event.fields.emplace_back("exhausted", campaign.exhausted ? "1" : "0");
       sink->emit(std::move(event));
     }
     obs::ReportBuilder report("explore", "explore()");
@@ -432,16 +373,16 @@ ExploreResult explore(const ExplorableSystem& system,
     report.option("fault_bound", options.fault_bound);
     report.option("audit", options.audit);
     report.option("fingerprint_prune", options.fingerprint_prune);
-    const ExploreStats& stats = result.stats;
+    const ExploreStats& stats = campaign.stats;
     for (const CounterRow<ExploreStats>& row : kExploreCounters) {
       report.stat(row.name, stats.*row.member);
     }
-    report.stat("violations", result.violations.size());
-    report.coverage("exhausted", result.exhausted);
-    report.coverage("passes", pass_ordinal);
-    report.coverage("cap_hit", cap_hit);
-    report.coverage("stopped", stopped);
-    for (const Counterexample& cex : result.violations) {
+    report.stat("violations", campaign.violations.size());
+    report.coverage("exhausted", campaign.exhausted);
+    report.coverage("passes", campaign.pass_ordinal);
+    report.coverage("cap_hit", campaign.cap_hit);
+    report.coverage("stopped", campaign.stopped);
+    for (const Counterexample& cex : campaign.violations) {
       obs::json::Object violation;
       violation.emplace("violation", obs::json::Value(cex.violation));
       violation.emplace(
@@ -474,9 +415,12 @@ ExploreResult explore(const ExplorableSystem& system,
   if (status != nullptr) {
     // Terminal heartbeat: unconditional (cadence ignored) so monitors see
     // state == "complete" with the final totals even for sub-cadence runs.
-    status->pass_ordinal = pass_ordinal;
     status->writer.write(status->snapshot("complete"));
   }
+  result.stats = campaign.stats;
+  result.audit = campaign.audit;
+  result.violations = std::move(campaign.violations);
+  result.exhausted = campaign.exhausted;
   return result;
 }
 

@@ -1,7 +1,8 @@
-// The work-stealing pass engine: a DFS-ordered list of units, idle workers
-// splitting busy victims' frame stacks, the DFS-ordered merge that makes
-// every worker count byte-identical to the serial walk, and the periodic
-// bss-checkpoint writer that persists the merged prefix plus the frontier.
+// The work-stealing pass engine: a DFS-ordered list of outstanding units,
+// idle workers splitting busy victims' frame stacks, the DFS-ordered fold of
+// finished units into the campaign's running prefix that makes every worker
+// count byte-identical to the serial walk, and the periodic bss-checkpoint
+// writer that persists that prefix plus the outstanding units.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -80,27 +81,25 @@ void publish_unit_metrics(obs::MetricShard* shard, const UnitResult& claimed,
       done.violations.size() - claimed.violations.size());
 }
 
-/// Folds ONE unit into `result` under the serial explorer's stop rule:
-/// the first violation at which the serial loop would have stopped cuts the
-/// fold at that violation's tally, discarding everything the worker
-/// explored speculatively past the stop point.  Returns true when the merge
-/// ends AT this unit (violation cut or schedule cap) — later units must not
-/// be folded.  With a non-null `sink` the fold emits the deterministic
-/// merge-time events (the real merge); the checkpoint snapshot fold passes
-/// nullptr and reproduces the exact same fold silently, on copies.
+/// Folds ONE finished unit into the campaign's running prefix under the
+/// serial explorer's stop rule: the first violation at which the serial
+/// loop would have stopped cuts the fold at that violation's tally,
+/// discarding everything the worker explored speculatively past the stop
+/// point.  Returns true when the fold ends AT this unit (violation cut or
+/// schedule cap): the pass is over, and no later unit may be folded.
 bool merge_one(UnitResult& unit, const ExploreOptions& opts,
-               ExploreResult& result, std::set<FaultPoint>& fault_points,
-               MergeOutcome& out, obs::ObsSink* sink) {
+               Checkpoint& prefix) {
+  obs::ObsSink* sink = opts.telemetry;
   const bool events = sink != nullptr && sink->events_enabled();
   // Violation and fault-point-first-coverage events are emitted HERE, at
-  // merge time, not where workers found them: the merge runs in DFS order
-  // on one thread, so the event stream (kind, step, fields) is identical
+  // fold time, not where workers found them: units fold in DFS order under
+  // the pool lock, so the event stream (kind, step, fields) is identical
   // for every worker count — only the timing channel varies.
   const auto note_violation = [&](Counterexample&& cex) {
     if (events) {
       obs::Event event;
       event.kind = "violation.found";
-      event.step = result.violations.size();
+      event.step = prefix.violations.size();
       event.fields.emplace_back("violation", cex.violation);
       event.fields.emplace_back("decisions",
                                 std::to_string(cex.decisions.size()));
@@ -109,15 +108,15 @@ bool merge_one(UnitResult& unit, const ExploreOptions& opts,
                                 std::to_string(cex.shrunk_from));
       sink->emit(std::move(event));
     }
-    result.violations.push_back(std::move(cex));
+    prefix.violations.push_back(std::move(cex));
   };
   const auto cover_fault_points = [&](const std::set<FaultPoint>& points) {
     for (const FaultPoint& point : points) {
-      if (!fault_points.insert(point).second) continue;
+      if (!prefix.fault_points.insert(point).second) continue;
       if (events) {
         obs::Event event;
         event.kind = "coverage.fault_point";
-        event.step = fault_points.size() - 1;
+        event.step = prefix.fault_points.size() - 1;
         event.fields.emplace_back("action", action_token(point.first));
         event.fields.emplace_back("victim_steps",
                                   std::to_string(point.second));
@@ -132,48 +131,34 @@ bool merge_one(UnitResult& unit, const ExploreOptions& opts,
   bool cut = false;
   for (std::size_t i = 0; i < unit.violations.size(); ++i) {
     if (opts.stop_at_first_violation ||
-        result.violations.size() + i + 1 >= opts.max_violations) {
+        prefix.violations.size() + i + 1 >= opts.max_violations) {
       tally = &unit.tallies[i];
       taken = i + 1;
       cut = true;
       break;
     }
   }
-  result.stats.merge_from(tally->stats);
-  result.audit.merge_from(tally->audit);
+  prefix.stats.merge_from(tally->stats);
+  prefix.audit.merge_from(tally->audit);
   cover_fault_points(tally->fault_points);
-  out.budget_limited |= tally->budget_limited;
-  out.fault_limited |= tally->fault_limited;
+  prefix.stats.fault_points = prefix.fault_points.size();
+  prefix.pass_budget_limited |= tally->budget_limited;
+  prefix.pass_fault_limited |= tally->fault_limited;
   for (std::size_t i = 0; i < taken; ++i) {
     note_violation(std::move(unit.violations[i]));
   }
+  // Every partial joins, cut or not: a pass that ends the campaign folds
+  // none of them into the cache.
+  if (!unit.fp_partials.empty()) {
+    prefix.fp_partials.push_back(std::move(unit.fp_partials));
+  }
   if (cut) {
-    out.stopped = true;
+    prefix.stopped = true;
   } else if (unit.cap_hit) {
-    out.cap_hit = true;
+    prefix.cap_hit = true;
   }
   return cut || unit.cap_hit;
 }
-
-}  // namespace
-
-/// Folds a pass's units into `result` in DFS order, reproducing the serial
-/// explorer's stop rule exactly via merge_one.
-MergeOutcome merge_pass(std::vector<UnitResult>& units,
-                        const ExploreOptions& opts, ExploreResult& result,
-                        std::set<FaultPoint>& fault_points) {
-  MergeOutcome out;
-  for (UnitResult& unit : units) {
-    expects(!unit.skipped,
-            "deterministic merge reached a unit skipped past the stop");
-    if (merge_one(unit, opts, result, fault_points, out, opts.telemetry)) {
-      break;
-    }
-  }
-  return out;
-}
-
-namespace {
 
 // ------------------------------------------------------- the pass engine
 
@@ -190,18 +175,22 @@ struct StealUnit {
   std::size_t floor = 0;
   UnitResult result;
   Status status = Status::kPending;
-  bool abort = false;  ///< deterministic stop confirmed before this unit ran
+  bool abort = false;  ///< a confirmed stop discards this running unit
   bool stolen = false;  ///< unit was split off a victim (worker-beat steals)
 };
 
 /// Shared state of one stealing pass.  The std::list gives iterator-stable
 /// DFS order: a split inserts the thief unit right after its victim, so at
-/// every instant the list order IS the serial DFS order — which is what the
-/// frontier walk, the checkpoint fold and the final merge all rely on.
+/// every instant the list order IS the serial DFS order.  Finished units at
+/// the head are folded into the campaign's running prefix and leave the
+/// list, so it holds exactly the outstanding work a checkpoint persists.
 struct StealPool {
   std::mutex mu;
   std::condition_variable cv;
   std::list<StealUnit> units;
+  /// Units past a confirmed stop, moved out of `units` (splicing keeps their
+  /// owners' iterators valid) and dropped with the pool.
+  std::list<StealUnit> discarded;
   std::size_t idle = 0;     ///< workers blocked waiting for a pending unit
   std::size_t running = 0;  ///< units currently owned by a worker
   bool stop_confirmed = false;
@@ -214,8 +203,6 @@ struct StealPool {
   std::atomic<bool> attention{false};
   std::atomic<bool> checkpoint_due{false};
   std::atomic<std::uint64_t> last_checkpoint_at{0};
-  std::list<StealUnit>::iterator frontier;  ///< first non-merged-prefix unit
-  std::size_t frontier_violations = 0;
 };
 
 /// Splits the victim's DFS at its shallowest splittable depth >= floor +
@@ -349,33 +336,29 @@ const char* beat_state_name(int state) {
 
 /// Runs one (budget pair) pass on the work-stealing engine.  The frontier
 /// is a DFS-ordered list of units; idle workers raise the attention flag
-/// and owners split their shallowest splittable frame off for them.  A
-/// frontier walk over the complete-unit prefix confirms deterministic stops
-/// as early as possible: everything past the stop is skipped or abandoned,
-/// and the merge never reads it.  With checkpointing on, the
-/// owner that observes a due checkpoint persists the folded prefix plus the
-/// outstanding frontier snapshots.  `seeds` (non-null on the resumed pass)
-/// re-materializes a persisted frontier instead of starting from the root.
-/// `status` (non-null when a heartbeat file is on) gets a dedicated thread
-/// that periodically overlays the pool's live counters on the merged-prefix
-/// base and writes the bss-status artifact — read-only w.r.t. the pool.
-StealPassOutput run_steal_pass(const ExplorableSystem& system,
-                               const ExploreOptions& opts,
-                               const PassConfig& cfg, SharedBudget& budget,
-                               const std::vector<CheckpointUnit>* seeds,
-                               CheckpointCtx* ckpt, StatusCtx* status) {
-  StealPassOutput output;
+/// and owners split their shallowest splittable frame off for them.  Each
+/// time a unit finishes, the finished units at the head of the list fold
+/// into `campaign`'s running prefix in DFS order; the fold that ends the
+/// pass confirms the stop, and everything past it is dropped or abandoned.
+/// With checkpointing on, the owner that observes a due checkpoint persists
+/// the prefix plus the outstanding units.  `seeds` (non-null on the resumed
+/// pass) re-materializes a persisted frontier instead of starting from the
+/// root.  `status` (non-null when a heartbeat file is on) gets a dedicated
+/// thread that periodically overlays the pool's live counters on the prefix
+/// and writes the bss-status artifact — read-only w.r.t. the pool.
+bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
+                    const PassConfig& cfg, SharedBudget& budget,
+                    Checkpoint& campaign,
+                    const std::vector<CheckpointUnit>* seeds,
+                    CheckpointCtx* ckpt, StatusCtx* status) {
   StealPool pool;
   if (seeds != nullptr) {
     for (const CheckpointUnit& cu : *seeds) {
       pool.units.push_back(materialize_steal_unit(system, cfg.base, cu));
     }
-    if (pool.units.empty()) return output;
   } else {
     pool.units.emplace_back();  // the root unit: empty frames, floor 0
   }
-  pool.frontier = pool.units.begin();
-  pool.frontier_violations = cfg.violations_so_far;
   pool.last_checkpoint_at.store(
       budget.schedules.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -384,9 +367,11 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
   obs::ObsSink* sink = opts.telemetry;
   const bool events = sink != nullptr && sink->events_enabled();
   const bool spans = sink != nullptr && sink->timeline_enabled();
+  obs::PhaseProfiler* const profiler =
+      sink != nullptr ? sink->profiler() : nullptr;
   const std::size_t quota =
-      opts.max_violations > cfg.violations_so_far
-          ? opts.max_violations - cfg.violations_so_far
+      opts.max_violations > campaign.violations.size()
+          ? opts.max_violations - campaign.violations.size()
           : 1;
   const int steal_depth = std::max(opts.steal_depth, 0);
   const int nworkers = std::max(cfg.jobs, 1);
@@ -404,117 +389,40 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
         std::memory_order_release);
   };
 
-  const auto walk_frontier = [&] {  // pool.mu held
-    if (pool.stop_confirmed) return;
-    while (pool.frontier != pool.units.end() &&
-           pool.frontier->status == StealUnit::Status::kComplete) {
-      const UnitResult& unit = pool.frontier->result;
-      bool stops = unit.cap_hit;
-      if (!unit.skipped) {
-        for (std::size_t i = 0; i < unit.violations.size() && !stops; ++i) {
-          ++pool.frontier_violations;
-          if (opts.stop_at_first_violation ||
-              pool.frontier_violations >= opts.max_violations) {
-            stops = true;
-          }
-        }
+  /// Folds the finished units at the head of the list into the running
+  /// prefix, in DFS order, and drops them from the list (pool.mu held).
+  /// merge_one's verdict is the stop decision: once the prefix ends the
+  /// pass, every unit past it is discarded work — it leaves the list, and
+  /// running owners are told to abandon theirs.
+  const auto walk_frontier = [&] {
+    while (!pool.stop_confirmed && !pool.units.empty() &&
+           pool.units.front().status == StealUnit::Status::kComplete) {
+      {
+        const obs::ScopedPhase merge_scope(profiler, obs::Phase::kMerge);
+        pool.stop_confirmed =
+            merge_one(pool.units.front().result, opts, campaign);
       }
-      ++pool.frontier;
-      if (stops) {
-        // The merge provably ends at this unit: everything after it is
-        // discarded work.  Pending units are skipped outright; running
-        // owners are told to abandon theirs.
-        pool.stop_confirmed = true;
-        for (auto it = pool.frontier; it != pool.units.end(); ++it) {
-          if (it->status == StealUnit::Status::kPending) {
-            it->status = StealUnit::Status::kComplete;
-            it->result = UnitResult{};
-            it->result.skipped = true;
-            it->frames.clear();
-          } else if (it->status == StealUnit::Status::kRunning) {
-            it->abort = true;
-          }
-        }
-        refresh_attention();
-        pool.cv.notify_all();
-        break;
-      }
+      pool.units.pop_front();
     }
+    if (!pool.stop_confirmed) return;
+    for (StealUnit& unit : pool.units) unit.abort = true;
+    pool.discarded.splice(pool.discarded.end(), pool.units);
+    refresh_attention();
+    pool.cv.notify_all();
   };
 
-  /// Persists the campaign state (pool.mu held).  The completed-unit prefix
-  /// is folded the way merge_pass will fold it — on copies, silently — so
-  /// the snapshot is exactly the merged result of a serial campaign that
-  /// got this far; the rest of the frontier is serialized as outstanding
-  /// work.
-  const auto write_checkpoint = [&](const ObsCtx& octx) {
+  /// Persists the campaign (pool.mu held): the running prefix plus every
+  /// unit still in the list, in DFS order.
+  const auto write_periodic = [&](const ObsCtx& octx) {
     const obs::ScopedPhase checkpoint_scope(octx.profiler,
                                             obs::Phase::kCheckpointWrite);
-    Checkpoint cp;
-    cp.seq = ckpt->seq++;
-    cp.system = system_name;
-    cp.processes = system.process_count();
-    cp.options = opts;
-    cp.pass_ordinal = ckpt->pass_ordinal;
-    cp.fault_index = ckpt->fault_index;
-    cp.preemption_index = ckpt->preemption_index;
-    cp.cap_hit = ckpt->cap_hit;
-    cp.stopped = ckpt->stopped;
-    cp.last_pass_budget_limited = ckpt->last_pass_budget_limited;
-    ExploreResult folded;
-    folded.stats = ckpt->merged->stats;
-    folded.audit = ckpt->merged->audit;
-    folded.violations = ckpt->merged->violations;
-    cp.fault_points = *ckpt->covered;
-    MergeOutcome fold;
-    fold.budget_limited = ckpt->restored_budget_limited;
-    fold.fault_limited = ckpt->restored_fault_limited;
-    if (ckpt->restored_partials != nullptr) {
-      cp.fp_partials = *ckpt->restored_partials;
+    for (const StealUnit& unit : pool.units) {
+      campaign.frontier.push_back(serialize_steal_unit(unit));
     }
-    bool prefix_stopped = false;
-    auto it = pool.units.begin();
-    while (it != pool.units.end() &&
-           it->status == StealUnit::Status::kComplete &&
-           !it->result.skipped) {
-      UnitResult copy = it->result;
-      const bool ends =
-          merge_one(copy, opts, folded, cp.fault_points, fold, nullptr);
-      cp.fp_partials.insert(cp.fp_partials.end(), it->result.fp_partials.begin(),
-                            it->result.fp_partials.end());
-      ++it;
-      if (ends) {
-        prefix_stopped = true;
-        break;
-      }
-    }
-    cp.stopped |= fold.stopped;
-    cp.cap_hit |= fold.cap_hit;
-    cp.pass_budget_limited = fold.budget_limited;
-    cp.pass_fault_limited = fold.fault_limited;
-    folded.stats.fault_points = cp.fault_points.size();
-    cp.stats = folded.stats;
-    cp.audit = folded.audit;
-    cp.violations = std::move(folded.violations);
-    if (!prefix_stopped) {
-      for (; it != pool.units.end(); ++it) {
-        cp.frontier.push_back(serialize_steal_unit(*it));
-      }
-    }
-    if (ckpt->fp_cache != nullptr) {
-      // The frozen cache is what the in-progress pass is pruning against;
-      // persisting it verbatim lets the resumed pass reproduce every
-      // pruning decision bit-for-bit.
-      cp.fp_cache = *ckpt->fp_cache;
-    }
-    expects(write_checkpoint_file(opts.checkpoint_path, cp.to_artifact()),
-            [&] {
-              return "failed to write checkpoint artifact: " +
-                     opts.checkpoint_path;
-            });
-    ++ckpt->written;
+    const std::uint64_t seq = campaign.seq;
+    const std::size_t frontier = campaign.frontier.size();
+    write_checkpoint(campaign, *ckpt, status);
     ++ckpt->periodic;
-    if (status != nullptr) status->writer.note_checkpoint();
     pool.last_checkpoint_at.store(
         budget.schedules.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
@@ -522,11 +430,11 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
     if (events) {
       obs::Event event;
       event.kind = "worker.checkpoint";
-      event.step = cp.seq;
+      event.step = seq;
       event.worker = octx.worker;
-      event.fields.emplace_back("frontier", std::to_string(cp.frontier.size()));
+      event.fields.emplace_back("frontier", std::to_string(frontier));
       event.fields.emplace_back("schedules",
-                                std::to_string(cp.stats.schedules));
+                                std::to_string(campaign.stats.schedules));
       sink->emit(std::move(event));
     }
   };
@@ -540,7 +448,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
         !pool.checkpoint_due.load(std::memory_order_relaxed)) {
       return false;
     }
-    write_checkpoint(octx);
+    write_periodic(octx);
     pool.checkpoint_due.store(false, std::memory_order_relaxed);
     if (opts.halt_after_checkpoints == 0 ||
         ckpt->periodic < opts.halt_after_checkpoints) {
@@ -713,20 +621,17 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
         }
         publish_unit_metrics(octx.shard, at_claim, local);
         if (halted) break;  // unit stays kRunning; the halt abandons the pass
+        const std::uint64_t unit_schedules = local.stats.schedules;
         {
           std::lock_guard<std::mutex> lock(pool.mu);
           --pool.running;
-          aborted = aborted || self->abort;
-          self->frames.clear();
-          self->floor = 0;
-          if (aborted) {
-            self->result = UnitResult{};
-            self->result.skipped = true;
-          } else {
+          if (!aborted && !self->abort) {  // else: past the confirmed stop
+            self->frames.clear();
+            self->floor = 0;
             self->result = std::move(local);
+            self->status = StealUnit::Status::kComplete;
+            walk_frontier();
           }
-          self->status = StealUnit::Status::kComplete;
-          walk_frontier();
           // A checkpoint that fell due during this unit's last runs is
           // written now: at jobs > 1 the other units may drain without
           // another run boundary, and the pass would end without it.
@@ -740,8 +645,7 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
           span.track = worker_index;
           span.begin_ns = unit_begin;
           span.end_ns = sink->now_ns();
-          span.args.emplace_back(
-              "schedules", std::to_string(self->result.stats.schedules));
+          span.args.emplace_back("schedules", std::to_string(unit_schedules));
           sink->record_span(std::move(span));
         }
       }
@@ -768,32 +672,28 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
 
   {
     std::lock_guard<std::mutex> lock(pool.mu);
-    walk_frontier();  // a restored frontier may already confirm a stop
+    walk_frontier();  // a restored frontier's finished head folds now
   }
 
-  // The heartbeat thread: overlays the pool's live counters on the merged
+  // The heartbeat thread: overlays the pool's live counters on the running
   // prefix and writes the status file whenever the cadence is due.  It only
-  // ever reads pool state (under pool.mu) and worker beats (relaxed), so it
-  // cannot perturb the exploration — kill it and the campaign is identical.
+  // ever reads the prefix and pool state (under pool.mu) and worker beats
+  // (relaxed), so it cannot perturb the exploration — kill it and the
+  // campaign is identical.
   std::mutex status_mu;
   std::condition_variable status_cv;
   bool status_stop = false;
   const auto build_status = [&] {
-    obs::Status s = status->snapshot("running");
-    s.schedules = budget.schedules.load(std::memory_order_relaxed);
+    obs::Status s;
     {
       std::lock_guard<std::mutex> lock(pool.mu);
-      s.violations = pool.frontier_violations;
-      std::uint64_t frontier = 0;
-      std::uint64_t prunes = status->merged->stats.fingerprint_prunes;
+      s = status->snapshot("running");
       for (const StealUnit& unit : pool.units) {
-        if (unit.status != StealUnit::Status::kComplete) ++frontier;
-        prunes += unit.result.stats.fingerprint_prunes;
+        if (unit.status != StealUnit::Status::kComplete) ++s.frontier;
+        s.fingerprint_prunes += unit.result.stats.fingerprint_prunes;
       }
-      s.frontier = frontier;
-      s.fingerprint_prunes = prunes;
-      s.checkpoints = status->ckpt != nullptr ? status->ckpt->written : 0;
     }
+    s.schedules = budget.schedules.load(std::memory_order_relaxed);
     s.fingerprint_hit_rate_ppm =
         fp_hit_ppm(s.fingerprint_prunes, s.schedules);
     for (int i = 0; i < nworkers; ++i) {
@@ -837,16 +737,9 @@ StealPassOutput run_steal_pass(const ExplorableSystem& system,
     status_thread.join();
   }
   if (pool.error) std::rethrow_exception(pool.error);
-  if (pool.halt) {
-    output.halted = true;
-    return output;
-  }
-  for (auto& unit : pool.units) {
-    expects(unit.status == StealUnit::Status::kComplete,
-            "stealing pass ended with an incomplete unit");
-    output.units.push_back(std::move(unit.result));
-  }
-  return output;
+  if (pool.halt) return true;
+  expects(pool.units.empty(), "stealing pass ended with unfolded units");
+  return false;
 }
 
 }  // namespace bss::explore::detail

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/mutant_elections.h"
 #include "explore/checkpoint.h"
@@ -35,8 +36,21 @@ namespace {
 
 using core::OneShotMutant;
 
+/// Removes every temp_path file when the process exits.
+struct TempFiles {
+  std::vector<std::string> paths;
+  ~TempFiles() {
+    for (const std::string& path : paths) std::remove(path.c_str());
+  }
+};
+
+/// Per-process names, so copies of this binary that share a temp directory
+/// (a plain and a sanitizer build, say) never touch each other's files.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  static TempFiles files;
+  files.paths.push_back(::testing::TempDir() + "/" +
+                        std::to_string(getpid()) + "." + name);
+  return files.paths.back();
 }
 
 std::string read_file(const std::string& path) {
@@ -216,6 +230,19 @@ TEST(Checkpoint, KillAndResumeCollectAllWithFourWorkersByteIdentical) {
       expect_identical(uninterrupted, resumed, label);
     }
   }
+  // A small cap: the fold's stop lands inside a resumed pass.
+  options.max_violations = 100;
+  options.jobs = 1;
+  const ExploreResult capped = explore(system, options);  // serial
+  ASSERT_EQ(capped.violations.size(), 100u);
+  options.jobs = 4;
+  options.steal_depth = 0;
+  int cycles = 0;
+  const ExploreResult resumed =
+      run_killed_campaign(system, options, temp_path("cp_capped_jobs4.json"),
+                          7, &cycles, /*halt_after=*/16);
+  EXPECT_GE(cycles, 2) << "the stop must land after a resume";
+  expect_identical(capped, resumed, "collect-100 jobs=4");
 }
 
 TEST(Checkpoint, ResumeFromCompleteArtifactReproducesTheResult) {
@@ -310,12 +337,10 @@ TEST(Checkpoint, ResumeRejectsDifferentResultAffectingOptions) {
   benign.jobs = 4;
   benign.steal_depth = 2;
   benign.checkpoint_every = 7;
-  benign.status_path =
-      temp_path("cp_benign_status." + std::to_string(getpid()) + ".json");
+  benign.status_path = temp_path("cp_benign_status.json");
   benign.status_every_ms = 5;
   benign.telemetry = &telemetry;
   EXPECT_FALSE(explore(system, benign).halted);
-  std::remove(benign.status_path.c_str());
 }
 
 // ----------------------------------------------------- counter listings
@@ -493,8 +518,7 @@ TEST(Checkpoint, EveryCounterRoundTripsUnderItsOwnKeyAndFolds) {
 /// every case in its own process, so each process writes its own donor.
 const std::string& frontier_artifact() {
   static const std::string text = [] {
-    const std::string path =
-        temp_path("cp_donor." + std::to_string(getpid()) + ".json");
+    const std::string path = temp_path("cp_donor.json");
     OneShotSystem system(4, 3);
     ExploreOptions options;
     options.use_por = false;  // big enough that the halt valve fires
@@ -503,9 +527,7 @@ const std::string& frontier_artifact() {
     options.halt_after_checkpoints = 1;
     const ExploreResult result = explore(system, options);
     expects(result.halted, "donor campaign must halt mid-flight");
-    std::string donor = read_file(path);
-    std::remove(path.c_str());
-    return donor;
+    return read_file(path);
   }();
   return text;
 }
@@ -581,6 +603,12 @@ TEST(Checkpoint, RejectsOutOfRangePidTokens) {
                   "pid past encoding ceiling");
   expect_rejected(mutated_artifact(poison_first_chosen("x1")),
                   "unknown action prefix");
+  // Non-canonical spellings of in-range pids (the donor has 3 processes)
+  for (const char* token :
+       {"+2", "-0", "02", "002", " 2", "2 ", "c+1", "s-0", "r01"}) {
+    expect_rejected(mutated_artifact(poison_first_chosen(token)),
+                    std::string("non-canonical token '") + token + "'");
+  }
 }
 
 TEST(Checkpoint, RejectsStructuralLies) {

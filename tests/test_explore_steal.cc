@@ -128,6 +128,25 @@ TEST(StealExplore, UncappedCollectAllRefutationIdentical) {
   expect_steal_invariant(system, options, {4}, {0, 1});
 }
 
+// The stop rule across unit boundaries: with the mutant's violations spread
+// over many stolen units, a small max_violations cuts the fold inside a
+// later unit, and the stop must land on the serial walk's violation.
+TEST(StealExplore, ViolationCapCutsInsideLaterUnitsIdentically) {
+  OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
+  ExploreOptions options;
+  options.use_por = false;
+  options.minimize = false;
+  for (const bool stop_first : {false, true}) {
+    for (const std::size_t cap : {1u, 2u, 3u, 5u, 13u, 89u}) {
+      options.stop_at_first_violation = stop_first;
+      options.max_violations = cap;
+      SCOPED_TRACE("stop_at_first_violation=" + std::to_string(stop_first) +
+                   " max_violations=" + std::to_string(cap));
+      expect_steal_invariant(system, options, {4}, {0, 1});
+    }
+  }
+}
+
 // ------------------------------------------------------ fault-budget sweeps
 
 TEST(StealExplore, FaultSweepIdenticalIncludingFaultPoints) {

@@ -11,7 +11,9 @@
 // kill-and-resume unchanged.  Systems with the empty default
 // fingerprint must fall back to full exploration.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -36,8 +38,23 @@ namespace {
 
 using core::OneShotMutant;
 
+/// Per-process names: two copies of this binary (say, a plain and a
+/// sanitizer build) may share one temp directory.
+/// Removes every temp_path file when the process exits.
+struct TempFiles {
+  std::vector<std::string> paths;
+  ~TempFiles() {
+    for (const std::string& path : paths) std::remove(path.c_str());
+  }
+};
+
+/// Per-process names, so copies of this binary that share a temp directory
+/// (a plain and a sanitizer build, say) never touch each other's files.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  static TempFiles files;
+  files.paths.push_back(::testing::TempDir() + "/" +
+                        std::to_string(getpid()) + "." + name);
+  return files.paths.back();
 }
 
 std::string read_file(const std::string& path) {

@@ -561,6 +561,16 @@ TEST(Artifact, RejectsMalformedFaultTokens) {
   EXPECT_FALSE(Counterexample::from_artifact(prefix + "decisions: c\n"));
   EXPECT_FALSE(Counterexample::from_artifact(prefix + "decisions: r1x\n"));
   EXPECT_FALSE(Counterexample::from_artifact(prefix + "decisions: -3\n"));
+  // Only the canonical spelling parses: no sign and no leading zero, even
+  // where std::stoi would read a valid pid.
+  for (const char* token :
+       {"+1", "-0", "00", "01", "007", "c+1", "s-0", "r01"}) {
+    EXPECT_FALSE(Counterexample::from_artifact(prefix + "decisions: 0 " +
+                                               token + "\n"))
+        << token;
+  }
+  EXPECT_TRUE(Counterexample::from_artifact(prefix + "decisions: 0 c1 r0 s1\n")
+                  .has_value());
   EXPECT_FALSE(
       Counterexample::from_artifact("bss-counterexample v3\n" + prefix));
 }

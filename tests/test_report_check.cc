@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -16,11 +17,20 @@
 
 namespace {
 
+/// Per-process, so concurrent copies of this binary never share inputs;
+/// removed when the process exits.
 std::filesystem::path temp_dir() {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "bss_report_check_test";
-  std::filesystem::create_directories(dir);
-  return dir;
+  static const struct Dir {
+    std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("bss_report_check_test." + std::to_string(getpid()));
+    Dir() { std::filesystem::create_directories(path); }
+    ~Dir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } dir;
+  return dir.path;
 }
 
 std::string write_artifact(const std::string& name, const std::string& text) {
