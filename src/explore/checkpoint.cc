@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/json.h"
-#include "obs/runreport.h"
 #include "util/checked.h"
 
 namespace bss::explore {
@@ -656,16 +655,6 @@ std::vector<std::string> validate_checkpoint(std::string_view text) {
     return {error};
   }
   return {};
-}
-
-bool write_checkpoint_file(const std::string& path, std::string_view text) {
-  const std::string tmp = path + ".tmp";
-  if (!obs::write_file(tmp, text)) return false;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 }  // namespace bss::explore

@@ -54,7 +54,7 @@ inline constexpr std::string_view kCheckpointSchema = "bss-checkpoint v1";
 /// `options` object is exactly these, and resume rejects an artifact whose
 /// fields differ from the resuming call's — exploring half a campaign
 /// under one sleep-set rule or fault budget and half under another would
-/// not be byte-identical to anything.  Scheduling knobs (jobs, steal_depth,
+/// not be byte-identical to anything.  Scheduling knobs (jobs,
 /// checkpoint cadence, status, telemetry) are absent: they never change
 /// results.  Calls `f(name, member, optional)` for each field.  An optional
 /// field is written only when non-zero and parses as zero when absent — how
@@ -83,10 +83,7 @@ void visit_key_options(F&& f) {
   f("fingerprint_prune", &ExploreOptions::fingerprint_prune, true);
 }
 
-/// True iff every visit_key_options field matches.  `audit` and
-/// `fingerprint_prune` must already be resolved: explore() resolves
-/// BSS_AUDIT and BSS_EXPLORE_FP before checkpointing, so a resume under a
-/// different environment is caught.
+/// True iff every visit_key_options field matches.
 bool same_key_options(const ExploreOptions& a, const ExploreOptions& b);
 
 // ------------------------------------------------- the persisted engine shapes
@@ -218,10 +215,5 @@ struct Checkpoint {
 /// Full validation for the CI gate (tools/report_check): every error is
 /// human-readable; empty result == valid.
 std::vector<std::string> validate_checkpoint(std::string_view text);
-
-/// Atomically replaces `path` with `text`: write to `path`.tmp, fsync-free
-/// close, rename over the target — a reader (or a resume after SIGKILL)
-/// sees either the previous checkpoint or the new one, never a torn file.
-bool write_checkpoint_file(const std::string& path, std::string_view text);
 
 }  // namespace bss::explore

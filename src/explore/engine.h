@@ -233,8 +233,6 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
 
 // -------------------------------------------------------------- explore.cc
 
-/// audit == false resolves through BSS_AUDIT (force-on only).
-bool resolve_audit(const ExploreOptions& options);
 /// Writes `campaign` — the running prefix plus whatever the caller put in
 /// its `frontier` — as the next checkpoint artifact, then empties the
 /// frontier and advances `seq`.  The periodic and the final artifact both

@@ -13,55 +13,22 @@
 #include <vector>
 
 #include "explore/engine.h"
+#include "obs/runreport.h"  // write_file_atomic
 #include "util/checked.h"
+#include "util/env_registry.h"
 
 namespace bss::explore {
-namespace detail {
-
-/// audit == false resolves through BSS_AUDIT (force-on only: the variable
-/// can switch the audit layer on under an existing binary — how CI audits
-/// the whole suite — but never disable an explicit request).
-bool resolve_audit(const ExploreOptions& options) {
-  if (options.audit) return true;
-  static const bool env_audit = [] {
-    const char* raw = std::getenv("BSS_AUDIT");
-    return raw != nullptr && raw[0] != '\0' &&
-           !(raw[0] == '0' && raw[1] == '\0');
-  }();
-  return env_audit;
-}
-
-}  // namespace detail
-
 namespace {
 
-/// fingerprint_prune == false resolves through BSS_EXPLORE_FP (force-on
-/// only, the BSS_AUDIT pattern: the variable can switch pruning on under
-/// an existing binary — how CI sweeps the suite with the cache engaged —
-/// but never disable an explicit request).
-bool resolve_fingerprint_prune(const ExploreOptions& options) {
-  if (options.fingerprint_prune) return true;
-  // Read per campaign (not latched like BSS_AUDIT): one getenv per
-  // explore() call is free next to any pass, and it keeps the lever usable
-  // from a single process that toggles it between campaigns.
-  const char* raw = std::getenv("BSS_EXPLORE_FP");
-  return raw != nullptr && raw[0] != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
-}
-
 /// jobs == 0 resolves through BSS_EXPLORE_JOBS (how CI forces the worker
-/// pool through every existing test); explicit values are never overridden.
+/// pool through every existing test), read on every call; explicit values
+/// are never overridden.  Both clamp to 64 workers.
 int resolve_jobs(const ExploreOptions& options) {
   if (options.jobs > 0) return std::min(options.jobs, 64);
-  static const int env_jobs = [] {
-    const char* raw = std::getenv("BSS_EXPLORE_JOBS");
-    if (raw == nullptr) return 1;
-    char* end = nullptr;
-    const long parsed = std::strtol(raw, &end, 10);
-    if (end == raw || *end != '\0' || parsed < 1) return 1;
-    return static_cast<int>(std::min<long>(parsed, 64));
-  }();
-  return env_jobs;
+  const std::optional<std::uint64_t> env_jobs = env::positive_env(
+      "BSS_EXPLORE_JOBS", std::getenv("BSS_EXPLORE_JOBS"));
+  if (!env_jobs.has_value()) return 1;
+  return static_cast<int>(std::min<std::uint64_t>(*env_jobs, 64));
 }
 
 }  // namespace
@@ -71,7 +38,7 @@ namespace detail {
 void write_checkpoint(Checkpoint& campaign, CheckpointCtx& ckpt,
                       StatusCtx* status) {
   const std::string& path = campaign.options.checkpoint_path;
-  expects(write_checkpoint_file(path, campaign.to_artifact()), [&] {
+  expects(obs::write_file_atomic(path, campaign.to_artifact()), [&] {
     return "failed to write checkpoint artifact: " + path;
   });
   campaign.frontier.clear();
@@ -84,20 +51,13 @@ void write_checkpoint(Checkpoint& campaign, CheckpointCtx& ckpt,
 
 using detail::CheckpointCtx;
 using detail::PassConfig;
-using detail::resolve_audit;
 using detail::run_steal_pass;
 using detail::SharedBudget;
 using detail::StatusCtx;
 using detail::write_checkpoint;
 
 ExploreResult explore(const ExplorableSystem& system,
-                      const ExploreOptions& requested) {
-  ExploreOptions options = requested;
-  options.audit = resolve_audit(requested);
-  // Resolved here (not at use sites) so the checkpoint's option fields
-  // hold the effective value — a resume under a different BSS_EXPLORE_FP
-  // is caught.
-  options.fingerprint_prune = resolve_fingerprint_prune(requested);
+                      const ExploreOptions& options) {
   const int jobs = resolve_jobs(options);
 
   obs::ObsSink* sink = options.telemetry;
@@ -111,8 +71,6 @@ ExploreResult explore(const ExplorableSystem& system,
     event.kind = "explore.start";
     event.fields.emplace_back("system", system.name());
     event.fields.emplace_back("jobs", std::to_string(jobs));
-    event.fields.emplace_back("steal_depth",
-                              std::to_string(options.steal_depth));
     sink->emit(std::move(event));
   }
   if (sink != nullptr) {

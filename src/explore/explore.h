@@ -56,8 +56,8 @@
 // have explored after backtracking there.  Because units always partition
 // the DFS into contiguous ordered segments, the results merge in DFS order
 // with a deterministic cutoff rule, making the merged ExploreResult
-// **byte-identical to the serial explorer's** for every worker count, steal
-// granularity and completion order — including early-stopped runs, where
+// **byte-identical to the serial explorer's** for every worker count, split
+// point and completion order — including early-stopped runs, where
 // work a worker did beyond the deterministic stop point is discarded rather
 // than folded in.  The one exception is the `max_schedules` safety valve:
 // with jobs > 1 the shared schedule budget is claimed concurrently, so
@@ -156,11 +156,6 @@ struct ExploreOptions {
   /// set (how CI race-checks the pool) and to 1 otherwise.  Results are
   /// byte-identical across all values; see the header comment.
   int jobs = 0;
-  /// Steal granularity: a victim only splits at frames at least this many
-  /// decisions below its current subtree floor, so larger values hand out
-  /// smaller (deeper) subtrees.  Any value produces identical results — the
-  /// knob trades steal frequency against per-steal work size.
-  int steal_depth = 0;
   /// Visited-state cache (the step-loop fast path): key every DFS node on
   /// SystemInstance::fingerprint plus the scheduler-visible SimEnv state
   /// (parked set, pending operations, per-process step counts, virtual
@@ -172,16 +167,14 @@ struct ExploreOptions {
   /// is frozen for the duration of each pass and clean keys are folded in
   /// between passes from per-frame coverage partials that aggregate
   /// commutatively, so pruning decisions — and therefore stats, violations
-  /// and artifacts — stay byte-identical at every worker count and steal
-  /// granularity.  Systems whose fingerprint() returns the
+  /// and artifacts — stay byte-identical at every worker count and split
+  /// point.  Systems whose fingerprint() returns the
   /// empty default opt out frame-by-frame (full exploration).  Sound for
   /// properties that are a function of the fingerprinted state (the same
   /// assumption class as sleep-set POR); the seeded mutant suite asserts no
   /// refutation is lost.  A pass may conclude the space exhausted *earlier*
   /// than an unpruned run (budget cuts inside covered regions are
-  /// suppressed) — coverage is identical, pass counts may not be.  false
-  /// resolves through the BSS_EXPLORE_FP environment variable (force-on
-  /// only, how CI sweeps the suite with pruning engaged).
+  /// suppressed) — coverage is identical, pass counts may not be.
   bool fingerprint_prune = false;
   /// When non-empty, the engine periodically writes a `bss-checkpoint v1`
   /// artifact here (atomically: tmp file + rename): the merged DFS-prefix
@@ -224,12 +217,11 @@ struct ExploreOptions {
   /// byte-identical schedules, stats and artifacts.  Ledger and footprint
   /// findings surface as ordinary Counterexamples (property violations take
   /// precedence); oracle refutations and counters surface through
-  /// ExploreResult::audit.  false resolves through the BSS_AUDIT
-  /// environment variable (force-on only, how CI audits the whole suite).
+  /// ExploreResult::audit.
   bool audit = false;
   /// Cross-check one in this many completed schedules, selected by an
   /// FNV-1a hash of the canonical decision tape — the same schedules are
-  /// picked for every worker count and steal granularity.  1 checks every
+  /// picked for every worker count and split point.  1 checks every
   /// schedule; 0 disables the cross-check.
   std::uint32_t audit_commute_sample = 16;
   /// Telemetry sink (src/obs): per-worker metric shards, the structured

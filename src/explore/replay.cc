@@ -16,7 +16,6 @@ namespace bss::explore {
 namespace {
 
 using detail::kNoChoice;
-using detail::resolve_audit;
 
 /// Replays `tape` — grants and faults — skipping inapplicable entries and
 /// completing round-robin past its end (each counted as a divergence, the
@@ -103,10 +102,8 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
 
 Counterexample minimize_counterexample(const ExplorableSystem& system,
                                        Counterexample cex,
-                                       const ExploreOptions& requested,
+                                       const ExploreOptions& options,
                                        ExploreStats* stats) {
-  ExploreOptions options = requested;
-  options.audit = resolve_audit(requested);
   const obs::ScopedPhase ddmin_scope(
       options.telemetry != nullptr ? options.telemetry->profiler() : nullptr,
       obs::Phase::kDdmin);
@@ -197,9 +194,7 @@ Counterexample minimize_counterexample(const ExplorableSystem& system,
 
 ReplayOutcome replay_counterexample(const ExplorableSystem& system,
                                     const Counterexample& cex,
-                                    const ExploreOptions& requested) {
-  ExploreOptions options = requested;
-  options.audit = resolve_audit(requested);
+                                    const ExploreOptions& options) {
   TapeResult result = run_tape(system, options, cex.decisions,
                                options.telemetry);
   ReplayOutcome outcome;

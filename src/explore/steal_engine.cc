@@ -205,11 +205,11 @@ struct StealPool {
   std::atomic<std::uint64_t> last_checkpoint_at{0};
 };
 
-/// Splits the victim's DFS at its shallowest splittable depth >= floor +
-/// steal_depth: the thief takes the *rest of the victim's walk* — the
-/// unexplored siblings at depth d plus every backtrack below, down to the
-/// victim's old floor — while the victim keeps only its current depth-d
-/// subtree (its floor rises to d+1).  Both halves stay contiguous DFS
+/// Splits the victim's DFS at its shallowest splittable depth >= floor:
+/// the thief takes the *rest of the victim's walk* — the unexplored
+/// siblings at depth d plus every backtrack below, down to the victim's
+/// old floor — while the victim keeps only its current depth-d subtree
+/// (its floor rises to d+1).  Both halves stay contiguous DFS
 /// segments with the victim's strictly first, so inserting the thief right
 /// after the victim preserves global DFS order; a later, necessarily deeper
 /// split inserts between them, which is again the DFS order.
@@ -217,10 +217,8 @@ struct StealPool {
 /// Each depth is probed in place: the current choice joins `done` only for
 /// the select_choice call (which never reads `chosen`), so a probe that
 /// finds nothing copies nothing; frames are copied only for the split taken.
-bool try_split(PassState& pass, int steal_depth, StealUnit& thief) {
-  const std::size_t base =
-      pass.floor + static_cast<std::size_t>(std::max(steal_depth, 0));
-  for (std::size_t d = base; d < pass.frames.size(); ++d) {
+bool try_split(PassState& pass, StealUnit& thief) {
+  for (std::size_t d = pass.floor; d < pass.frames.size(); ++d) {
     Frame& frame = pass.frames[d];
     frame.done.push_back(frame.chosen);
     const int next = select_choice(frame, pass);
@@ -373,7 +371,6 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
       opts.max_violations > campaign.violations.size()
           ? opts.max_violations - campaign.violations.size()
           : 1;
-  const int steal_depth = std::max(opts.steal_depth, 0);
   const int nworkers = std::max(cfg.jobs, 1);
   const bool status_on = status != nullptr && status->writer.enabled();
   std::unique_ptr<WorkerBeat[]> beats;
@@ -543,7 +540,7 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
               std::size_t splits = 0;
               while (splits < pool.idle) {
                 StealUnit thief;
-                if (!try_split(pass, steal_depth, thief)) break;
+                if (!try_split(pass, thief)) break;
                 pool.units.insert(std::next(self), std::move(thief));
                 ++splits;
                 if (octx.shard != nullptr) {

@@ -2,9 +2,8 @@
 // instrumented against the small `ObsSink` interface — a null sink pointer
 // means observability is off and the instrumented code must behave (and
 // produce results) byte-identically.  `Telemetry` is the production sink:
-// it owns a MetricsRegistry, a bounded EventLog and a Timeline, with each
-// subsystem independently switchable so overhead can be measured in layers
-// (off / metrics-only / metrics+events; see EXPERIMENTS.md).
+// it owns a MetricsRegistry, a bounded EventLog and a Timeline, each
+// independently switchable.
 #pragma once
 
 #include <cstdint>

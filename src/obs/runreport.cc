@@ -296,4 +296,14 @@ bool write_file(const std::string& path, std::string_view text) {
   return ok;
 }
 
+bool write_file_atomic(const std::string& path, std::string_view text) {
+  const std::string tmp = path + ".tmp";
+  if (!write_file(tmp, text)) return false;
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace bss::obs

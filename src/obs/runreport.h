@@ -101,4 +101,10 @@ std::vector<std::string> validate_runreport(std::string_view text);
 /// write + close); returns false on any I/O failure.
 bool write_file(const std::string& path, std::string_view text);
 
+/// Atomically replaces `path` with `text`: write `path`.tmp, close, rename
+/// over the target, so a reader (or a resume after SIGKILL) sees either the
+/// previous document or the new one, never a torn file.  False on I/O
+/// failure.
+bool write_file_atomic(const std::string& path, std::string_view text);
+
 }  // namespace bss::obs

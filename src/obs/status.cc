@@ -1,9 +1,9 @@
 #include "obs/status.h"
 
-#include <cstdio>
 #include <cstdlib>
 
-#include "obs/runreport.h"  // write_file
+#include "obs/runreport.h"  // write_file_atomic
+#include "util/env_registry.h"
 
 namespace bss::obs {
 
@@ -343,16 +343,6 @@ std::vector<std::string> validate_status(std::string_view text) {
   return validate_parsed(*value);
 }
 
-bool write_status_file(const std::string& path, std::string_view text) {
-  const std::string tmp = path + ".tmp";
-  if (!write_file(tmp, text)) return false;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 StatusWriter::StatusWriter(std::string path, std::uint64_t every_ms)
     : path_(std::move(path)), every_ms_(every_ms) {
   if (path_.empty()) {
@@ -361,11 +351,9 @@ StatusWriter::StatusWriter(std::string path, std::uint64_t every_ms)
     }
   }
   if (every_ms_ == 0) {
-    if (const char* env = std::getenv("BSS_STATUS_EVERY_MS");
-        env != nullptr) {
-      every_ms_ = std::strtoull(env, nullptr, 10);
-    }
-    if (every_ms_ == 0) every_ms_ = 1000;
+    every_ms_ = env::positive_env("BSS_STATUS_EVERY_MS",
+                                  std::getenv("BSS_STATUS_EVERY_MS"))
+                    .value_or(1000);
   }
   if (enabled()) {
     begin_ns_ = PhaseProfiler::now_ns();
@@ -375,7 +363,9 @@ StatusWriter::StatusWriter(std::string path, std::uint64_t every_ms)
 
 bool StatusWriter::due() const {
   if (!enabled()) return false;
-  return PhaseProfiler::now_ns() - last_write_ns_ >= every_ms_ * 1'000'000;
+  // Compared in whole milliseconds: every_ms_ * 1'000'000 would overflow
+  // for cadences past ~584 years.
+  return (PhaseProfiler::now_ns() - last_write_ns_) / 1'000'000 >= every_ms_;
 }
 
 bool StatusWriter::write(Status status) {
@@ -423,7 +413,7 @@ bool StatusWriter::write(Status status) {
   }
   last_write_ns_ = now;
   last_schedules_ = status.schedules;
-  return write_status_file(path_, status.to_json());
+  return write_file_atomic(path_, status.to_json());
 }
 
 }  // namespace bss::obs

@@ -98,10 +98,6 @@ struct Status {
 /// error.  Empty result == valid.
 std::vector<std::string> validate_status(std::string_view text);
 
-/// Atomic publish: write `path`.tmp, then rename over `path`, so a reader
-/// (or a SIGKILL) never observes a torn document.  False on I/O failure.
-bool write_status_file(const std::string& path, std::string_view text);
-
 /// The heartbeat driver: owns the path, the cadence, and the wall-clock
 /// bookkeeping (rates, ETA, checkpoint age) so callers only supply the
 /// deterministic counters.  An empty path resolves through BSS_STATUS and

@@ -15,8 +15,14 @@
 // humans (the doc string).
 #pragma once
 
+#include <charconv>
 #include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <string>
 #include <string_view>
+
+#include "util/checked.h"
 
 namespace bss::env {
 
@@ -25,9 +31,6 @@ namespace bss::env {
 #define BSS_ENV_REGISTRY(X)                                                   \
   X(BSS_ARTIFACT_DIR,                                                         \
     "directory where failing tests dump minimized counterexample artifacts") \
-  X(BSS_AUDIT, "force-enable the access-ledger auditor in every explore()")  \
-  X(BSS_EXPLORE_FP,                                                          \
-    "force-enable fingerprint pruning (read per explore() call)")            \
   X(BSS_EXPLORE_JOBS,                                                        \
     "default worker count for explore() calls that leave jobs unset")        \
   X(BSS_STATUS,                                                              \
@@ -57,6 +60,25 @@ constexpr bool is_registered_env(std::string_view name) {
     if (var.name == name) return true;
   }
   return false;
+}
+
+/// Reads the value `raw` of the numeric knob `name` (callers pass
+/// `std::getenv(name)`): nullptr — unset — yields nullopt, and a positive
+/// decimal integer yields its value.  Anything else (empty, signed,
+/// non-numeric, trailing junk, zero, past uint64) throws InvariantError
+/// naming the variable, so a typo never silently reads as the default.
+inline std::optional<std::uint64_t> positive_env(std::string_view name,
+                                                 const char* raw) {
+  if (raw == nullptr) return std::nullopt;
+  const std::string_view text(raw);
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() || value == 0) {
+    throw InvariantError(std::string(name) + "='" + std::string(text) +
+                         "' is not a positive integer");
+  }
+  return value;
 }
 
 }  // namespace bss::env

@@ -305,12 +305,6 @@ TEST(AllocGate, SnapshotScanAllocatesOnlyItsVectors) {
 
 // ------------------------------------------- per-schedule exploration bound
 
-bool audit_forced_by_env() {
-  const char* raw = std::getenv("BSS_AUDIT");
-  return raw != nullptr && raw[0] != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
-}
-
 /// The mutant-refutation workload's options: naive DFS, collect every
 /// violation, no ddmin.
 explore::ExploreOptions mutant_refutation_options() {
@@ -333,10 +327,6 @@ explore::ExploreOptions mutant_refutation_options() {
 constexpr double kMaxNewsPerSchedule = 32.0;
 
 void expect_schedule_bound(core::OneShotMutant mutant) {
-  if (audit_forced_by_env()) {
-    GTEST_SKIP() << "BSS_AUDIT forces the access ledger on, which allocates "
-                    "per window by design";
-  }
   const explore::ExploreOptions options = mutant_refutation_options();
   // Warm-up: one-time allocations (the fiber-stack free list, lazily
   // built statics) happen in a 20-schedule campaign, not the measured one.

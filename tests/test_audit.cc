@@ -380,7 +380,9 @@ TEST(ExploreAudit, FvtElectionAuditClean) {
 TEST(ExploreAudit, SnapshotScanAuditClean) {
   explore::ExploreOptions options;
   options.preemption_bound = 2;
-  options.record_trace = true;  // the linearizability check reads the trace
+  // Audited with trace recording on as well; the linearizability check
+  // itself reads the instance's own interval history, not the trace.
+  options.record_trace = true;
   expect_audit_clean(explore::SnapshotScanSystem(1, 1), options);
 }
 
@@ -395,15 +397,6 @@ TEST(ExploreAudit, FaultSweepAuditClean) {
 }
 
 // --------------------------------------- explorer audit mode: positives
-
-// BSS_AUDIT=1 force-enables audit in every explore() call (CI's TSan job
-// uses it), which turns the audit-off control arms below into audit-on
-// runs; skip just those assertions rather than report a spurious failure.
-bool audit_forced_by_env() {
-  const char* raw = std::getenv("BSS_AUDIT");
-  return raw != nullptr && raw[0] != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
-}
 
 TEST(ExploreAudit, HiddenScratchMutantRefutedWithReplayableArtifact) {
   explore::AuditMutantSystem system(core::AuditMutant::kHiddenScratch);
@@ -426,10 +419,28 @@ TEST(ExploreAudit, HiddenScratchMutantRefutedWithReplayableArtifact) {
   EXPECT_EQ(replay.divergences, 0u);
 
   // Control: with the audit off the mutant is invisible.
-  if (!audit_forced_by_env()) {
-    const explore::ExploreResult off = explore::explore(system, {});
-    EXPECT_TRUE(off.ok()) << off.summary();
-  }
+  const explore::ExploreResult off = explore::explore(system, {});
+  EXPECT_TRUE(off.ok()) << off.summary();
+}
+
+// Only the options switch the audit layer on: with a variable named like an
+// audit switch exported, an audit-off explore() and replay still cannot see
+// the mutant.
+TEST(ExploreAudit, EnvironmentCannotSwitchAuditOn) {
+  explore::AuditMutantSystem system(core::AuditMutant::kHiddenScratch);
+  explore::ExploreOptions audited;
+  audited.audit = true;
+  const explore::ExploreResult result = explore::explore(system, audited);
+  ASSERT_FALSE(result.ok());
+
+  ASSERT_EQ(setenv("BSS_AUDIT", "1", 1), 0);
+  const explore::ExploreResult off = explore::explore(system, {});
+  const explore::ReplayOutcome replay =
+      explore::replay_counterexample(system, result.violations[0], {});
+  ASSERT_EQ(unsetenv("BSS_AUDIT"), 0);
+  EXPECT_TRUE(off.ok()) << off.summary();
+  EXPECT_FALSE(off.audit.enabled);
+  EXPECT_FALSE(replay.violated) << replay.violation;
 }
 
 TEST(ExploreAudit, UnsyncedPeekMutantRefuted) {
@@ -446,10 +457,8 @@ TEST(ExploreAudit, UnsyncedPeekMutantRefuted) {
   EXPECT_TRUE(replay.violated);
   EXPECT_EQ(replay.divergences, 0u);
 
-  if (!audit_forced_by_env()) {
-    const explore::ExploreResult off = explore::explore(system, {});
-    EXPECT_TRUE(off.ok()) << off.summary();
-  }
+  const explore::ExploreResult off = explore::explore(system, {});
+  EXPECT_TRUE(off.ok()) << off.summary();
 }
 
 TEST(ExploreAudit, StealthCounterCaughtOnlyByCrossCheck) {
@@ -525,6 +534,8 @@ TEST(AuditDeterminism, ScBlindMutantUnchanged) {
   options.explore_sc_failures = true;
   options.iterative = true;
   expect_audit_invariant(explore::LlScSystem(3, 2, true), options);
+  options.jobs = 4;  // the ledger and the swap replays under the worker pool
+  expect_audit_invariant(explore::LlScSystem(3, 2, true), options);
 }
 
 TEST(AuditDeterminism, FreshClaimRestartMutantUnchanged) {
@@ -532,9 +543,11 @@ TEST(AuditDeterminism, FreshClaimRestartMutantUnchanged) {
   options.preemption_bound = 1;
   options.fault_bound = 1;
   options.iterative = true;
-  expect_audit_invariant(
-      explore::RecoverableFvtSystem(3, 2, core::RestartBehavior::kFreshClaim),
-      options);
+  const explore::RecoverableFvtSystem system(
+      3, 2, core::RestartBehavior::kFreshClaim);
+  expect_audit_invariant(system, options);
+  options.jobs = 4;  // the ledger and the swap replays under the worker pool
+  expect_audit_invariant(system, options);
 }
 
 TEST(AuditDeterminism, ParallelExplorationUnchanged) {

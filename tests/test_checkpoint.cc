@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -28,6 +27,8 @@
 #include "explore/skewed_system.h"
 #include "obs/json.h"
 #include "obs/obs.h"
+#include "obs/runreport.h"
+#include "obs/status.h"
 #include "runtime/sim_env.h"
 #include "util/checked.h"
 
@@ -104,6 +105,36 @@ ExploreResult run_killed_campaign(const ExplorableSystem& system,
   return ExploreResult{};
 }
 
+/// run_killed_campaign with the visited-state cache engaged, serially and
+/// at jobs=4, against the uninterrupted serial pruned run (returned).
+/// Periodic checkpoints serialize the frozen per-pass cache and the
+/// partials that finished units fold into the prefix under the pool lock;
+/// the jobs=4 run also writes a heartbeat, which reads that prefix under
+/// the same lock.
+ExploreResult expect_pruned_kill_and_resume_identical(
+    const ExplorableSystem& system, ExploreOptions options,
+    const std::string& name, std::uint64_t checkpoint_every) {
+  options.fingerprint_prune = true;
+  options.jobs = 1;
+  ExploreResult uninterrupted = explore(system, options);
+  for (const int jobs : {1, 4}) {
+    const std::string label = name + " pruned jobs=" + std::to_string(jobs);
+    options.jobs = jobs;
+    if (jobs > 1) {
+      options.status_path = temp_path(name + "_status.json");
+      options.status_every_ms = 1;
+    }
+    int cycles = 0;
+    const ExploreResult resumed = run_killed_campaign(
+        system, options, temp_path(name + "_fp.json"), checkpoint_every,
+        &cycles);
+    EXPECT_GE(cycles, 2) << label;
+    expect_identical(uninterrupted, resumed, label);
+  }
+  EXPECT_TRUE(obs::validate_status(read_file(options.status_path)).empty());
+  return uninterrupted;
+}
+
 // ------------------------------------------------------ artifact round-trip
 
 TEST(Checkpoint, CompleteArtifactRoundTripsByteIdentical) {
@@ -158,6 +189,13 @@ TEST(Checkpoint, KillAndResumeCleanCampaignByteIdentical) {
       system, {}, temp_path("cp_clean.json"), 40, &cycles);
   EXPECT_GE(cycles, 2) << "the campaign must actually be killed mid-flight";
   expect_identical(uninterrupted, resumed, "clean kill-and-resume");
+
+  ExploreOptions iterative;
+  iterative.preemption_bound = 3;
+  iterative.iterative = true;
+  const ExploreResult pruned = expect_pruned_kill_and_resume_identical(
+      system, iterative, "cp_clean", 10);
+  EXPECT_GT(pruned.stats.fingerprint_prunes, 0u);
 }
 
 TEST(Checkpoint, KillAndResumeCollectAllMutantCampaignByteIdentical) {
@@ -186,6 +224,11 @@ TEST(Checkpoint, KillAndResumeCrashRestartCampaignByteIdentical) {
       system, options, temp_path("cp_faults.json"), 25, &cycles);
   EXPECT_GE(cycles, 2);
   expect_identical(uninterrupted, resumed, "crash-restart kill-and-resume");
+  // Every subtree here is fault-limited, so none is cleanly covered and the
+  // cache prunes nothing; its keys and partials still ride every artifact.
+  const ExploreResult pruned =
+      expect_pruned_kill_and_resume_identical(system, options, "cp_faults", 25);
+  EXPECT_EQ(pruned.stats.fingerprint_prunes, 0u);
 }
 
 TEST(Checkpoint, KillAndResumeWithFourWorkersByteIdentical) {
@@ -203,10 +246,10 @@ TEST(Checkpoint, KillAndResumeCollectAllWithFourWorkersByteIdentical) {
   // The mutant-refutation shape (naive DFS, every violation kept, no ddmin)
   // at jobs=4: owners publish their frames, floor and result only when they
   // split or a checkpoint falls due, so every checkpoint serializes
-  // snapshots of both kinds, at both steal granularities.  A cycle is
-  // killed after its 16th checkpoint at checkpoint_every=7 and its second
-  // at 80, about ten cycles a campaign (a kill after every checkpoint
-  // takes over two minutes under TSan).
+  // snapshots of both kinds.  A cycle is killed after its 16th checkpoint
+  // at checkpoint_every=7 and its second at 80, about ten cycles a
+  // campaign (a kill after every checkpoint takes over two minutes under
+  // TSan).
   OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
   ExploreOptions options;
   options.use_por = false;
@@ -216,19 +259,15 @@ TEST(Checkpoint, KillAndResumeCollectAllWithFourWorkersByteIdentical) {
   const ExploreResult uninterrupted = explore(system, options);  // serial
   ASSERT_FALSE(uninterrupted.ok());
   options.jobs = 4;
-  for (const int steal_depth : {0, 1}) {
-    for (const std::uint64_t every : {7u, 80u}) {
-      options.steal_depth = steal_depth;
-      const std::string label = "collect-all jobs=4 steal_depth=" +
-                                std::to_string(steal_depth) +
-                                " checkpoint_every=" + std::to_string(every);
-      int cycles = 0;
-      const ExploreResult resumed = run_killed_campaign(
-          system, options, temp_path("cp_collect_jobs4.json"), every, &cycles,
-          /*halt_after=*/every < 10 ? 16 : 2);
-      EXPECT_GE(cycles, 2) << label;
-      expect_identical(uninterrupted, resumed, label);
-    }
+  for (const std::uint64_t every : {7u, 80u}) {
+    const std::string label =
+        "collect-all jobs=4 checkpoint_every=" + std::to_string(every);
+    int cycles = 0;
+    const ExploreResult resumed = run_killed_campaign(
+        system, options, temp_path("cp_collect_jobs4.json"), every, &cycles,
+        /*halt_after=*/every < 10 ? 16 : 2);
+    EXPECT_GE(cycles, 2) << label;
+    expect_identical(uninterrupted, resumed, label);
   }
   // A small cap: the fold's stop lands inside a resumed pass.
   options.max_violations = 100;
@@ -236,7 +275,6 @@ TEST(Checkpoint, KillAndResumeCollectAllWithFourWorkersByteIdentical) {
   const ExploreResult capped = explore(system, options);  // serial
   ASSERT_EQ(capped.violations.size(), 100u);
   options.jobs = 4;
-  options.steal_depth = 0;
   int cycles = 0;
   const ExploreResult resumed =
       run_killed_campaign(system, options, temp_path("cp_capped_jobs4.json"),
@@ -276,14 +314,6 @@ TEST(Checkpoint, ResumeRejectsDifferentSystem) {
   EXPECT_THROW(explore(other, resume), InvariantError);
 }
 
-/// BSS_AUDIT / BSS_EXPLORE_FP force their option on in every explore()
-/// call, so flipping that option on cannot change the resolved fingerprint.
-bool forced_by_env(const char* variable) {
-  const char* raw = std::getenv(variable);
-  return raw != nullptr && raw[0] != '\0' &&
-         !(raw[0] == '0' && raw[1] == '\0');
-}
-
 TEST(Checkpoint, ResumeRejectsDifferentResultAffectingOptions) {
   const std::string path = temp_path("cp_wrong_options.json");
   OneShotSystem system(4, 3);
@@ -319,11 +349,6 @@ TEST(Checkpoint, ResumeRejectsDifferentResultAffectingOptions) {
        [](ExploreOptions& o) { o.fingerprint_prune = true; }},
   };
   for (const auto& [name, flip] : flips) {
-    if ((std::string(name) == "audit" && forced_by_env("BSS_AUDIT")) ||
-        (std::string(name) == "fingerprint_prune" &&
-         forced_by_env("BSS_EXPLORE_FP"))) {
-      continue;
-    }
     ExploreOptions resume = options;
     resume.resume_path = path;
     flip(resume);
@@ -335,7 +360,6 @@ TEST(Checkpoint, ResumeRejectsDifferentResultAffectingOptions) {
   ExploreOptions benign = options;
   benign.resume_path = path;
   benign.jobs = 4;
-  benign.steal_depth = 2;
   benign.checkpoint_every = 7;
   benign.status_path = temp_path("cp_benign_status.json");
   benign.status_every_ms = 5;
@@ -638,7 +662,7 @@ TEST(Checkpoint, WriteIsAtomicReplacement) {
     std::ofstream out(path, std::ios::binary);
     out << "previous contents";
   }
-  ASSERT_TRUE(write_checkpoint_file(path, "new contents\n"));
+  ASSERT_TRUE(obs::write_file_atomic(path, "new contents\n"));
   EXPECT_EQ(read_file(path), "new contents\n");
   EXPECT_FALSE(std::ifstream(path + ".tmp").good())
       << "the temp file must not survive the rename";

@@ -1,16 +1,19 @@
 // Determinism suite for the work-stealing exploration engine: stealing must
 // be invisible in the results.  For clean exhaustive sweeps, seeded
 // mutants, fault-budget sweeps and a deliberately skewed-subtree workload,
-// every (worker count, steal granularity) combination must produce results
-// byte-identical to the serial explorer — same stats summary, same
-// exhausted verdict, same violations in the same order with the same
-// minimized tapes.  A telemetry probe additionally proves steals actually
+// every worker count must produce results byte-identical to the serial
+// explorer — same stats summary, same exhausted verdict, same violations
+// in the same order with the same minimized tapes — with and without
+// fingerprint pruning.  A telemetry probe additionally proves steals actually
 // happen on a busy multi-worker run (the invariance tests would pass
 // vacuously if no one ever stole).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
+#include <optional>
 #include <string>
 
 #include "core/mutant_elections.h"
@@ -18,6 +21,7 @@
 #include "explore/explore.h"
 #include "explore/skewed_system.h"
 #include "obs/obs.h"
+#include "util/checked.h"
 
 namespace bss::explore {
 namespace {
@@ -40,33 +44,28 @@ void expect_identical(const ExploreResult& serial, const ExploreResult& other,
   }
 }
 
-/// Runs `system` serially, then across every (jobs, steal_depth)
-/// combination, asserting byte-identical results each time.
-void expect_steal_invariant(const ExplorableSystem& system,
-                            ExploreOptions options,
-                            std::initializer_list<int> worker_counts,
-                            std::initializer_list<int> steal_depths) {
+/// Runs `system` serially, then at every worker count, asserting
+/// byte-identical results each time.  Returns the serial result.
+ExploreResult expect_steal_invariant(const ExplorableSystem& system,
+                                     ExploreOptions options,
+                                     std::initializer_list<int> worker_counts) {
   options.jobs = 1;
-  options.steal_depth = 0;
-  const ExploreResult serial = explore(system, options);
+  ExploreResult serial = explore(system, options);
   for (const int jobs : worker_counts) {
-    for (const int depth : steal_depths) {
-      ExploreOptions stealing = options;
-      stealing.jobs = jobs;
-      stealing.steal_depth = depth;
-      const ExploreResult result = explore(system, stealing);
-      expect_identical(serial, result,
-                       system.name() + " jobs=" + std::to_string(jobs) +
-                           " steal_depth=" + std::to_string(depth));
-    }
+    ExploreOptions stealing = options;
+    stealing.jobs = jobs;
+    const ExploreResult result = explore(system, stealing);
+    expect_identical(serial, result,
+                     system.name() + " jobs=" + std::to_string(jobs));
   }
+  return serial;
 }
 
 // ------------------------------------------------- clean exhaustive sweeps
 
 TEST(StealExplore, CleanOneShotPorIdenticalAcrossWorkersAndGranularities) {
   OneShotSystem system(4, 3);
-  expect_steal_invariant(system, {}, {2, 4, 8}, {0, 1, 2});
+  expect_steal_invariant(system, {}, {2, 4, 8});
 }
 
 TEST(StealExplore, CleanOneShotNaiveCountsExactInterleavings) {
@@ -79,7 +78,7 @@ TEST(StealExplore, CleanOneShotNaiveCountsExactInterleavings) {
   EXPECT_TRUE(result.exhausted);
   // 9 steps, 3 per process: 9!/(3!)^3 — the exact serial count.
   EXPECT_EQ(result.stats.schedules, 1680u);
-  expect_steal_invariant(system, options, {2, 4}, {0, 2});
+  expect_steal_invariant(system, options, {2, 4});
 }
 
 TEST(StealExplore, IterativePreemptionBoundIdentical) {
@@ -87,24 +86,29 @@ TEST(StealExplore, IterativePreemptionBoundIdentical) {
   ExploreOptions options;
   options.preemption_bound = 2;
   options.iterative = true;
-  expect_steal_invariant(system, options, {4}, {0, 1});
+  expect_steal_invariant(system, options, {4});
+  // Pruned: the frozen per-pass cache is shared read-only by the workers and
+  // each finished unit's partials fold into the prefix under the pool lock.
+  options.fingerprint_prune = true;
+  const ExploreResult pruned = expect_steal_invariant(system, options, {2, 4});
+  EXPECT_GT(pruned.stats.fingerprint_prunes, 0u);
 }
 
 // ------------------------------------------------------- mutant refutation
 
 TEST(StealExplore, ClaimAfterCasMutantIdenticalMinimizedArtifact) {
   OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
-  expect_steal_invariant(system, {}, {2, 4}, {0, 1});
+  expect_steal_invariant(system, {}, {2, 4});
 }
 
 TEST(StealExplore, SplitCasMutantIdenticalMinimizedArtifact) {
   OneShotSystem system(4, 2, OneShotMutant::kSplitCas);
-  expect_steal_invariant(system, {}, {4, 8}, {0, 2});
+  expect_steal_invariant(system, {}, {4, 8});
 }
 
 TEST(StealExplore, ScBlindLlScMutantIdenticalMinimizedArtifact) {
   LlScSystem system(3, 2, /*sc_blind=*/true);
-  expect_steal_invariant(system, {}, {4}, {0, 1});
+  expect_steal_invariant(system, {}, {4});
 }
 
 TEST(StealExplore, CollectAllViolationsIdenticalOrderAndTapes) {
@@ -112,7 +116,7 @@ TEST(StealExplore, CollectAllViolationsIdenticalOrderAndTapes) {
   ExploreOptions options;
   options.stop_at_first_violation = false;
   options.max_violations = 8;
-  expect_steal_invariant(system, options, {2, 4}, {0, 1});
+  expect_steal_invariant(system, options, {2, 4});
 }
 
 // The mutant-refutation workload uncapped: naive DFS collecting every one
@@ -125,7 +129,7 @@ TEST(StealExplore, UncappedCollectAllRefutationIdentical) {
   options.stop_at_first_violation = false;
   options.max_violations = std::size_t{1} << 20;
   options.minimize = false;
-  expect_steal_invariant(system, options, {4}, {0, 1});
+  expect_steal_invariant(system, options, {4});
 }
 
 // The stop rule across unit boundaries: with the mutant's violations spread
@@ -142,7 +146,7 @@ TEST(StealExplore, ViolationCapCutsInsideLaterUnitsIdentically) {
       options.max_violations = cap;
       SCOPED_TRACE("stop_at_first_violation=" + std::to_string(stop_first) +
                    " max_violations=" + std::to_string(cap));
-      expect_steal_invariant(system, options, {4}, {0, 1});
+      expect_steal_invariant(system, options, {4});
     }
   }
 }
@@ -154,7 +158,7 @@ TEST(StealExplore, FaultSweepIdenticalIncludingFaultPoints) {
   ExploreOptions options;
   options.fault_bound = 1;
   options.iterative = true;
-  expect_steal_invariant(system, options, {2, 4}, {0, 1});
+  expect_steal_invariant(system, options, {2, 4});
 }
 
 TEST(StealExplore, FreshClaimMutantFaultRefutationIdentical) {
@@ -163,7 +167,7 @@ TEST(StealExplore, FreshClaimMutantFaultRefutationIdentical) {
   options.fault_bound = 1;
   options.iterative = true;
   options.explore_crashes = false;  // the bug needs a restart, not a death
-  expect_steal_invariant(system, options, {4}, {0});
+  expect_steal_invariant(system, options, {4});
 }
 
 // ----------------------------------------------------- skewed-subtree load
@@ -174,14 +178,22 @@ TEST(StealExplore, FreshClaimMutantFaultRefutationIdentical) {
 // stealing exists for.
 TEST(StealExplore, SkewedSubtreeWorkloadIdenticalAcrossWorkerCounts) {
   SkewedWriterSystem system(4, 6, 1);
-  expect_steal_invariant(system, {}, {2, 4, 8}, {0, 1, 2});
+  expect_steal_invariant(system, {}, {2, 4, 8});
+  // Iterative and pruned: the deep skewed subtrees are where covered keys
+  // cut whole stolen units short.
+  ExploreOptions options;
+  options.preemption_bound = 3;
+  options.iterative = true;
+  options.fingerprint_prune = true;
+  const ExploreResult pruned = expect_steal_invariant(system, options, {2, 4});
+  EXPECT_GT(pruned.stats.fingerprint_prunes, 0u);
 }
 
 TEST(StealExplore, SkewedWorkloadNaiveNoPorIdentical) {
   SkewedWriterSystem system(3, 4, 2);
   ExploreOptions options;
   options.use_por = false;
-  expect_steal_invariant(system, options, {4}, {0, 2});
+  expect_steal_invariant(system, options, {4});
 }
 
 // ------------------------------------------------------ steals really occur
@@ -207,6 +219,80 @@ TEST(StealExplore, BusyMultiWorkerRunActuallySteals) {
   ASSERT_NE(it, snapshot.counters.end())
       << "no explore.steals counter recorded";
   EXPECT_GE(it->second, 1u);
+}
+
+// ------------------------------------------------- the BSS_EXPLORE_JOBS knob
+
+/// Sets BSS_EXPLORE_JOBS for one scope and restores what was there (CI
+/// reruns this binary with the variable exported).
+class ScopedJobsEnv {
+ public:
+  explicit ScopedJobsEnv(const char* value) {
+    if (const char* old = std::getenv("BSS_EXPLORE_JOBS"); old != nullptr) {
+      saved_ = old;
+    }
+    EXPECT_EQ(setenv("BSS_EXPLORE_JOBS", value, 1), 0);
+  }
+  ~ScopedJobsEnv() {
+    if (saved_.has_value()) {
+      setenv("BSS_EXPLORE_JOBS", saved_->c_str(), 1);
+    } else {
+      unsetenv("BSS_EXPLORE_JOBS");
+    }
+  }
+  ScopedJobsEnv(const ScopedJobsEnv&) = delete;
+  ScopedJobsEnv& operator=(const ScopedJobsEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+/// The worker count explore() resolved for `options`, read back from the
+/// explore.jobs gauge.
+std::uint64_t resolved_jobs(ExploreOptions options) {
+  obs::Telemetry::Options sink_options;
+  sink_options.metrics = true;
+  sink_options.events = false;
+  obs::Telemetry telemetry(sink_options);
+  options.telemetry = &telemetry;
+  (void)explore(OneShotSystem(3, 2), options);
+  return telemetry.metrics_snapshot().gauges.at("explore.jobs");
+}
+
+TEST(StealExplore, JobsEnvIsReadOnEveryCall) {
+  {
+    const ScopedJobsEnv env("2");
+    EXPECT_EQ(resolved_jobs({}), 2u);
+  }
+  {
+    const ScopedJobsEnv env("3");
+    EXPECT_EQ(resolved_jobs({}), 3u);
+    ExploreOptions explicit_jobs;
+    explicit_jobs.jobs = 1;
+    EXPECT_EQ(resolved_jobs(explicit_jobs), 1u);  // explicit values win
+  }
+  {
+    const ScopedJobsEnv env("100");
+    EXPECT_EQ(resolved_jobs({}), 64u);  // clamps like an explicit jobs
+  }
+}
+
+TEST(StealExplore, JobsEnvRejectsMalformedValues) {
+  // A malformed count is an error, never a silent serial run.
+  for (const char* bad : {"abc", "4x", "0", "-2", " 4", ""}) {
+    const ScopedJobsEnv env(bad);
+    try {
+      (void)explore(OneShotSystem(3, 2), {});
+      ADD_FAILURE() << "BSS_EXPLORE_JOBS='" << bad << "' was accepted";
+    } catch (const InvariantError& error) {
+      EXPECT_NE(std::string(error.what()).find("BSS_EXPLORE_JOBS"),
+                std::string::npos)
+          << error.what();
+    }
+    ExploreOptions explicit_jobs;
+    explicit_jobs.jobs = 2;  // an explicit count never consults the variable
+    EXPECT_TRUE(explore(OneShotSystem(3, 2), explicit_jobs).ok());
+  }
 }
 
 }  // namespace

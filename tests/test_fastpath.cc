@@ -7,9 +7,9 @@
 // campaign finds the IDENTICAL violation tapes and the identical exhausted
 // verdict as a full one — and, like every other explorer feature, its
 // results (including the new fingerprint_prunes counter) are byte-identical
-// at every worker count and steal granularity, and survive checkpoint
-// kill-and-resume unchanged.  Systems with the empty default
-// fingerprint must fall back to full exploration.
+// at every worker count, and survive checkpoint kill-and-resume unchanged.
+// Systems with the empty default fingerprint must fall back to full
+// exploration.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -107,21 +107,16 @@ void expect_coverage_parity(const ExploreResult& full,
 
 // --------------------------------------------------- determinism invariance
 
-TEST(Fastpath, PruneResultsInvariantAcrossJobsAndStealDepth) {
+TEST(Fastpath, PruneResultsInvariantAcrossJobs) {
   SkewedWriterSystem system(3, 4, 1);
   const ExploreResult serial = explore(system, iterative_options(true));
   EXPECT_GT(serial.stats.fingerprint_prunes, 0u);
 
   for (const int jobs : {1, 2, 4}) {
-    for (const int steal_depth : {0, 1, 3}) {
-      ExploreOptions options = iterative_options(true);
-      options.jobs = jobs;
-      options.steal_depth = steal_depth;
-      const ExploreResult result = explore(system, options);
-      expect_identical(serial, result,
-                       "jobs=" + std::to_string(jobs) +
-                           " steal_depth=" + std::to_string(steal_depth));
-    }
+    ExploreOptions options = iterative_options(true);
+    options.jobs = jobs;
+    expect_identical(serial, explore(system, options),
+                     "jobs=" + std::to_string(jobs));
   }
 }
 
@@ -242,14 +237,21 @@ TEST(Fastpath, StatefulInstanceFingerprintEnablesPruning) {
   expect_coverage_parity(full, pruned, "StatefulInstance fingerprint");
 }
 
-TEST(Fastpath, EnvVarForcesPruningOn) {
-  ASSERT_EQ(setenv("BSS_EXPLORE_FP", "1", 1), 0);
+// The environment may choose how explore() schedules work, never what it
+// computes: variables named like result-affecting switches leave a campaign
+// configured through its options byte-identical, with neither the cache
+// nor the audit layer engaged.
+TEST(Fastpath, EnvironmentCannotChangeResults) {
   SkewedWriterSystem system(3, 4, 1);
-  const ExploreResult forced = explore(system, iterative_options(false));
+  const ExploreResult unset = explore(system, iterative_options(false));
+  ASSERT_EQ(setenv("BSS_AUDIT", "1", 1), 0);
+  ASSERT_EQ(setenv("BSS_EXPLORE_FP", "1", 1), 0);
+  const ExploreResult set = explore(system, iterative_options(false));
+  ASSERT_EQ(unsetenv("BSS_AUDIT"), 0);
   ASSERT_EQ(unsetenv("BSS_EXPLORE_FP"), 0);
-  const ExploreResult pruned = explore(system, iterative_options(true));
-  expect_identical(pruned, forced, "BSS_EXPLORE_FP force-on");
-  EXPECT_GT(forced.stats.fingerprint_prunes, 0u);
+  expect_identical(unset, set, "BSS_AUDIT=1 BSS_EXPLORE_FP=1");
+  EXPECT_FALSE(set.audit.enabled);
+  EXPECT_EQ(set.stats.fingerprint_prunes, 0u);
 }
 
 // ------------------------------------------------------- checkpoint/resume

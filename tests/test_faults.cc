@@ -408,6 +408,32 @@ TEST(FaultExplore, ExhaustiveSingleFaultThreeProcessElection) {
   EXPECT_EQ(result.stats.fault_points, 18u);  // 3 procs x 3 ops x {crash,restart}
 }
 
+// The same sweep audited, serially and under the worker pool: the ledger
+// sees crashes and restarts inside its windows, the swap replays run on
+// every worker's private SimEnvs, and the result stays the unaudited one.
+TEST(FaultExplore, ExhaustiveSingleFaultSweepAuditedAtOneAndFourJobs) {
+  OneShotSystem system(4, 2, core::OneShotMutant::kNone, /*restartable=*/true);
+  ExploreOptions options;
+  options.fault_bound = 1;
+  options.iterative = true;
+  options.jobs = 1;
+  const ExploreResult plain = explore::explore(system, options);
+  options.audit = true;
+  for (const int jobs : {1, 4}) {
+    options.jobs = jobs;
+    const ExploreResult audited = explore::explore(system, options);
+    dump_artifact_on_failure(audited, "one_shot_4_2_single_fault_audited");
+    const std::string label = "jobs=" + std::to_string(jobs);
+    EXPECT_TRUE(audited.ok()) << label << " " << audited.summary();
+    EXPECT_EQ(audited.stats.summary(), plain.stats.summary()) << label;
+    EXPECT_EQ(audited.exhausted, plain.exhausted) << label;
+    EXPECT_TRUE(audited.audit.enabled) << label;
+    EXPECT_GT(audited.audit.windows, 0u) << label;
+    EXPECT_EQ(audited.audit.ledger_violations, 0u) << label;
+    EXPECT_EQ(audited.audit.commute_mismatches, 0u) << label;
+  }
+}
+
 TEST(FaultExplore, ExhaustiveSingleCrashFullFvtElection) {
   // The full FirstValueTree algorithm under every single fail-stop point.
   RecoverableFvtSystem system(3, 2);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/mutant_elections.h"
@@ -396,26 +398,21 @@ TEST(ObsPassivity, FreshClaimFaultRefutation) {
 /// The stealing engine's extra instrumentation (worker.steal and
 /// worker.checkpoint events, the explore.steals / explore.checkpoints
 /// counters) must be as passive as the rest of the sink: at jobs = 4 the
-/// results stay byte-identical to the uninstrumented serial run across
-/// steal granularities.
+/// results stay byte-identical to the uninstrumented serial run.
 TEST(ObsPassivity, WorkStealingEngineAtFourJobs) {
   OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
   ExploreOptions serial;
   serial.jobs = 1;
   const ExploreResult reference = explore::explore(system, serial);
-  for (const int depth : {0, 2}) {
-    Telemetry::Options sink_options;
-    sink_options.metrics = true;
-    sink_options.events = true;
-    sink_options.timeline = true;
-    Telemetry telemetry(sink_options);
-    ExploreOptions options;
-    options.jobs = 4;
-    options.steal_depth = depth;
-    options.telemetry = &telemetry;
-    expect_identical(reference, explore::explore(system, options),
-                     "stealing steal_depth=" + std::to_string(depth));
-  }
+  Telemetry::Options sink_options;
+  sink_options.metrics = true;
+  sink_options.events = true;
+  sink_options.timeline = true;
+  Telemetry telemetry(sink_options);
+  ExploreOptions options;
+  options.jobs = 4;
+  options.telemetry = &telemetry;
+  expect_identical(reference, explore::explore(system, options), "stealing");
 }
 
 // ------------------------------------------------- event stream contents
@@ -424,7 +421,7 @@ TEST(ObsPassivity, WorkStealingEngineAtFourJobs) {
 /// everything except worker lifecycle (whose fields are legitimately
 /// scheduling-dependent), ddmin progress (stamped per speculative
 /// minimization, so present in workers' discovery order), and explore.start
-/// (which records the jobs/steal_depth configuration under comparison).
+/// (which records the jobs configuration under comparison).
 std::string deterministic_event_trace(const Telemetry& telemetry) {
   std::string out;
   for (const auto& stamped : telemetry.event_log().events()) {
@@ -768,6 +765,34 @@ TEST(StatusWriterTest, ResolvesPathAndCadenceFromEnvironment) {
   ASSERT_EQ(unsetenv("BSS_STATUS_EVERY_MS"), 0);
   const StatusWriter disabled(std::string(), 0);
   EXPECT_FALSE(disabled.enabled());
+}
+
+TEST(StatusWriterTest, RejectsMalformedCadenceFromEnvironment) {
+  // A malformed cadence is an error, never the 1000 ms default.
+  for (const char* bad : {"abc", "-5", "250ms", " 250", "0", ""}) {
+    ASSERT_EQ(setenv("BSS_STATUS_EVERY_MS", bad, 1), 0);
+    try {
+      const StatusWriter writer(std::string(), 0);
+      ADD_FAILURE() << "BSS_STATUS_EVERY_MS='" << bad << "' was accepted";
+    } catch (const InvariantError& error) {
+      EXPECT_NE(std::string(error.what()).find("BSS_STATUS_EVERY_MS"),
+                std::string::npos)
+          << error.what();
+    }
+    // An explicit cadence never consults the variable.
+    EXPECT_EQ(StatusWriter(std::string(), 7).every_ms(), 7u);
+  }
+  ASSERT_EQ(unsetenv("BSS_STATUS_EVERY_MS"), 0);
+}
+
+TEST(StatusWriterTest, HugeCadenceDoesNotWrapIntoAShortOne) {
+  // The smallest cadence whose nanosecond count passes 2^64: wrapped, it
+  // would read ~0.45 ms and fall due at once.
+  const std::uint64_t every_ms = 18'446'744'073'710;
+  const StatusWriter writer(temp_status_path("bss_status_huge.json"),
+                            every_ms);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_FALSE(writer.due());
 }
 
 // ---------------------------------------------------------- phase profiler
