@@ -182,7 +182,7 @@ void note_valve_exception(bss::bench::BenchReport& report) {
       "claimed concurrently, so which schedules fit under a cap that "
       "actually fires is timing-dependent (the run is flagged not exhausted "
       "either way); every other stat, violation and artifact is "
-      "byte-identical at every worker count and steal granularity");
+      "byte-identical at every worker count");
 }
 
 // ------------------------------------------------------------- campaigns

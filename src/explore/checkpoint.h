@@ -5,13 +5,13 @@
 // merged DFS-prefix result: stats, audit, violations, fault-point coverage,
 // pass position) with a *log* of outstanding work (the frontier: every unit
 // not yet folded into the prefix, serialized as its replayable frame stack —
-// the `chosen` decision plus explored-sibling `done` set per frame, in
+// the `chosen` decision plus the explored siblings `done` per frame, in
 // `bss-counterexample v2` token syntax).  Runnable sets, pending operations
 // and sleep sets are deliberately NOT stored: the system factory is
 // deterministic, so resume re-materializes each frame by replaying its
 // decisions on a fresh SimEnv and recomputing the derived state — which
-// doubles as an integrity check (an artifact that does not replay is
-// rejected).
+// doubles as an integrity check (an artifact that does not replay, or whose
+// `done` lists differ from the ones the engine derives, is rejected).
 //
 // The codec persists the engine's own records rather than copies of them:
 // each frontier unit carries the engine's UnitResult (its UnitTally plus

@@ -3,6 +3,7 @@
 // visited-state cache key, and run_one — the replay-then-extend loop every
 // worker runs once per schedule.
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -64,8 +65,13 @@ struct FpHash {
   }
 };
 
-bool contains(const std::vector<int>& values, int value) {
-  return std::find(values.begin(), values.end(), value) != values.end();
+/// Calls `visit(pid)` for each pid in `mask`, ascending.
+template <class Visit>
+void for_each_pid(std::uint64_t mask, Visit&& visit) {
+  while (mask != 0) {
+    visit(std::countr_zero(mask));
+    mask &= mask - 1;
+  }
 }
 
 const std::vector<std::uint64_t>& depth_bounds() {
@@ -78,17 +84,54 @@ const std::vector<std::uint64_t>& depth_bounds() {
 /// another process does not preempt the running one.
 int choice_cost(const Frame& frame, int grant_pid) {
   if (frame.prev_grant < 0 || grant_pid == frame.prev_grant) return 0;
-  return contains(frame.runnable, frame.prev_grant) ? 1 : 0;
+  return (frame.runnable & pid_bit(frame.prev_grant)) != 0 ? 1 : 0;
 }
 
-bool grant_feasible(const Frame& frame, int pid, const PassState& pass) {
-  if (contains(frame.done, pid)) return false;
-  if (pass.use_por && contains(frame.entry_sleep, pid)) return false;
-  if (pass.budget >= 0 &&
-      frame.preemptions_before + choice_cost(frame, pid) > pass.budget) {
-    return false;
+bool within_budget(const Frame& frame, int pid, const PassState& pass) {
+  return pass.budget < 0 ||
+         frame.preemptions_before + choice_cost(frame, pid) <= pass.budget;
+}
+
+/// Visits the feasible choices at `frame` in the one fixed order until
+/// `visit` returns true, and returns that choice (kNoChoice if none):
+/// grants first (continuing prev_grant is free, then ascending pid order),
+/// then — fault budget permitting — spurious-SC, crash and restart
+/// injections, each in ascending pid order.  Sleep sets apply to plain
+/// grants only: a spurious-failing SC has a different effect than the
+/// explored grant, so it never sleeps; but it still performs the (failing)
+/// operation, so it pays the grant's preemption cost.  Feasibility is a
+/// function of the frame and the pass alone, so the order never changes
+/// under a frame.
+template <class Visit>
+int find_choice(const Frame& frame, const PassState& pass, Visit&& visit) {
+  int found = kNoChoice;
+  const auto scan = [&](std::uint64_t pids, sim::ActionKind kind) {
+    for (; found == kNoChoice && pids != 0; pids &= pids - 1) {
+      const int pid = std::countr_zero(pids);
+      const int choice = sim::encode_action(kind, pid);
+      if ((!sim::grants_step(choice) || within_budget(frame, pid, pass)) &&
+          visit(choice)) {
+        found = choice;
+      }
+    }
+  };
+  const std::uint64_t grants =
+      pass.use_por ? frame.runnable & ~frame.entry_sleep : frame.runnable;
+  const std::uint64_t prev =
+      frame.prev_grant >= 0 ? grants & pid_bit(frame.prev_grant) : 0;
+  scan(prev, sim::ActionKind::kGrant);
+  scan(grants & ~prev, sim::ActionKind::kGrant);
+  if (pass.fault_budget > 0 && frame.faults_before < pass.fault_budget) {
+    if (pass.explore_sc) {
+      scan(frame.sc_ready & ~frame.sc_failed_before,
+           sim::ActionKind::kScFailure);
+    }
+    if (pass.explore_crashes) scan(frame.runnable, sim::ActionKind::kCrash);
+    if (pass.explore_restarts) {
+      scan(frame.restartable, sim::ActionKind::kRestart);
+    }
   }
-  return true;
+  return found;
 }
 
 }  // namespace
@@ -119,95 +162,69 @@ void RunMetrics::note_depth(std::uint64_t granted) {
   schedule_depth_->observe(granted);
 }
 
-/// First unexplored, feasible choice at `frame`: grants first (continuing
-/// prev_grant is free, then ascending pid order), then — fault budget
-/// permitting — spurious-SC, crash and restart injections in pid order.
-/// Sleep sets apply to plain grants only: a spurious-failing SC has a
-/// different effect than the explored grant, so it never sleeps.
-int select_choice(const Frame& frame, const PassState& pass) {
-  if (contains(frame.runnable, frame.prev_grant) &&
-      grant_feasible(frame, frame.prev_grant, pass)) {
-    return frame.prev_grant;
+std::uint64_t parked_mask(const sim::SimEnv& env) {
+  std::uint64_t mask = 0;
+  for (int pid = 0; pid < env.process_count(); ++pid) {
+    if (env.is_parked(pid)) mask |= pid_bit(pid);
   }
-  for (const int pid : frame.runnable) {
-    if (pid == frame.prev_grant) continue;
-    if (grant_feasible(frame, pid, pass)) return pid;
-  }
-  if (pass.fault_budget > 0 && frame.faults_before < pass.fault_budget) {
-    if (pass.explore_sc) {
-      for (const int pid : frame.runnable) {
-        if ((frame.sc_ready & pid_bit(pid)) == 0) continue;
-        if ((frame.sc_failed_before & pid_bit(pid)) != 0) continue;
-        const int choice = sim::encode_action(sim::ActionKind::kScFailure, pid);
-        if (contains(frame.done, choice)) continue;
-        // A spurious SC still performs the (failing) operation, so the
-        // preemption cost of granting `pid` applies.
-        if (pass.budget >= 0 &&
-            frame.preemptions_before + choice_cost(frame, pid) > pass.budget) {
-          continue;
-        }
-        return choice;
-      }
-    }
-    if (pass.explore_crashes) {
-      for (const int pid : frame.runnable) {
-        const int choice = sim::encode_action(sim::ActionKind::kCrash, pid);
-        if (!contains(frame.done, choice)) return choice;
-      }
-    }
-    if (pass.explore_restarts) {
-      for (const int pid : frame.runnable) {
-        if ((frame.restartable & pid_bit(pid)) == 0) continue;
-        const int choice = sim::encode_action(sim::ActionKind::kRestart, pid);
-        if (!contains(frame.done, choice)) return choice;
-      }
-    }
-  }
-  return kNoChoice;
+  return mask;
 }
 
-namespace {
-
-/// Pulls a recycled frame from the arena (or default-constructs one): all
-/// fields reset, vector/string capacities preserved.
-Frame take_frame(Scratch& scratch) {
-  if (scratch.spare.empty()) return Frame{};
-  Frame frame = std::move(scratch.spare.back());
-  scratch.spare.pop_back();
-  frame.runnable.clear();
-  frame.restartable = 0;
-  frame.sc_ready = 0;
-  frame.sc_failed_before = 0;
-  frame.entry_sleep.clear();
-  frame.done.clear();
-  frame.chosen = kNoChoice;
-  frame.prev_grant = -1;
-  frame.preemptions_before = 0;
-  frame.faults_before = 0;
-  frame.fp_lo = 0;
-  frame.fp_hi = 0;
-  frame.fp_valid = false;
-  frame.fp_dirty = false;
-  return frame;
+int next_choice(const Frame& frame, const PassState& pass, int after) {
+  bool past = after == kNoChoice;
+  return find_choice(frame, pass, [&](int choice) {
+    if (past) return true;
+    past = choice == after;
+    return false;
+  });
 }
 
-}  // namespace
+std::vector<int> explored_siblings(const Frame& frame,
+                                   const PassState& pass) {
+  std::vector<int> explored;
+  find_choice(frame, pass, [&](int choice) {
+    if (choice == frame.chosen) return true;
+    explored.push_back(choice);
+    return false;
+  });
+  return explored;
+}
+
+/// Sleep-set propagation: everything asleep at the parent (inherited or
+/// explored there) stays asleep iff it commutes with the operation the
+/// parent's choice performs.  Only plain grants explored before `chosen`
+/// count — fault siblings are not operations.  A crash or restart is not a
+/// shared-memory operation, so the commutation bookkeeping does not extend
+/// across it: its child starts with an empty sleep set (sound: strictly
+/// less pruning).
+std::uint64_t child_sleep(const sim::SimEnv& env, const Frame& parent,
+                          const PassState& pass) {
+  if (!pass.use_por || !sim::grants_step(parent.chosen)) return 0;
+  std::uint64_t asleep = parent.entry_sleep;
+  find_choice(parent, pass, [&](int choice) {
+    if (choice == parent.chosen) return true;
+    if (!sim::is_fault_action(choice)) asleep |= pid_bit(choice);
+    return false;
+  });
+  const int granted = sim::decode_action(parent.chosen).pid;
+  const sim::OpDesc& granted_op = env.pending_of(granted);
+  std::uint64_t sleep = 0;
+  for_each_pid(asleep & ~pid_bit(granted), [&](int pid) {
+    if (ops_commute(env.pending_of(pid), granted_op)) sleep |= pid_bit(pid);
+  });
+  return sleep;
+}
 
 /// Materializes the frontier node reached after `parent` took its chosen
-/// action (parent == nullptr at the root).  Consumes `scratch.runnable` (by
-/// swap, so its capacity returns to the buffer pool with the frame).
-Frame make_frame(const sim::SimEnv& env, Scratch& scratch,
-                 const PassState& pass, const Frame* parent) {
-  Frame frame = take_frame(scratch);
-  frame.runnable.swap(scratch.runnable);
-  frame.pending.resize(static_cast<std::size_t>(env.process_count()));
-  for (const int pid : frame.runnable) {
-    frame.pending[static_cast<std::size_t>(pid)] = env.pending_of(pid);
+/// action (parent == nullptr at the root).
+Frame make_frame(const sim::SimEnv& env, std::uint64_t runnable,
+                 const Frame* parent, std::uint64_t entry_sleep) {
+  Frame frame;
+  frame.runnable = runnable;
+  for_each_pid(runnable, [&](int pid) {
     if (env.restart_supported(pid)) frame.restartable |= pid_bit(pid);
-    if (frame.pending[static_cast<std::size_t>(pid)].op == "sc") {
-      frame.sc_ready |= pid_bit(pid);
-    }
-  }
+    if (env.pending_of(pid).op == "sc") frame.sc_ready |= pid_bit(pid);
+  });
   if (parent == nullptr) return frame;
 
   const sim::Action parent_action = sim::decode_action(parent->chosen);
@@ -217,35 +234,14 @@ Frame make_frame(const sim::SimEnv& env, Scratch& scratch,
   }
   frame.faults_before =
       parent->faults_before + (sim::is_fault_action(parent->chosen) ? 1 : 0);
+  frame.entry_sleep = entry_sleep;
   if (sim::grants_step(parent->chosen)) {
     frame.prev_grant = parent_action.pid;
     frame.preemptions_before =
         parent->preemptions_before + choice_cost(*parent, parent_action.pid);
-    if (pass.use_por) {
-      // Sleep-set propagation: everything asleep at the parent (inherited
-      // or explored there) stays asleep iff it commutes with the operation
-      // the parent's choice just performed.  Only plain grants in the
-      // parent's done set count — fault siblings are not operations.
-      const auto& parent_op =
-          parent->pending[static_cast<std::size_t>(parent_action.pid)];
-      const auto inherit = [&](int pid) {
-        if (pid == parent_action.pid) return;
-        if (ops_commute(parent->pending[static_cast<std::size_t>(pid)],
-                        parent_op)) {
-          frame.entry_sleep.push_back(pid);
-        }
-      };
-      for (const int pid : parent->entry_sleep) inherit(pid);
-      for (const int choice : parent->done) {
-        if (!sim::is_fault_action(choice)) inherit(choice);
-      }
-      std::sort(frame.entry_sleep.begin(), frame.entry_sleep.end());
-    }
   } else {
-    // Crash/restart: not a shared-memory operation, so the commutation
-    // bookkeeping does not extend across it — start this node with an empty
-    // sleep set (sound: strictly less pruning).  Continuing the previously
-    // granted process after an unrelated fault is still free.
+    // Continuing the previously granted process after an unrelated crash
+    // or restart is still free.
     frame.prev_grant = parent->prev_grant;
     frame.preemptions_before = parent->preemptions_before;
   }
@@ -264,18 +260,15 @@ namespace {
 bool account_frame(const Frame& frame, const PassState& pass,
                    UnitResult& unit) {
   bool cut_any = false;
-  for (const int pid : frame.runnable) {
-    if (pass.use_por && contains(frame.entry_sleep, pid)) {
+  for_each_pid(frame.runnable, [&](int pid) {
+    if (pass.use_por && (frame.entry_sleep & pid_bit(pid)) != 0) {
       ++unit.stats.sleep_set_prunes;
-      continue;
-    }
-    if (pass.budget >= 0 &&
-        frame.preemptions_before + choice_cost(frame, pid) > pass.budget) {
+    } else if (!within_budget(frame, pid, pass)) {
       ++unit.stats.preemption_prunes;
       unit.budget_limited = true;
       cut_any = true;
     }
-  }
+  });
   // Note: this must also count at fault_budget == 0 (where every fault
   // choice is cut) — the iterative sweep keys "deepen the fault budget?"
   // off fault_limited.
@@ -283,15 +276,10 @@ bool account_frame(const Frame& frame, const PassState& pass,
       pass.explore_crashes || pass.explore_restarts || pass.explore_sc;
   if (faults_enabled && frame.faults_before >= pass.fault_budget) {
     std::uint64_t cut = 0;
-    if (pass.explore_crashes) cut += frame.runnable.size();
-    for (const int pid : frame.runnable) {
-      if (pass.explore_restarts && (frame.restartable & pid_bit(pid)) != 0) {
-        ++cut;
-      }
-      if (pass.explore_sc && (frame.sc_ready & pid_bit(pid)) != 0 &&
-          (frame.sc_failed_before & pid_bit(pid)) == 0) {
-        ++cut;
-      }
+    if (pass.explore_crashes) cut += std::popcount(frame.runnable);
+    if (pass.explore_restarts) cut += std::popcount(frame.restartable);
+    if (pass.explore_sc) {
+      cut += std::popcount(frame.sc_ready & ~frame.sc_failed_before);
     }
     if (cut > 0) {
       unit.stats.fault_prunes += cut;
@@ -342,7 +330,7 @@ bool compute_fp_key(SystemInstance& instance, const sim::SimEnv& env,
     hash.byte(parked ? 1 : 0);
     hash.u64(env.steps_of(pid));
     if (parked) {
-      const sim::OpDesc& op = frame.pending[static_cast<std::size_t>(pid)];
+      const sim::OpDesc& op = env.pending_of(pid);
       hash.str(op.object);
       hash.str(op.op);
       hash.u64(static_cast<std::uint64_t>(op.arg0));
@@ -352,10 +340,10 @@ bool compute_fp_key(SystemInstance& instance, const sim::SimEnv& env,
   hash.u64(frame.restartable);
   hash.u64(frame.sc_ready);
   hash.u64(frame.sc_failed_before);
-  hash.u64(static_cast<std::uint64_t>(frame.entry_sleep.size()));
-  for (const int pid : frame.entry_sleep) {
+  hash.u64(static_cast<std::uint64_t>(std::popcount(frame.entry_sleep)));
+  for_each_pid(frame.entry_sleep, [&](int pid) {
     hash.u64(static_cast<std::uint64_t>(pid));
-  }
+  });
   frame.fp_lo = hash.h1;
   frame.fp_hi = hash.h2;
   frame.fp_valid = true;
@@ -366,14 +354,12 @@ bool compute_fp_key(SystemInstance& instance, const sim::SimEnv& env,
 /// unexplored sibling; returns false when the whole space (at this budget
 /// pair, within this subtree) is done.  A frame popped here has finished
 /// its whole subtree segment within this unit, so its coverage partial
-/// {key, dirty} is emitted before the frame recycles into the arena.
-bool advance(PassState& pass, UnitResult& unit, Scratch& scratch) {
+/// {key, dirty} is emitted before the frame is dropped.
+bool advance(PassState& pass, UnitResult& unit) {
   auto& frames = pass.frames;
   while (frames.size() > pass.floor) {
     Frame& frame = frames.back();
-    frame.done.push_back(frame.chosen);
-    frame.chosen = kNoChoice;
-    const int next = select_choice(frame, pass);
+    const int next = next_choice(frame, pass, frame.chosen);
     if (next != kNoChoice) {
       frame.chosen = next;
       return true;
@@ -381,7 +367,6 @@ bool advance(PassState& pass, UnitResult& unit, Scratch& scratch) {
     if (frame.fp_valid) {
       unit.fp_partials.push_back({frame.fp_lo, frame.fp_hi, frame.fp_dirty});
     }
-    scratch.spare.push_back(std::move(frames.back()));
     frames.pop_back();
   }
   return false;
@@ -461,9 +446,10 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
   std::size_t depth = 0;
   std::uint64_t granted = 0;
   bool truncated = false;
+  std::uint64_t next_sleep = 0;  // entry sleep set of the next fresh frame
   for (;;) {
-    env.parked_processes(scratch.runnable);
-    if (scratch.runnable.empty()) break;
+    const std::uint64_t runnable = parked_mask(env);
+    if (runnable == 0) break;
     if (granted >= opts.max_depth) {
       truncated = true;
       break;
@@ -473,7 +459,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
       // Prefix replay: the factory is deterministic, so the runnable set
       // must match what the previous run recorded here.
       const Frame& frame = pass.frames[depth];
-      if (frame.runnable != scratch.runnable) {
+      if (frame.runnable != runnable) {
         throw std::logic_error(
             "schedule exploration diverged on prefix replay: the system "
             "factory is nondeterministic");
@@ -481,7 +467,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
       choice = frame.chosen;
     } else {
       const Frame* parent = depth > 0 ? &pass.frames[depth - 1] : nullptr;
-      Frame frame = make_frame(env, scratch, pass, parent);
+      Frame frame = make_frame(env, runnable, parent, next_sleep);
       if (pass.fp_prune && compute_fp_key(*instance, env, frame) &&
           pass.fp_cache != nullptr &&
           pass.fp_cache->count({frame.fp_lo, frame.fp_hi}) != 0) {
@@ -505,7 +491,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
         mark_path_dirty(pass);
         frame.fp_dirty = true;
       }
-      choice = select_choice(frame, pass);
+      choice = next_choice(frame, pass, kNoChoice);
       if (choice == kNoChoice) {
         env.finish();
         commit();
@@ -514,9 +500,14 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
         return outcome;
       }
       frame.chosen = choice;
-      pass.frames.push_back(std::move(frame));
+      pass.frames.push_back(frame);
     }
     ++depth;
+    // The next frame is fresh: its sleep set reads the operations pending
+    // now, before this choice applies.
+    if (depth == pass.frames.size()) {
+      next_sleep = child_sleep(env, pass.frames.back(), pass);
+    }
 
     const sim::Action action = sim::decode_action(choice);
     if (sim::is_fault_action(choice)) {
@@ -539,7 +530,6 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
   metrics.note_depth(granted);
   if (truncated) {
     ++unit.stats.truncated;
-    outcome.truncated = true;
     // The depth valve cut this run short: everything on the path is
     // incompletely covered.
     if (pass.fp_prune) mark_path_dirty(pass);

@@ -23,6 +23,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -39,15 +40,15 @@ namespace bss::explore::detail {
 constexpr int kNoChoice = std::numeric_limits<int>::min();
 
 /// One node of the DFS tree: the scheduling state after `index` decisions
-/// (grants and faults alike).
+/// (grants and faults alike).  A fixed-size value: pending operations are
+/// read from the SimEnv, and the siblings explored here are derived
+/// (explored_siblings).
 struct Frame {
-  std::vector<int> runnable;           ///< ascending pids runnable here
-  std::vector<sim::OpDesc> pending;    ///< by pid; valid for runnable pids
+  std::uint64_t runnable = 0;          ///< pids runnable here
   std::uint64_t restartable = 0;       ///< runnable pids with a restart hook
   std::uint64_t sc_ready = 0;          ///< runnable pids parked on an SC
   std::uint64_t sc_failed_before = 0;  ///< pids already failed spuriously
-  std::vector<int> entry_sleep;        ///< sleeping pids on entry (sorted)
-  std::vector<int> done;               ///< sibling choices already explored
+  std::uint64_t entry_sleep = 0;       ///< pids asleep on entry
   int chosen = kNoChoice;              ///< choice taken on the current path
   int prev_grant = -1;                 ///< pid granted most recently before
   int preemptions_before = 0;          ///< preemptions in decisions 0..index-1
@@ -65,6 +66,7 @@ struct Frame {
   bool fp_valid = false;  ///< key computed (fingerprint non-empty)
   bool fp_dirty = false;  ///< subtree coverage incomplete so far
 };
+static_assert(std::is_trivially_copyable_v<Frame>);
 
 struct PassState {
   std::vector<Frame> frames;
@@ -123,22 +125,17 @@ struct SharedBudget {
   }
 };
 
-/// Per-worker allocation arena for the DFS inner loop: frames popped by
-/// advance() park here and make_frame reuses them, so the per-step vector
-/// and string capacities (runnable/pending/entry_sleep/done, the OpDesc
-/// object/op strings inside `pending`) circulate instead of being
-/// reallocated on every node.  Strictly an allocation cache — nothing in
-/// here influences an exploration decision.
+/// Per-worker buffers of the run loop: the decision tape and the fault-site
+/// buffer keep their capacity from run to run instead of being regrown on
+/// every schedule.  Strictly an allocation cache — nothing in here
+/// influences an exploration decision.
 struct Scratch {
-  std::vector<Frame> spare;             ///< recycled frames, fields cleared
-  std::vector<int> runnable;            ///< per-step parked-set buffer
   std::vector<int> actions;             ///< per-run decision-tape buffer
   std::vector<FaultPoint> fault_points; ///< per-run fault-site buffer
 };
 
 struct RunOutcome {
   bool pruned = false;
-  bool truncated = false;
   std::optional<std::string> violation;
   std::vector<int> decisions;
 };
@@ -203,16 +200,28 @@ struct StatusCtx {
 
 // ------------------------------------------------------------------ dfs.cc
 
-/// First unexplored, feasible choice at `frame`, or kNoChoice.
-int select_choice(const Frame& frame, const PassState& pass);
-/// Materializes the node reached after `parent` took its chosen action.
-Frame make_frame(const sim::SimEnv& env, Scratch& scratch,
-                 const PassState& pass, const Frame* parent);
+/// Pids parked in `env`, as a mask.
+std::uint64_t parked_mask(const sim::SimEnv& env);
+/// The first feasible choice at `frame` after `after` in the one fixed
+/// choice order (kNoChoice: from the start), or kNoChoice.
+int next_choice(const Frame& frame, const PassState& pass, int after);
+/// The siblings already explored at `frame`: choices are taken in the
+/// fixed order and feasibility never changes under a frame, so these are
+/// the feasible choices before `chosen`.
+std::vector<int> explored_siblings(const Frame& frame, const PassState& pass);
+/// The sleep set of the node `parent`'s chosen action leads to, read off
+/// `env` before that action applies.
+std::uint64_t child_sleep(const sim::SimEnv& env, const Frame& parent,
+                          const PassState& pass);
+/// Materializes the node reached after `parent` (null at the root) took
+/// its chosen action.
+Frame make_frame(const sim::SimEnv& env, std::uint64_t runnable,
+                 const Frame* parent, std::uint64_t entry_sleep);
 /// Computes `frame`'s visited-state key; false when the system opts out.
 bool compute_fp_key(SystemInstance& instance, const sim::SimEnv& env,
                     Frame& frame);
 /// Backtracks to the deepest unexplored sibling above the floor.
-bool advance(PassState& pass, UnitResult& unit, Scratch& scratch);
+bool advance(PassState& pass, UnitResult& unit);
 /// Emits coverage partials for the frames still open when a unit drains.
 void emit_open_frames(const PassState& pass, UnitResult& unit);
 /// Executes one run: prefix replay, then fresh extension.

@@ -50,16 +50,16 @@
 // busy victim splits its own replayable frame stack at the shallowest frame
 // that still has unexplored siblings — those siblings become a new unit,
 // inserted immediately after the victim's in a DFS-ordered unit list, and
-// the victim's backtrack floor rises past the cut.  Sleep sets,
-// explored-sibling sets and budget counters carry across the cut in the
-// frames, so the thief explores exactly the branches the serial walk would
-// have explored after backtracking there.  Because units always partition
-// the DFS into contiguous ordered segments, the results merge in DFS order
-// with a deterministic cutoff rule, making the merged ExploreResult
-// **byte-identical to the serial explorer's** for every worker count, split
-// point and completion order — including early-stopped runs, where
-// work a worker did beyond the deterministic stop point is discarded rather
-// than folded in.  The one exception is the `max_schedules` safety valve:
+// the victim's backtrack floor rises past the cut.  Sleep sets and budget
+// counters carry across the cut in the frames, and explored siblings follow
+// from each frame's choice, so the thief explores exactly the branches the
+// serial walk would have explored after backtracking there.  Because units
+// always partition the DFS into contiguous ordered segments, the results
+// merge in DFS order with a deterministic cutoff rule, making the merged
+// ExploreResult **byte-identical to the serial explorer's** for every
+// worker count, split point and completion order — including early-stopped
+// runs, where work a worker did beyond the deterministic stop point is
+// discarded rather than folded in.  The one exception is the `max_schedules` safety valve:
 // with jobs > 1 the shared schedule budget is claimed concurrently, so
 // *which* schedules fit under a cap that actually fires depends on timing
 // (the run is flagged not exhausted either way).  jobs = 1 is the same

@@ -212,23 +212,15 @@ struct StealPool {
 /// (its floor rises to d+1).  Both halves stay contiguous DFS
 /// segments with the victim's strictly first, so inserting the thief right
 /// after the victim preserves global DFS order; a later, necessarily deeper
-/// split inserts between them, which is again the DFS order.
-///
-/// Each depth is probed in place: the current choice joins `done` only for
-/// the select_choice call (which never reads `chosen`), so a probe that
-/// finds nothing copies nothing; frames are copied only for the split taken.
+/// split inserts between them, which is again the DFS order.  The thief's
+/// copy of depth d chooses the victim's next sibling there, so the siblings
+/// it derives as explored are the victim's plus the victim's own choice.
 bool try_split(PassState& pass, StealUnit& thief) {
   for (std::size_t d = pass.floor; d < pass.frames.size(); ++d) {
-    Frame& frame = pass.frames[d];
-    frame.done.push_back(frame.chosen);
-    const int next = select_choice(frame, pass);
-    if (next == kNoChoice) {
-      frame.done.pop_back();
-      continue;
-    }
+    const int next = next_choice(pass.frames[d], pass, pass.frames[d].chosen);
+    if (next == kNoChoice) continue;
     const auto cut = pass.frames.begin() + static_cast<std::ptrdiff_t>(d);
     thief.frames.assign(pass.frames.begin(), std::next(cut));
-    frame.done.pop_back();
     thief.frames.back().chosen = next;
     thief.floor = pass.floor;
     thief.stolen = true;
@@ -238,7 +230,8 @@ bool try_split(PassState& pass, StealUnit& thief) {
   return false;
 }
 
-CheckpointUnit serialize_steal_unit(const StealUnit& unit) {
+CheckpointUnit serialize_steal_unit(const StealUnit& unit,
+                                    const PassState& base) {
   CheckpointUnit out;
   out.complete = unit.status == StealUnit::Status::kComplete;
   if (!out.complete) {
@@ -246,7 +239,8 @@ CheckpointUnit serialize_steal_unit(const StealUnit& unit) {
     for (const Frame& frame : unit.frames) {
       // The key is recomputed by the resume replay; only the dirty
       // accumulator is persisted.
-      out.frames.push_back({frame.chosen, frame.done, frame.fp_dirty});
+      out.frames.push_back(
+          {frame.chosen, explored_siblings(frame, base), frame.fp_dirty});
     }
     out.floor = unit.floor;
   }
@@ -256,12 +250,14 @@ CheckpointUnit serialize_steal_unit(const StealUnit& unit) {
 
 /// Re-materializes a persisted unit: its results restore as they are; the
 /// frame stack replays its decisions on a fresh SimEnv, recomputing the
-/// runnable sets, pending operations, bitmasks and sleep sets the artifact
-/// deliberately does not store.  The replay doubles as an integrity check —
-/// an artifact whose decisions do not apply to the system is rejected here.
+/// runnable sets, bitmasks and sleep sets the artifact deliberately does
+/// not store.  The replay doubles as an integrity check: an artifact is
+/// rejected when its decisions do not apply to the system or a frame's
+/// `done` list is not what the engine derives there.  `index` is the unit's
+/// position in the frontier, for the error text.
 StealUnit materialize_steal_unit(const ExplorableSystem& system,
                                  const PassState& base,
-                                 const CheckpointUnit& cu) {
+                                 const CheckpointUnit& cu, std::size_t index) {
   StealUnit unit;
   unit.result = cu.result;
   if (cu.complete) {
@@ -277,13 +273,12 @@ StealUnit materialize_steal_unit(const ExplorableSystem& system,
   expects(env.process_count() <= 64,
           "the fault-aware explorer supports at most 64 processes");
   env.start();
-  Scratch scratch;
+  std::uint64_t next_sleep = 0;
   for (const CheckpointFrame& cf : cu.frames) {
-    env.parked_processes(scratch.runnable);
-    expects(!scratch.runnable.empty(),
-            "checkpoint frontier replays past quiescence");
+    const std::uint64_t runnable = parked_mask(env);
+    expects(runnable != 0, "checkpoint frontier replays past quiescence");
     const Frame* parent = pass.frames.empty() ? nullptr : &pass.frames.back();
-    Frame frame = make_frame(env, scratch, pass, parent);
+    Frame frame = make_frame(env, runnable, parent, next_sleep);
     // No account_frame here: the persisted partial stats already charged
     // this frame when it was first materialized.  The cache key is a pure
     // function of the replayed state, so recomputing it (rather than
@@ -293,12 +288,23 @@ StealUnit materialize_steal_unit(const ExplorableSystem& system,
       compute_fp_key(*instance, env, frame);
       frame.fp_dirty = cf.fp_dirty;
     }
-    frame.done = cf.done;
     expects(env.applicable(cf.chosen),
             "checkpoint frontier decision is not applicable on replay");
     frame.chosen = cf.chosen;
+    // `done` then `chosen` must be the feasible choices in the engine's
+    // order, up to and including `chosen`.
+    const std::vector<int> explored = explored_siblings(frame, pass);
+    const int after = explored.empty() ? kNoChoice : explored.back();
+    expects(explored == cf.done && next_choice(frame, pass, after) == cf.chosen,
+            [&] {
+              return "checkpoint frontier unit " + std::to_string(index) +
+                     " frame " + std::to_string(pass.frames.size()) +
+                     ": done and chosen are not the feasible choices in "
+                     "the engine's order";
+            });
+    next_sleep = child_sleep(env, frame, pass);
     env.apply(cf.chosen);
-    pass.frames.push_back(std::move(frame));
+    pass.frames.push_back(frame);
   }
   env.finish();
   expects(unit.floor <= pass.frames.size(),
@@ -351,8 +357,9 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
                     CheckpointCtx* ckpt, StatusCtx* status) {
   StealPool pool;
   if (seeds != nullptr) {
-    for (const CheckpointUnit& cu : *seeds) {
-      pool.units.push_back(materialize_steal_unit(system, cfg.base, cu));
+    for (std::size_t i = 0; i < seeds->size(); ++i) {
+      pool.units.push_back(
+          materialize_steal_unit(system, cfg.base, (*seeds)[i], i));
     }
   } else {
     pool.units.emplace_back();  // the root unit: empty frames, floor 0
@@ -414,7 +421,7 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
     const obs::ScopedPhase checkpoint_scope(octx.profiler,
                                             obs::Phase::kCheckpointWrite);
     for (const StealUnit& unit : pool.units) {
-      campaign.frontier.push_back(serialize_steal_unit(unit));
+      campaign.frontier.push_back(serialize_steal_unit(unit, cfg.base));
     }
     const std::uint64_t seq = campaign.seq;
     const std::size_t frontier = campaign.frontier.size();
@@ -606,7 +613,7 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
               break;
             }
           }
-          if (!advance(pass, local, scratch)) {
+          if (!advance(pass, local)) {
             // Normal drain: emit the below-floor prefix frames' coverage
             // partials.  The halted/aborted/cap/stopped breaks above emit
             // nothing — each either abandons the unit's results wholesale

@@ -52,9 +52,7 @@ std::string Timeline::to_chrome_trace() const {
     events.emplace_back(std::move(process_meta));
   }
   for (const int track : tracks) {
-    const std::string name =
-        track == kCoordinatorTrack ? "merge"
-                                   : "worker " + std::to_string(track);
+    const std::string name = "worker " + std::to_string(track);
     json::Object thread_meta{
         {"name", json::Value("thread_name")},
         {"ph", json::Value("M")},

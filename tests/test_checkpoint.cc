@@ -7,17 +7,20 @@
 // deterministic halt_after_checkpoints valve (the engine stops dead right
 // after a periodic write, exactly what a SIGKILL leaves behind); CI
 // additionally delivers a real SIGKILL through bench_explore.  On top of
-// the resume loops: artifact round-trip byte-equality, and strict rejection
-// of malformed inputs (unknown schema, truncation, missing keys,
-// out-of-range pid tokens, structural lies).
+// the resume loops: artifact round-trip byte-equality, golden mid-campaign
+// seeds the engine must rewrite and resume byte for byte, and strict
+// rejection of malformed inputs (unknown schema, truncation, missing keys,
+// out-of-range pid tokens, structural lies, inconsistent explored siblings).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mutant_elections.h"
@@ -134,6 +137,54 @@ ExploreResult expect_pruned_kill_and_resume_identical(
   EXPECT_TRUE(obs::validate_status(read_file(options.status_path)).empty());
   return uninterrupted;
 }
+
+/// A mid-campaign checkpoint checked in under tools/fuzz/corpus/checkpoint:
+/// the artifact a jobs=1 run of `system` under `options` leaves when it is
+/// halted after its `halt_after_checkpoints`-th periodic write.
+struct GoldenSeed {
+  std::string file;
+  std::unique_ptr<ExplorableSystem> system;
+  ExploreOptions options;
+};
+
+/// The golden seeds: LL/SC under a preemption bound with SC-failure, crash
+/// and restart tokens (one `done` list continues prev_grant before a lower
+/// pid); a POR collect-all mutant campaign whose frontier unit carries
+/// violations and their tallies; and a pruned iterative sweep whose
+/// artifact carries the frozen cache, coverage partials and dirty frames.
+std::vector<GoldenSeed> golden_seeds() {
+  std::vector<GoldenSeed> seeds;
+  const auto add = [&](std::string file,
+                       std::unique_ptr<ExplorableSystem> system,
+                       ExploreOptions options, std::uint64_t every,
+                       std::uint64_t halt) {
+    options.jobs = 1;
+    options.checkpoint_every = every;
+    options.halt_after_checkpoints = halt;
+    seeds.push_back({std::move(file), std::move(system), options});
+  };
+  ExploreOptions llsc;
+  llsc.fault_bound = 1;
+  llsc.explore_sc_failures = true;
+  llsc.preemption_bound = 2;
+  add("golden_llsc_faults.json", std::make_unique<LlScSystem>(3, 2), llsc, 41,
+      11);
+  ExploreOptions collect;
+  collect.stop_at_first_violation = false;
+  collect.max_violations = 50;
+  add("golden_split_cas_collect.json",
+      std::make_unique<OneShotSystem>(4, 3, OneShotMutant::kSplitCas),
+      collect, 2, 5);
+  ExploreOptions pruned;
+  pruned.iterative = true;
+  pruned.preemption_bound = 3;
+  pruned.fingerprint_prune = true;
+  add("golden_skewed_pruned.json",
+      std::make_unique<SkewedWriterSystem>(3, 5, 2), pruned, 7, 1);
+  return seeds;
+}
+
+std::string read_corpus_file(const std::string& name);
 
 // ------------------------------------------------------ artifact round-trip
 
@@ -635,6 +686,25 @@ TEST(Checkpoint, RejectsOutOfRangePidTokens) {
   }
 }
 
+/// Resumes `seed`'s campaign from `text` and expects the replay to reject
+/// it with an InvariantError naming `frame`.
+void expect_resume_rejected(const GoldenSeed& seed, ExploreOptions options,
+                            const std::string& text, const std::string& frame,
+                            const std::string& label) {
+  const std::string path = temp_path("cp_lie.json");
+  ASSERT_TRUE(obs::write_file_atomic(path, text)) << label;
+  options.resume_path = path;
+  options.checkpoint_path = path;
+  options.halt_after_checkpoints = 0;
+  try {
+    explore(*seed.system, options);
+    ADD_FAILURE() << label << ": resume accepted the artifact";
+  } catch (const InvariantError& error) {
+    EXPECT_NE(std::string(error.what()).find(frame), std::string::npos)
+        << label << ": " << error.what();
+  }
+}
+
 TEST(Checkpoint, RejectsStructuralLies) {
   // complete campaign with a non-empty frontier
   expect_rejected(mutated_artifact([](obs::json::Object& root) {
@@ -654,6 +724,58 @@ TEST(Checkpoint, RejectsStructuralLies) {
                     }
                   }),
                   "floor past frame stack");
+
+  // Lies only the resume replay can see: a frame's `done` list must be
+  // exactly the feasible choices before `chosen` in the engine's order.  In
+  // the LL/SC seed's unit 0 (runnable {0,1} throughout) frame 4 chose 1
+  // after 0; frame 5 has 0 asleep and continues 1; frame 14 chose c1 after
+  // 1 (prev_grant), 0 and c0.
+  const GoldenSeed seed = std::move(golden_seeds().front());
+  const std::string text = read_corpus_file(seed.file);
+  const auto with_frame = [&](std::size_t frame, const char* key,
+                              obs::json::Value value) {
+    auto root = obs::json::Value::parse(text);
+    expects(root.has_value(), "golden seed must parse");
+    root->as_object()
+        .at("frontier")
+        .as_array()
+        .at(0)
+        .as_object()
+        .at("frames")
+        .as_array()
+        .at(frame)
+        .as_object()[key] = std::move(value);
+    return root->dump(2) + "\n";
+  };
+  const auto tokens = [](std::vector<const char*> list) {
+    obs::json::Array array;
+    for (const char* token : list) array.emplace_back(token);
+    return obs::json::Value(std::move(array));
+  };
+  // Re-exploring the dropped sibling would count its schedules twice.
+  expect_resume_rejected(seed, seed.options,
+                         with_frame(4, "done", tokens({})), "unit 0 frame 4",
+                         "dropped sibling");
+  expect_resume_rejected(seed, seed.options,
+                         with_frame(5, "done", tokens({"0"})),
+                         "unit 0 frame 5", "asleep sibling");
+  expect_resume_rejected(seed, seed.options,
+                         with_frame(14, "done", tokens({"0", "1", "c0"})),
+                         "unit 0 frame 14", "siblings out of order");
+  expect_resume_rejected(seed, seed.options,
+                         with_frame(5, "chosen", obs::json::Value("0")),
+                         "unit 0 frame 5", "asleep chosen");
+  // Under a preemption bound of 1, frame 14 (one preemption spent, 1 last
+  // granted) cannot grant 0: its persisted `done` lists an over-budget
+  // sibling.
+  auto root = obs::json::Value::parse(text);
+  ASSERT_TRUE(root.has_value());
+  root->as_object().at("options").as_object()["preemption_bound"] =
+      obs::json::Value(1);
+  ExploreOptions tighter = seed.options;
+  tighter.preemption_bound = 1;
+  expect_resume_rejected(seed, tighter, root->dump(2) + "\n",
+                         "unit 0 frame 14", "over-budget sibling");
 }
 
 TEST(Checkpoint, WriteIsAtomicReplacement) {
@@ -691,6 +813,36 @@ TEST(CheckpointCorpus, RealCampaignSeedRoundTripsByteIdentical) {
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->to_artifact(), text)
       << "a bench_explore-written checkpoint must already be canonical";
+}
+
+TEST(CheckpointCorpus, GoldenSeedsAreRewrittenAndResumeByteIdentical) {
+  for (const GoldenSeed& seed : golden_seeds()) {
+    const std::string text = read_corpus_file(seed.file);
+    std::string error;
+    const auto parsed = Checkpoint::from_artifact(text, &error);
+    ASSERT_TRUE(parsed.has_value()) << seed.file << ": " << error;
+    EXPECT_FALSE(parsed->frontier.empty()) << seed.file;
+    EXPECT_EQ(parsed->to_artifact(), text) << seed.file << " round trip";
+
+    // The engine halted at the same point writes the same bytes.
+    ExploreOptions halted = seed.options;
+    halted.checkpoint_path = temp_path("golden_" + seed.file);
+    ASSERT_TRUE(explore(*seed.system, halted).halted) << seed.file;
+    EXPECT_EQ(read_file(halted.checkpoint_path), text) << seed.file;
+
+    // Resuming from the seed ends where an uninterrupted run ends.
+    ExploreOptions plain = seed.options;
+    plain.checkpoint_every = 0;
+    plain.halt_after_checkpoints = 0;
+    const ExploreResult uninterrupted = explore(*seed.system, plain);
+    ExploreOptions resume = plain;
+    resume.resume_path = temp_path("golden_resume_" + seed.file);
+    ASSERT_TRUE(obs::write_file_atomic(resume.resume_path, text));
+    resume.checkpoint_path = resume.resume_path;
+    const ExploreResult resumed = explore(*seed.system, resume);
+    EXPECT_FALSE(resumed.halted) << seed.file;
+    expect_identical(uninterrupted, resumed, seed.file + " resumed");
+  }
 }
 
 TEST(CheckpointCorpus, TruncatedRealArtifactIsRejectedWithReason) {

@@ -1,5 +1,5 @@
 // Parallel exploration beyond result identity (which tests/
-// test_explore_steal.cc sweeps across worker counts and steal depths): a
+// test_explore_steal.cc sweeps across worker counts): a
 // counterexample minimized at jobs=4 replays with zero divergences, the
 // shrink budget cuts ddmin but keeps tapes replayable, the dense action
 // encoding's overflow guard, a 100-seed parallel storm on the std::thread

@@ -63,7 +63,7 @@ ExploreResult expect_steal_invariant(const ExplorableSystem& system,
 
 // ------------------------------------------------- clean exhaustive sweeps
 
-TEST(StealExplore, CleanOneShotPorIdenticalAcrossWorkersAndGranularities) {
+TEST(StealExplore, CleanOneShotPorIdenticalAcrossWorkers) {
   OneShotSystem system(4, 3);
   expect_steal_invariant(system, {}, {2, 4, 8});
 }

@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -172,7 +172,7 @@ TEST(EventLog, JsonlSeparatesDeterministicAndTimingChannels) {
 
 // ---------------------------------------------------------------- timeline
 
-TEST(Timeline, ChromeTraceHasOneTrackPerWorkerPlusCoordinator) {
+TEST(Timeline, ChromeTraceHasOneNamedTrackPerWorker) {
   Timeline timeline;
   const auto span = [&](const char* name, int track) {
     Span s;
@@ -184,32 +184,28 @@ TEST(Timeline, ChromeTraceHasOneTrackPerWorkerPlusCoordinator) {
   };
   span("unit", 0);
   span("unit", 1);
-  span("merge", Timeline::kCoordinatorTrack);
+  span("unit", 1);
 
   std::string error;
   const auto parsed = json::Value::parse(timeline.to_chrome_trace(), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   const auto& events = parsed->as_object().at("traceEvents").as_array();
-  std::set<std::int64_t> named_tracks;
+  std::map<std::int64_t, std::string> track_names;
   int complete_events = 0;
-  bool coordinator_named = false;
   for (const auto& entry : events) {
     const auto& object = entry.as_object();
     const std::string& phase = object.at("ph").as_string();
-    if (phase == "M") {
-      named_tracks.insert(object.at("tid").as_int());
-      if (object.at("args").as_object().at("name").as_string() ==
-          "merge") {
-        coordinator_named = true;
-      }
+    if (phase == "M" &&
+        object.at("name").as_string() == "thread_name") {
+      track_names[object.at("tid").as_int()] =
+          object.at("args").as_object().at("name").as_string();
     } else if (phase == "X") {
       ++complete_events;
     }
   }
-  EXPECT_EQ(named_tracks,
-            (std::set<std::int64_t>{0, 1, Timeline::kCoordinatorTrack}));
+  EXPECT_EQ(track_names, (std::map<std::int64_t, std::string>{
+                             {0, "worker 0"}, {1, "worker 1"}}));
   EXPECT_EQ(complete_events, 3);
-  EXPECT_TRUE(coordinator_named);
 }
 
 // --------------------------------------------------------------- runreport
