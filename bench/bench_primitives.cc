@@ -1,16 +1,18 @@
 // M1 — substrate microbenchmarks (google-benchmark).
 //
 // Costs of the building blocks everything else runs on: the deterministic
-// scheduler's step dispatch, compare&swap-(k) operations, the AADGMS atomic
-// snapshot as a function of component count, and the emulation board's
-// label-compatibility reads.
+// scheduler's step dispatch, abandoning parked processes, compare&swap-(k)
+// operations, the AADGMS atomic snapshot as a function of component count,
+// and the emulation board's label-compatibility reads.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <optional>
 
 #include "bench_gbench.h"
 #include "emulation/board.h"
 #include "registers/cas_register_k.h"
+#include "registers/mwmr_register.h"
 #include "registers/snapshot.h"
 #include "runtime/scheduler.h"
 #include "runtime/sim_env.h"
@@ -33,6 +35,37 @@ void BM_SimStepDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ops);
 }
 BENCHMARK(BM_SimStepDispatch)->Arg(1000)->Arg(10000);
+
+// Abandoning parked processes: finish() on N processes parked inside a
+// register operation, the explorer's cost for every schedule it prunes.
+// Each process is unwound by throwing ProcessCrashed through its parked
+// frames, so any object with a destructor on the park path makes every
+// abandoned process pay for another landing pad.  Only finish() is timed;
+// items are abandoned processes.
+void BM_SimAbandonParked(benchmark::State& state) {
+  const int processes = bss::checked_cast<int>(state.range(0));
+  bss::sim::MwmrRegister<int> reg("abandoned", 0);
+  std::optional<bss::sim::SimEnv> env;
+  for (auto _ : state) {
+    state.PauseTiming();
+    env.reset();
+    env.emplace(bss::sim::SimOptions{.record_trace = false});
+    for (int pid = 0; pid < processes; ++pid) {
+      env->add_process([&](bss::sim::Ctx& ctx) {
+        for (int v = 0;; ++v) {
+          (void)reg.read(ctx);
+          reg.write(ctx, v);
+        }
+      });
+    }
+    env->start();
+    for (int pid = 0; pid < processes; ++pid) env->apply(pid);
+    state.ResumeTiming();
+    env->finish();
+  }
+  state.SetItemsProcessed(state.iterations() * processes);
+}
+BENCHMARK(BM_SimAbandonParked)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_CasRegisterOps(benchmark::State& state) {
   const int ops = bss::checked_cast<int>(state.range(0));

@@ -7,6 +7,7 @@
 // operational face of Theorem 1: algorithm A simply does not have enough
 // process slots to feed (k-1)!+1 = 3 emulators.
 #include <cstdio>
+#include <string>
 
 #include "emulation/driver.h"
 #include "emulation/reduction_check.h"
@@ -55,7 +56,8 @@ int main() {
   for (const auto& step : driver.step_log()) {
     std::printf("  vp%d (e%d, label %-8s) %s.%s(%lld,%lld)", step.vp,
                 step.emulator, bss::emu::label_string(step.label).c_str(),
-                step.desc.object.c_str(), step.desc.op.c_str(),
+                std::string(step.desc.object.view()).c_str(),
+                std::string(step.desc.op.view()).c_str(),
                 static_cast<long long>(step.desc.arg0),
                 static_cast<long long>(step.desc.arg1));
     if (step.has_result) {

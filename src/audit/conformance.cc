@@ -25,7 +25,7 @@ std::vector<Violation> check_footprint(const WindowFootprint& window) {
 
   bool declared_touched = false;
   bool declared_written = false;
-  std::vector<std::string> undeclared;  // distinct, first-touch order
+  std::vector<sim::ObjectName> undeclared;  // distinct, first-touch order
   for (const auto& [object, kind] : window.touched) {
     if (object == window.declared.object) {
       declared_touched = true;
@@ -38,26 +38,26 @@ std::vector<Violation> check_footprint(const WindowFootprint& window) {
     }
   }
 
-  for (const auto& object : undeclared) {
+  for (const sim::ObjectName object : undeclared) {
     Violation violation;
     violation.kind = ViolationKind::kUndeclaredTouch;
     violation.pid = window.pid;
-    violation.object = object;
+    violation.object = object.view();
     violation.step = window.step;
     violation.detail = window_label(window) + " touched undeclared object '" +
-                       object + "' (sleep-set soundness depends on declared "
+                       violation.object +
+                       "' (sleep-set soundness depends on declared "
                        "footprints)";
     found.push_back(std::move(violation));
   }
-  if (window.declared.op == "read" && declared_written) {
+  if (window.declared.op == sim::OpName("read") && declared_written) {
     Violation violation;
     violation.kind = ViolationKind::kWriteInReadOp;
     violation.pid = window.pid;
-    violation.object = window.declared.object;
+    violation.object = window.declared.object.view();
     violation.step = window.step;
     violation.detail = window_label(window) +
-                       " declared a read but wrote '" +
-                       window.declared.object +
+                       " declared a read but wrote '" + violation.object +
                        "' (read/read commutation no longer holds)";
     found.push_back(std::move(violation));
   }
@@ -65,10 +65,10 @@ std::vector<Violation> check_footprint(const WindowFootprint& window) {
     Violation violation;
     violation.kind = ViolationKind::kPhantomDeclaration;
     violation.pid = window.pid;
-    violation.object = window.declared.object;
+    violation.object = window.declared.object.view();
     violation.step = window.step;
     violation.detail = window_label(window) + " never touched declared object '" +
-                       window.declared.object + "' (declaration drift)";
+                       violation.object + "' (declaration drift)";
     found.push_back(std::move(violation));
   }
   return found;

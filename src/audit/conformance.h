@@ -31,7 +31,7 @@ struct WindowFootprint {
   std::uint64_t step = 0;   ///< global step of the grant (window serial)
   sim::OpDesc declared;     ///< the OpDesc the op synced with
   /// Every stamped access in program order (object, kind); may repeat.
-  std::vector<std::pair<std::string, AccessKind>> touched;
+  std::vector<std::pair<sim::ObjectName, AccessKind>> touched;
   bool aborted = false;     ///< op unwound with an exception mid-window
 };
 

@@ -108,7 +108,7 @@ void Auditor::on_window_end(int pid, bool aborted) {
   if (options_.keep_footprints) footprints_.push_back(std::move(footprint));
 }
 
-void Auditor::on_access(int pid, const std::string& object, AccessKind kind,
+void Auditor::on_access(int pid, sim::ObjectName object, AccessKind kind,
                         std::uint64_t token_window) {
   ++accesses_;
   const auto describe = [&](const char* what) {
@@ -122,7 +122,7 @@ void Auditor::on_access(int pid, const std::string& object, AccessKind kind,
     Violation violation;
     violation.kind = ViolationKind::kUnsyncedAccess;
     violation.pid = pid;
-    violation.object = object;
+    violation.object = object.view();
     violation.step = window_serial_;  // most recent window, for orientation
     violation.detail = describe("outside any granted sync window");
     record(std::move(violation));
@@ -132,7 +132,7 @@ void Auditor::on_access(int pid, const std::string& object, AccessKind kind,
     Violation violation;
     violation.kind = ViolationKind::kWrongPid;
     violation.pid = pid;
-    violation.object = object;
+    violation.object = object.view();
     violation.step = window_serial_;
     std::ostringstream what;
     what << "inside a window granted to p" << window_pid_;
@@ -145,7 +145,7 @@ void Auditor::on_access(int pid, const std::string& object, AccessKind kind,
     Violation violation;
     violation.kind = ViolationKind::kStaleToken;
     violation.pid = pid;
-    violation.object = object;
+    violation.object = object.view();
     violation.step = window_serial_;
     std::ostringstream what;
     what << "with a token from ";

@@ -67,7 +67,7 @@ class AccessObserver {
   /// A shared access stamped by `pid`'s token.  `token_window` is the
   /// window serial captured when the token was checked out, or
   /// AccessToken-no-window when it was checked out with no window open.
-  virtual void on_access(int pid, const std::string& object, AccessKind kind,
+  virtual void on_access(int pid, sim::ObjectName object, AccessKind kind,
                          std::uint64_t token_window) = 0;
 };
 
@@ -89,13 +89,13 @@ class AccessToken {
   /// True iff an observer is attached (accesses are actually recorded).
   bool armed() const { return observer_ != nullptr; }
 
-  void read(const std::string& object) const {
+  void read(sim::ObjectName object) const {
     if (observer_ != nullptr) {
       observer_->on_access(pid_, object, AccessKind::kRead, window_);
     }
   }
 
-  void write(const std::string& object) const {
+  void write(sim::ObjectName object) const {
     if (observer_ != nullptr) {
       observer_->on_access(pid_, object, AccessKind::kWrite, window_);
     }
@@ -169,7 +169,7 @@ class Auditor final : public AccessObserver {
   void on_window_begin(int pid, const sim::OpDesc& op,
                        std::uint64_t step) override;
   void on_window_end(int pid, bool aborted) override;
-  void on_access(int pid, const std::string& object, AccessKind kind,
+  void on_access(int pid, sim::ObjectName object, AccessKind kind,
                  std::uint64_t token_window) override;
 
   bool clean() const { return violation_count_ == 0; }
@@ -200,7 +200,7 @@ class Auditor final : public AccessObserver {
   int window_pid_ = -1;
   std::uint64_t window_serial_ = 0;
   sim::OpDesc window_declared_;
-  std::vector<std::pair<std::string, AccessKind>> window_touches_;
+  std::vector<std::pair<sim::ObjectName, AccessKind>> window_touches_;
 
   // Rolling context of recently closed/open windows ("p0 cas.cas@3").
   std::vector<std::string> recent_windows_;

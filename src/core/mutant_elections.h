@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "registers/cas_register_k.h"
@@ -80,8 +81,8 @@ std::string to_string(AuditMutant mutant);
 /// register do not commute, yet ops_commute says they do.
 class HiddenScratchRegister {
  public:
-  explicit HiddenScratchRegister(std::string name)
-      : name_(std::move(name)), scratch_name_(name_ + ".scratch") {}
+  explicit HiddenScratchRegister(std::string_view name)
+      : name_(name), scratch_name_(std::string(name) + ".scratch") {}
 
   std::int64_t read(sim::Ctx& ctx) {
     ctx.sync({name_, "read", 0, 0});
@@ -98,13 +99,13 @@ class HiddenScratchRegister {
     value_ = value;
   }
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   std::int64_t peek() const { return value_; }
   std::int64_t scratch() const { return scratch_; }
 
  private:
-  std::string name_;
-  std::string scratch_name_;
+  sim::ObjectName name_;
+  sim::ObjectName scratch_name_;
   std::int64_t value_ = 0;
   std::int64_t scratch_ = 0;
 };
@@ -118,7 +119,7 @@ class HiddenScratchRegister {
 /// swapped schedule and comparing final states.
 class StealthCounterRegister {
  public:
-  explicit StealthCounterRegister(std::string name) : name_(std::move(name)) {}
+  explicit StealthCounterRegister(std::string_view name) : name_(name) {}
 
   std::int64_t read(sim::Ctx& ctx) {
     ctx.sync({name_, "read", 0, 0});
@@ -128,11 +129,11 @@ class StealthCounterRegister {
     return ticket;
   }
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   std::int64_t peek() const { return served_; }
 
  private:
-  std::string name_;
+  sim::ObjectName name_;
   std::int64_t served_ = 0;
 };
 

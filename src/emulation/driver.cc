@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <string_view>
 
 #include "core/first_value_tree.h"
 #include "util/checked.h"
@@ -11,6 +13,38 @@ namespace bss::emu {
 namespace {
 
 // ------------------------------------------------------------ vp adapters
+
+/// The one emulated compare&swap object every v-process syncs on.
+sim::ObjectName cas_object() {
+  static const sim::ObjectName cas("cas");
+  return cas;
+}
+
+/// The registers "<base>[i]" of one emulated array: each one's board key
+/// and its interned object name, made on its first use, so an operation on
+/// it builds no string and interns nothing.
+class RegisterArray {
+ public:
+  struct Register {
+    std::string key;
+    sim::ObjectName object;
+  };
+
+  explicit RegisterArray(std::string_view base) : base_(base) {}
+
+  const Register& at(std::uint64_t index) {
+    auto [it, inserted] = registers_.try_emplace(index);
+    if (inserted) {
+      it->second.key = base_ + "[" + std::to_string(index) + "]";
+      it->second.object = sim::ObjectName(it->second.key);
+    }
+    return it->second;
+  }
+
+ private:
+  std::string base_;
+  std::map<std::uint64_t, Register> registers_;
+};
 
 /// ElectionMemory implementation over the emulated world: reads/writes go to
 /// the tagged Board; c&s results are injected by the driver.
@@ -22,46 +56,48 @@ class EmulatedElectionMemory {
   int k() const { return harness_.k; }
 
   int cas(int expect, int next) {
-    ctx_->sync({"cas", "cas", expect, next});
+    ctx_->sync({cas_object(), "cas", expect, next});
     const std::int64_t result = ctx_->take_injection();
     ctx_->note_result(result);
     return checked_cast<int>(result);
   }
 
-  int read_confirm(int stage) const {
-    const std::string reg = "confirm[" + std::to_string(stage) + "]";
-    ctx_->sync({reg, "read", 0, 0});
+  int read_confirm(int stage) {
+    const auto& reg = confirm_.at(static_cast<std::uint64_t>(stage));
+    ctx_->sync({reg.object, "read", 0, 0});
     const int value = checked_cast<int>(
-        harness_.board->read(reg, *harness_.current_label).value_or(0));
+        harness_.board->read(reg.key, *harness_.current_label).value_or(0));
     ctx_->note_result(value);
     return value;
   }
 
   void write_confirm(int stage, int symbol) {
-    const std::string reg = "confirm[" + std::to_string(stage) + "]";
-    ctx_->sync({reg, "write", symbol, 0});
-    harness_.board->write(reg, *harness_.current_label, symbol);
+    const auto& reg = confirm_.at(static_cast<std::uint64_t>(stage));
+    ctx_->sync({reg.object, "write", symbol, 0});
+    harness_.board->write(reg.key, *harness_.current_label, symbol);
   }
 
-  std::int64_t read_announce(std::uint64_t slot) const {
-    const std::string reg = "announce[" + std::to_string(slot) + "]";
-    ctx_->sync({reg, "read", 0, 0});
+  std::int64_t read_announce(std::uint64_t slot) {
+    const auto& reg = announce_.at(slot);
+    ctx_->sync({reg.object, "read", 0, 0});
     const std::int64_t value =
-        harness_.board->read(reg, *harness_.current_label)
+        harness_.board->read(reg.key, *harness_.current_label)
             .value_or(bss::core::kNoId);
     ctx_->note_result(value);
     return value;
   }
 
   void write_announce(std::uint64_t slot, std::int64_t id) {
-    const std::string reg = "announce[" + std::to_string(slot) + "]";
-    ctx_->sync({reg, "write", id, 0});
-    harness_.board->write(reg, *harness_.current_label, id);
+    const auto& reg = announce_.at(slot);
+    ctx_->sync({reg.object, "write", id, 0});
+    harness_.board->write(reg.key, *harness_.current_label, id);
   }
 
  private:
   VpHarness harness_;
   sim::Ctx* ctx_;
+  RegisterArray confirm_{"confirm"};
+  RegisterArray announce_{"announce"};
 };
 
 static_assert(bss::core::ElectionMemory<EmulatedElectionMemory>);
@@ -83,15 +119,16 @@ VpFactory token_race_factory(int rounds) {
   return [rounds](int vp, const VpHarness& harness) {
     return [vp, rounds, harness](sim::Ctx& ctx) {
       const int k = harness.k;
+      RegisterArray race("race");
+      const auto& reg = race.at(static_cast<std::uint64_t>(vp));
       for (int round = 0; round < rounds; ++round) {
         const int from = round % k;
         const int to = (round + 1) % k;
-        ctx.sync({"cas", "cas", from, to});
+        ctx.sync({cas_object(), "cas", from, to});
         const std::int64_t seen = ctx.take_injection();
         ctx.note_result(seen);
-        const std::string reg = "race[" + std::to_string(vp) + "]";
-        ctx.sync({reg, "write", seen, 0});
-        harness.board->write(reg, *harness.current_label, seen);
+        ctx.sync({reg.object, "write", seen, 0});
+        harness.board->write(reg.key, *harness.current_label, seen);
       }
       (*harness.decisions)[static_cast<std::size_t>(vp)] = vp;
     };
@@ -237,7 +274,7 @@ bool EmulationDriver::can_rebalance(EmulatorState& emulator,
     for (const int vp : emulator.vps) {
       if (!vp_active(emulator, vp)) continue;
       const auto& op = env_.pending_of(vp);
-      if (op.op == "cas" && op.arg0 == suspension.from &&
+      if (op.op == sim::OpName("cas") && op.arg0 == suspension.from &&
           op.arg1 == suspension.to) {
         replacement = vp;
         break;
@@ -276,7 +313,7 @@ bool EmulationDriver::update_cas(EmulatorState& emulator,
   for (const int vp : emulator.vps) {
     if (!vp_active(emulator, vp)) continue;
     const auto& op = env_.pending_of(vp);
-    if (op.op == "cas" && op.arg0 == cs) {
+    if (op.op == sim::OpName("cas") && op.arg0 == cs) {
       ++popularity[checked_cast<int>(op.arg1)];
     }
   }
@@ -377,7 +414,7 @@ bool EmulationDriver::update_cas(EmulatorState& emulator,
     for (const int vp : emulator.vps) {
       if (!vp_active(emulator, vp)) continue;
       const auto& op = env_.pending_of(vp);
-      if (op.op == "cas" && op.arg0 == cs && op.arg1 == x) {
+      if (op.op == sim::OpName("cas") && op.arg0 == cs && op.arg1 == x) {
         successes_.emplace_back(emulator.label, cs, x);
         env_.inject(vp, cs);  // success: returns the previous value
         step_vp(emulator, vp);
@@ -395,7 +432,7 @@ bool EmulationDriver::update_cas(EmulatorState& emulator,
   for (const int vp : emulator.vps) {
     if (!vp_active(emulator, vp)) continue;
     const auto& op = env_.pending_of(vp);
-    if (op.op == "cas" && op.arg0 != x) {
+    if (op.op == sim::OpName("cas") && op.arg0 != x) {
       env_.inject(vp, x);
       step_vp(emulator, vp);
     }
@@ -427,7 +464,7 @@ EmulationDriver::IterResult EmulationDriver::iterate(EmulatorState& emulator) {
   for (const int vp : emulator.vps) {
     if (!vp_active(emulator, vp)) continue;
     const auto& op = env_.pending_of(vp);
-    if (op.op == "cas") {
+    if (op.op == sim::OpName("cas")) {
       poised[{checked_cast<int>(op.arg0), checked_cast<int>(op.arg1)}]
           .push_back(vp);
     }
@@ -463,8 +500,8 @@ EmulationDriver::IterResult EmulationDriver::iterate(EmulatorState& emulator) {
   for (const int vp : emulator.vps) {
     if (!vp_active(emulator, vp)) continue;
     const auto& op = env_.pending_of(vp);
-    const bool failing_cas = op.op == "cas" && op.arg0 != cs;
-    const bool simple = op.op != "cas" || failing_cas;
+    const bool failing_cas = op.op == sim::OpName("cas") && op.arg0 != cs;
+    const bool simple = op.op != sim::OpName("cas") || failing_cas;
     if (!simple) continue;
     if (failing_cas) env_.inject(vp, cs);
     step_vp(emulator, vp);

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "util/checked.h"
 #include "util/permutation.h"
@@ -46,14 +47,14 @@ ReductionVerdict verify_reduction(const EmulationDriver& driver,
   verdict.cas_sound = true;
   verdict.matching_sound = true;
   for (const Label& label : labels) {
-    std::map<std::string, std::int64_t> last_write;
+    std::map<std::string_view, std::int64_t> last_write;
     std::map<std::pair<int, int>, int> successes;
     for (const VpStep& step : driver.step_log()) {
       if (!is_label_prefix(step.label, label)) continue;
-      if (step.desc.op == "write") {
-        last_write[step.desc.object] = step.desc.arg0;
-      } else if (step.desc.op == "read") {
-        const auto it = last_write.find(step.desc.object);
+      if (step.desc.op == sim::OpName("write")) {
+        last_write[step.desc.object.view()] = step.desc.arg0;
+      } else if (step.desc.op == sim::OpName("read")) {
+        const auto it = last_write.find(step.desc.object.view());
         if (it != last_write.end() && step.has_result &&
             step.result != it->second) {
           verdict.rw_legal = false;
@@ -61,7 +62,7 @@ ReductionVerdict verify_reduction(const EmulationDriver& driver,
                     << step.desc.object << " returned " << step.result
                     << " after write of " << it->second << "; ";
         }
-      } else if (step.desc.op == "cas") {
+      } else if (step.desc.op == sim::OpName("cas")) {
         const int expect = checked_cast<int>(step.desc.arg0);
         const int next = checked_cast<int>(step.desc.arg1);
         if (!step.has_result || step.result < 0 || step.result >= k) {

@@ -8,6 +8,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,7 +24,7 @@ bool ops_commute(const sim::OpDesc& a, const sim::OpDesc& b) {
   // Anything that is not a plain read (write, cas, ll, sc, …) may change the
   // object or its hidden state (LL links), so it conflicts with every other
   // access to the same object.
-  return a.op == "read" && b.op == "read";
+  return a.op == sim::OpName("read") && b.op == sim::OpName("read");
 }
 
 namespace detail {
@@ -59,7 +60,7 @@ struct FpHash {
       v >>= 8U;
     }
   }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u64(s.size());
     for (const char c : s) byte(static_cast<unsigned char>(c));
   }
@@ -223,7 +224,9 @@ Frame make_frame(const sim::SimEnv& env, std::uint64_t runnable,
   frame.runnable = runnable;
   for_each_pid(runnable, [&](int pid) {
     if (env.restart_supported(pid)) frame.restartable |= pid_bit(pid);
-    if (env.pending_of(pid).op == "sc") frame.sc_ready |= pid_bit(pid);
+    if (env.pending_of(pid).op == sim::OpName("sc")) {
+      frame.sc_ready |= pid_bit(pid);
+    }
   });
   if (parent == nullptr) return frame;
 
@@ -331,8 +334,8 @@ bool compute_fp_key(SystemInstance& instance, const sim::SimEnv& env,
     hash.u64(env.steps_of(pid));
     if (parked) {
       const sim::OpDesc& op = env.pending_of(pid);
-      hash.str(op.object);
-      hash.str(op.op);
+      hash.str(op.object.view());
+      hash.str(op.op.view());
       hash.u64(static_cast<std::uint64_t>(op.arg0));
       hash.u64(static_cast<std::uint64_t>(op.arg1));
     }
@@ -513,7 +516,7 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     if (sim::is_fault_action(choice)) {
       ++run_faults;
       run_fault_points.emplace_back(choice, env.steps_of(action.pid));
-    } else if (env.pending_of(action.pid).op == "timer") {
+    } else if (env.pending_of(action.pid).op == sim::OpName("timer")) {
       ++run_timer_grants;
     }
     if (env.apply(choice)) {

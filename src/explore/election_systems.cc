@@ -301,7 +301,8 @@ class AuditMutantInstance final : public SystemInstance {
  public:
   AuditMutantInstance(core::AuditMutant mutant, int n)
       : mutant_(mutant), n_(n), hidden_("hidden"), stealth_("counter"),
-        cell_("cell", 0), seen_(static_cast<std::size_t>(n), -1) {}
+        cell_("cell", 0), cell_object_("cell"),
+        seen_(static_cast<std::size_t>(n), -1) {}
 
   void populate(sim::SimEnv& env) override {
     for (int pid = 0; pid < n_; ++pid) {
@@ -315,7 +316,7 @@ class AuditMutantInstance final : public SystemInstance {
             if (pid == 0) {
               // BUG: inspect shared state before the first sync — no
               // granted window is open, so this read raced the launch.
-              ctx.access_token().read("cell");
+              ctx.access_token().read(cell_object_);
               peeked_ = cell_.peek();
             }
             mine = cell_.read(ctx);
@@ -356,6 +357,7 @@ class AuditMutantInstance final : public SystemInstance {
   core::HiddenScratchRegister hidden_;
   core::StealthCounterRegister stealth_;
   sim::MwmrRegister<std::int64_t> cell_;
+  sim::ObjectName cell_object_;  ///< cell_'s name, for the unsynced peek
   std::int64_t peeked_ = -1;
   std::vector<std::int64_t> seen_;
 };

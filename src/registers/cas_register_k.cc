@@ -1,5 +1,7 @@
 #include "registers/cas_register_k.h"
 
+#include <string>
+
 #include "registers/footprint.h"
 #include "util/checked.h"
 
@@ -7,8 +9,8 @@ namespace bss::sim {
 
 BSS_FOOTPRINT(CasRegisterK, cas, read);
 
-CasRegisterK::CasRegisterK(std::string name, int k)
-    : name_(std::move(name)), k_(k) {
+CasRegisterK::CasRegisterK(std::string_view name, int k)
+    : name_(name), k_(k) {
   expects(k >= 2, "compare&swap-(k) needs at least two values");
 }
 

@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/sim_env.h"
@@ -35,7 +35,7 @@ class CasRegisterK {
   };
 
   /// Constructs a register holding `k` distinct values (k >= 2).
-  CasRegisterK(std::string name, int k);
+  CasRegisterK(std::string_view name, int k);
 
   /// The paper's c&s(expect -> next); returns the previous value.
   int compare_and_swap(Ctx& ctx, int expect, int next);
@@ -45,7 +45,7 @@ class CasRegisterK {
   int read(Ctx& ctx) const;
 
   int k() const { return k_; }
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
 
   // --- checker access (no simulation step) ---
   int peek() const { return value_; }
@@ -59,7 +59,7 @@ class CasRegisterK {
   void check_symbol(int symbol, const char* what) const;
   void count_access(int pid) const;
 
-  std::string name_;
+  ObjectName name_;
   int k_;
   int value_ = kBottom;
   std::vector<Transition> history_;

@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "registers/footprint.h"
 #include "runtime/sim_env.h"
@@ -17,8 +17,8 @@ class FetchAdd {
   BSS_FOOTPRINT(FetchAdd, faa, read);
 
  public:
-  FetchAdd(std::string name, std::int64_t initial = 0)
-      : name_(std::move(name)), value_(initial) {}
+  FetchAdd(std::string_view name, std::int64_t initial = 0)
+      : name_(name), value_(initial) {}
 
   /// Atomically adds `delta`; returns the previous value.
   std::int64_t fetch_add(Ctx& ctx, std::int64_t delta) {
@@ -37,11 +37,11 @@ class FetchAdd {
     return value_;
   }
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   std::int64_t peek() const { return value_; }
 
  private:
-  std::string name_;
+  ObjectName name_;
   std::int64_t value_;
 };
 

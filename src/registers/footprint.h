@@ -12,8 +12,9 @@
 // The macro compiles to nothing; `tools/bss_lint` (rule `footprint-declared`)
 // cross-checks, per file under src/registers/, the ops listed here against
 // the op-name literals in the file's `ctx.sync({…})` calls.  A sync op with
-// no BSS_FOOTPRINT entry, an entry with no sync op, or a token-stamping file
-// with no annotation at all is a lint error.
+// no BSS_FOOTPRINT entry, an entry with no sync op, a sync whose op is not
+// a string literal, or a token-stamping file with no annotation at all is a
+// lint error.
 #pragma once
 
 // Expands to a harmless declaration so the annotation can sit at class or

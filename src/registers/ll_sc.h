@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "registers/footprint.h"
@@ -22,8 +22,8 @@ class LlScRegisterK {
   BSS_FOOTPRINT(LlScRegisterK, ll, sc);
 
  public:
-  LlScRegisterK(std::string name, int k, int initial = 0)
-      : name_(std::move(name)), k_(k), value_(initial) {
+  LlScRegisterK(std::string_view name, int k, int initial = 0)
+      : name_(name), k_(k), value_(initial) {
     expects(k >= 1, "LL/SC register needs at least one value");
     expects(initial >= 0 && initial < k, "LL/SC initial value outside domain");
   }
@@ -59,7 +59,7 @@ class LlScRegisterK {
   }
 
   int k() const { return k_; }
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   int peek() const { return value_; }
 
  private:
@@ -71,7 +71,7 @@ class LlScRegisterK {
 
   static constexpr std::uint64_t kNeverLinked = ~std::uint64_t{0};
 
-  std::string name_;
+  ObjectName name_;
   int k_;
   int value_;
   std::uint64_t version_ = 0;

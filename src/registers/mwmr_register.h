@@ -5,7 +5,7 @@
 // Still consensus number 1.
 #pragma once
 
-#include <string>
+#include <string_view>
 #include <utility>
 
 #include "registers/footprint.h"
@@ -19,8 +19,8 @@ class MwmrRegister {
   BSS_FOOTPRINT(MwmrRegister, read, write);
 
  public:
-  MwmrRegister(std::string name, T initial)
-      : name_(std::move(name)), value_(std::move(initial)) {}
+  MwmrRegister(std::string_view name, T initial)
+      : name_(name), value_(std::move(initial)) {}
 
   T read(Ctx& ctx) const {
     ctx.sync({name_, "read", 0, 0});
@@ -35,11 +35,11 @@ class MwmrRegister {
     value_ = std::move(value);
   }
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   const T& peek() const { return value_; }
 
  private:
-  std::string name_;
+  ObjectName name_;
   T value_;
 };
 

@@ -9,7 +9,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "registers/footprint.h"
@@ -28,8 +28,8 @@ class RmwRegisterK {
     int to = 0;
   };
 
-  RmwRegisterK(std::string name, int k, int initial = 0)
-      : name_(std::move(name)), k_(k), value_(initial) {
+  RmwRegisterK(std::string_view name, int k, int initial = 0)
+      : name_(name), k_(k), value_(initial) {
     expects(k >= 1, "RMW register needs at least one value");
     expects(initial >= 0 && initial < k, "RMW initial value outside domain");
   }
@@ -58,12 +58,12 @@ class RmwRegisterK {
   }
 
   int k() const { return k_; }
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   int peek() const { return value_; }
   const std::vector<Transition>& history() const { return history_; }
 
  private:
-  std::string name_;
+  ObjectName name_;
   int k_;
   int value_;
   std::vector<Transition> history_;

@@ -1,5 +1,7 @@
 #include "registers/snapshot.h"
 
+#include <string>
+
 #include "registers/footprint.h"
 #include "util/checked.h"
 
@@ -7,9 +9,9 @@ namespace bss::sim {
 
 BSS_FOOTPRINT(AtomicSnapshot, read, write);
 
-AtomicSnapshot::AtomicSnapshot(std::string name, int n,
+AtomicSnapshot::AtomicSnapshot(std::string_view name, int n,
                                bool enforce_single_writer)
-    : name_(std::move(name)),
+    : name_(name),
       n_(n),
       enforce_single_writer_(enforce_single_writer),
       cells_(static_cast<std::size_t>(n)),
@@ -17,14 +19,15 @@ AtomicSnapshot::AtomicSnapshot(std::string name, int n,
   expects(n >= 1, "snapshot needs at least one component");
   cell_names_.reserve(cells_.size());
   for (int i = 0; i < n; ++i) {
-    cell_names_.push_back(name_ + "[" + std::to_string(i) + "]");
+    cell_names_.emplace_back(std::string(name) + "[" + std::to_string(i) +
+                             "]");
   }
 }
 
 std::vector<AtomicSnapshot::Cell> AtomicSnapshot::collect(Ctx& ctx) const {
   std::vector<Cell> copy(static_cast<std::size_t>(n_));
   for (int i = 0; i < n_; ++i) {
-    const std::string& cell = cell_names_[static_cast<std::size_t>(i)];
+    const ObjectName cell = cell_names_[static_cast<std::size_t>(i)];
     ctx.sync({cell, "read", 0, 0});
     ctx.access_token().read(cell);
     copy[static_cast<std::size_t>(i)] = cells_[static_cast<std::size_t>(i)];
@@ -47,8 +50,7 @@ void AtomicSnapshot::update(Ctx& ctx, int component, std::int64_t value) {
   // updater; this is what makes scan() wait-free.
   std::vector<std::int64_t> view = scan(ctx);
   Cell& cell = cells_[static_cast<std::size_t>(component)];
-  const std::string& cell_name =
-      cell_names_[static_cast<std::size_t>(component)];
+  const ObjectName cell_name = cell_names_[static_cast<std::size_t>(component)];
   ctx.sync({cell_name, "write", value, 0});
   ctx.access_token().write(cell_name);
   cell.value = value;

@@ -17,7 +17,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "runtime/sim_env.h"
@@ -29,7 +29,7 @@ class AtomicSnapshot {
   /// `n` components, indexed 0..n-1; component i may be updated by any
   /// process but only one at a time owns it in the intended SWMR usage
   /// (enforce_single_writer controls whether that discipline is checked).
-  AtomicSnapshot(std::string name, int n, bool enforce_single_writer = true);
+  AtomicSnapshot(std::string_view name, int n, bool enforce_single_writer = true);
 
   /// Writes `value` to component `component` (embedding a fresh scan).
   void update(Ctx& ctx, int component, std::int64_t value);
@@ -38,7 +38,7 @@ class AtomicSnapshot {
   std::vector<std::int64_t> scan(Ctx& ctx) const;
 
   int component_count() const { return n_; }
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
 
   /// Checker access: current values without simulation steps.
   std::vector<std::int64_t> peek() const;
@@ -57,11 +57,11 @@ class AtomicSnapshot {
   // One collect: reads every cell, one simulation step each.
   std::vector<Cell> collect(Ctx& ctx) const;
 
-  std::string name_;
+  ObjectName name_;
   int n_;
   bool enforce_single_writer_;
   std::vector<Cell> cells_;
-  std::vector<std::string> cell_names_;  // "name[i]", the objects synced on
+  std::vector<ObjectName> cell_names_;  // "name[i]", the objects synced on
   std::vector<int> owners_;  // fixed at first update when enforcing SWMR
   mutable std::vector<std::uint64_t> last_scan_reads_;  // by pid
 };

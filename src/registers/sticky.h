@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "registers/footprint.h"
 #include "runtime/sim_env.h"
@@ -18,7 +18,7 @@ class StickyRegister {
  public:
   static constexpr std::int64_t kUnset = -1;
 
-  explicit StickyRegister(std::string name) : name_(std::move(name)) {}
+  explicit StickyRegister(std::string_view name) : name_(name) {}
 
   /// Proposes `value` (must be >= 0).  Returns the value the register stuck
   /// at — `value` itself iff this proposal won.
@@ -37,11 +37,11 @@ class StickyRegister {
     return value_;
   }
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   std::int64_t peek() const { return value_; }
 
  private:
-  std::string name_;
+  ObjectName name_;
   std::int64_t value_ = kUnset;
 };
 

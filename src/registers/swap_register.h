@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "registers/footprint.h"
 #include "runtime/sim_env.h"
@@ -15,8 +15,8 @@ class SwapRegister {
   BSS_FOOTPRINT(SwapRegister, read, swap);
 
  public:
-  SwapRegister(std::string name, std::int64_t initial = 0)
-      : name_(std::move(name)), value_(initial) {}
+  SwapRegister(std::string_view name, std::int64_t initial = 0)
+      : name_(name), value_(initial) {}
 
   /// Atomically writes `next` and returns the previous value.
   std::int64_t swap(Ctx& ctx, std::int64_t next) {
@@ -35,11 +35,11 @@ class SwapRegister {
     return value_;
   }
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   std::int64_t peek() const { return value_; }
 
  private:
-  std::string name_;
+  ObjectName name_;
   std::int64_t value_;
 };
 

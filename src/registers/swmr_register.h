@@ -6,7 +6,7 @@
 // 22]; we enforce the single-writer discipline at runtime.
 #pragma once
 
-#include <string>
+#include <string_view>
 #include <utility>
 
 #include "registers/footprint.h"
@@ -25,8 +25,8 @@ class SwmrRegister {
   /// binding to the first write (the writer is then fixed forever).
   static constexpr int kAnyWriter = -1;
 
-  SwmrRegister(std::string name, int writer, T initial)
-      : name_(std::move(name)), writer_(writer), value_(std::move(initial)) {}
+  SwmrRegister(std::string_view name, int writer, T initial)
+      : name_(name), writer_(writer), value_(std::move(initial)) {}
 
   T read(Ctx& ctx) const {
     ctx.sync({name_, "read", 0, 0});
@@ -43,12 +43,12 @@ class SwmrRegister {
     value_ = std::move(value);
   }
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   /// Checker access: current value without taking a simulation step.
   const T& peek() const { return value_; }
 
  private:
-  std::string name_;
+  ObjectName name_;
   int writer_;
   T value_;
 };

@@ -5,7 +5,7 @@
 // src/hierarchy and verified exhaustively in src/checker.
 #pragma once
 
-#include <string>
+#include <string_view>
 
 #include "registers/footprint.h"
 #include "runtime/sim_env.h"
@@ -16,7 +16,7 @@ class TestAndSet {
   BSS_FOOTPRINT(TestAndSet, read, tas);
 
  public:
-  explicit TestAndSet(std::string name) : name_(std::move(name)) {}
+  explicit TestAndSet(std::string_view name) : name_(name) {}
 
   /// Atomically sets the bit; returns the *previous* value (false for the
   /// unique winner).
@@ -36,11 +36,11 @@ class TestAndSet {
     return set_;
   }
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   bool peek() const { return set_; }
 
  private:
-  std::string name_;
+  ObjectName name_;
   bool set_ = false;
 };
 

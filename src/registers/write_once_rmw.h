@@ -11,7 +11,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <string_view>
 
 #include "registers/footprint.h"
 #include "runtime/sim_env.h"
@@ -23,8 +23,8 @@ class WriteOnceRmwK {
   BSS_FOOTPRINT(WriteOnceRmwK, rmw1);
 
  public:
-  WriteOnceRmwK(std::string name, int k, int initial = 0)
-      : name_(std::move(name)), k_(k), value_(initial) {
+  WriteOnceRmwK(std::string_view name, int k, int initial = 0)
+      : name_(name), k_(k), value_(initial) {
     expects(k >= 1, "write-once RMW needs at least one value");
     expects(initial >= 0 && initial < k, "initial value outside domain");
   }
@@ -49,13 +49,13 @@ class WriteOnceRmwK {
   }
 
   int k() const { return k_; }
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_.view(); }
   int peek() const { return value_; }
   bool written() const { return written_; }
   int writer() const { return writer_; }
 
  private:
-  std::string name_;
+  ObjectName name_;
   int k_;
   int value_;
   bool written_ = false;

@@ -33,7 +33,8 @@ int CasConvoyScheduler::pick(const SchedView& view) {
   // of their compare&swap before any of them is allowed through.
   std::vector<int> non_cas;
   for (const int pid : view.runnable) {
-    if (view.processes[static_cast<std::size_t>(pid)].pending.op != "cas") {
+    const OpDesc& pending = view.processes[static_cast<std::size_t>(pid)].pending;
+    if (pending.op != OpName("cas")) {
       non_cas.push_back(pid);
     }
   }

@@ -363,28 +363,38 @@ std::string RunReport::summary() const {
 
 std::uint64_t Ctx::global_step() const { return env_->step_; }
 
+namespace {
+
+/// The pseudo-object timer and clock operations sync on.
+ObjectName clock_object() {
+  static const ObjectName clock("@clock");
+  return clock;
+}
+
+}  // namespace
+
 std::uint64_t Ctx::now() {
-  sync({"@clock", "read", 0, 0});
-  access_token().read("@clock");
+  sync({clock_object(), "read", 0, 0});
+  access_token().read(clock_object());
   const std::uint64_t value = env_->virtual_now_;
   note_result(static_cast<std::int64_t>(value));
   return value;
 }
 
 std::uint64_t Ctx::sleep_until(std::uint64_t deadline) {
-  sync({"@clock", "timer", static_cast<std::int64_t>(deadline), 0});
+  sync({clock_object(), "timer", static_cast<std::int64_t>(deadline), 0});
   // The grant IS the timer firing: the adversary chose this moment, so the
   // clock jumps far enough for the deadline to have passed (and no further —
   // other processes' views only move when their own ops are granted).
-  access_token().write("@clock");
+  access_token().write(clock_object());
   if (deadline > env_->virtual_now_) env_->virtual_now_ = deadline;
   const std::uint64_t value = env_->virtual_now_;
   note_result(static_cast<std::int64_t>(value));
   return value;
 }
 
-void Ctx::sync(OpDesc desc) {
-  env_->park(pid_, std::move(desc));
+void Ctx::sync(const OpDesc& desc) {
+  env_->park(pid_, desc);
   ++steps_taken_;
 }
 
@@ -533,7 +543,7 @@ void SimEnv::fiber_main(int pid) {
   proc.state = State::kDone;
 }
 
-void SimEnv::park(int pid, OpDesc desc) {
+void SimEnv::park(int pid, const OpDesc& desc) {
   // The C++ runtime keeps the in-flight count and the caught-exception
   // stack per thread; switching away mid-exception would hand them to the
   // engine and corrupt both.
@@ -542,7 +552,7 @@ void SimEnv::park(int pid, OpDesc desc) {
           "a process may not park while an exception is in flight or being "
           "handled");
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
-  proc.pending = std::move(desc);
+  proc.pending = desc;
   proc.state = State::kReady;
   proc.fiber->switch_to(*engine_);
   if (proc.crash_requested) throw ProcessCrashed{};
@@ -614,7 +624,7 @@ bool SimEnv::applicable(int decision) const {
   }
   if (action.kind == ActionKind::kRestart) return restart_supported(action.pid);
   if (action.kind == ActionKind::kScFailure) {
-    return pending_of(action.pid).op == "sc";
+    return pending_of(action.pid).op == OpName("sc");
   }
   return true;
 }
@@ -690,7 +700,7 @@ void SimEnv::inject_sc_failure(int pid) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   expects(proc.state == State::kReady,
           "inject_sc_failure: process is not parked");
-  expects(proc.pending.op == "sc",
+  expects(proc.pending.op == OpName("sc"),
           "inject_sc_failure: pending operation is not a store-conditional");
   note_fault_event("sim.sc_failure", pid);
   proc.sc_failure_pending = true;
@@ -789,7 +799,7 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
             "scheduler picked a non-runnable process");
     decisions_.push_back(pid);
     const bool fail_sc =
-        pending_of(pid).op == "sc" &&
+        pending_of(pid).op == OpName("sc") &&
         faults.should_fail_sc(pid, sc_granted[static_cast<std::size_t>(pid)]++);
     apply(fail_sc ? encode_action(ActionKind::kScFailure, pid) : pid);
     refresh_view(pid);

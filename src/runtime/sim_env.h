@@ -69,6 +69,14 @@
 // and ~SimEnv resumes every still-parked process with a crash so its locals
 // are destroyed before its stack goes back to the pool.
 //
+// finish() abandons each still-parked process the same way: one unwind per
+// process, which the explorer pays on every schedule it prunes.  The park
+// path is kept free of landing pads to keep that cheap: Ctx::sync, park and
+// the register operations hold nothing with a destructor across the park
+// (an OpDesc is trivially copyable; its names are interned handles,
+// runtime/names.h), so the unwinder runs no cleanup between the throw and
+// the catch in fiber_main.
+//
 // One rule follows from the switch: a process may not park while an
 // exception is in flight or being handled on its stack (a sync inside a
 // catch block, or in a destructor run by unwinding).  The C++ runtime keeps
@@ -192,7 +200,7 @@ class Ctx {
   /// Announces the pending operation and blocks until the scheduler grants
   /// this process its next step.  Called by shared objects at the start of
   /// every operation.  Throws ProcessCrashed if the process was killed.
-  void sync(OpDesc desc);
+  void sync(const OpDesc& desc);
 
   /// Records the result of the operation granted by the last sync(), for the
   /// trace.  Optional; at most once per sync.
@@ -409,7 +417,7 @@ class SimEnv {
   static void fiber_entry() noexcept;  // a new fiber's entry: fiber_main
   void fiber_main(int pid);  // the process's life, on its own fiber
   // Ctx::sync body: park the calling process and hand control to the engine.
-  void park(int pid, OpDesc desc);
+  void park(int pid, const OpDesc& desc);
   // Switches into `proc`'s fiber until it parks or finishes; a finished
   // fiber's stack goes back to the pool.
   void resume(Proc& proc);

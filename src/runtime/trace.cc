@@ -4,10 +4,10 @@
 
 namespace bss::sim {
 
-std::vector<TraceEvent> Trace::for_object(const std::string& object) const {
+std::vector<TraceEvent> Trace::for_object(std::string_view object) const {
   std::vector<TraceEvent> out;
   for (const auto& event : events_) {
-    if (event.desc.object == object) out.push_back(event);
+    if (event.desc.object.view() == object) out.push_back(event);
   }
   return out;
 }
@@ -20,10 +20,10 @@ std::vector<TraceEvent> Trace::for_pid(int pid) const {
   return out;
 }
 
-std::size_t Trace::count(int pid, const std::string& op) const {
+std::size_t Trace::count(int pid, std::string_view op) const {
   std::size_t n = 0;
   for (const auto& event : events_) {
-    if (event.pid == pid && (op.empty() || event.desc.op == op)) ++n;
+    if (event.pid == pid && (op.empty() || event.desc.op.view() == op)) ++n;
   }
   return n;
 }

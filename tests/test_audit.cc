@@ -28,20 +28,23 @@
 namespace bss::audit {
 namespace {
 
+using sim::ObjectName;
+
 // ------------------------------------------------------------ access token
 
 TEST(AccessToken, UnarmedTokenIsANoOp) {
   AccessToken token;
   EXPECT_FALSE(token.armed());
-  token.read("x");  // must be safe without an observer
-  token.write("x");
+  token.read(ObjectName("x"));  // must be safe without an observer
+  token.write(ObjectName("x"));
 }
 
 // ---------------------------------------------------- ledger: race detection
 
 TEST(Auditor, FlagsAccessOutsideAnyWindow) {
   Auditor auditor;
-  auditor.on_access(0, "x", AccessKind::kRead, AccessToken::kNoWindow);
+  auditor.on_access(0, ObjectName("x"), AccessKind::kRead,
+                    AccessToken::kNoWindow);
   EXPECT_FALSE(auditor.clean());
   ASSERT_EQ(auditor.violations().size(), 1u);
   EXPECT_EQ(auditor.violations()[0].kind, ViolationKind::kUnsyncedAccess);
@@ -51,8 +54,8 @@ TEST(Auditor, FlagsAccessOutsideAnyWindow) {
 
 TEST(Auditor, FlagsAccessByWrongPid) {
   Auditor auditor;
-  auditor.on_window_begin(0, {"x", "read", 0, 0}, 0);
-  auditor.on_access(1, "x", AccessKind::kRead, 0);
+  auditor.on_window_begin(0, {ObjectName("x"), "read", 0, 0}, 0);
+  auditor.on_access(1, ObjectName("x"), AccessKind::kRead, 0);
   auditor.on_window_end(0, false);
   ASSERT_EQ(auditor.violations().size(), 1u);
   EXPECT_EQ(auditor.violations()[0].kind, ViolationKind::kWrongPid);
@@ -61,8 +64,9 @@ TEST(Auditor, FlagsAccessByWrongPid) {
 
 TEST(Auditor, FlagsStaleToken) {
   Auditor auditor;
-  auditor.on_window_begin(0, {"x", "read", 0, 0}, 3);
-  auditor.on_access(0, "x", AccessKind::kRead, 7);  // checked out elsewhere
+  auditor.on_window_begin(0, {ObjectName("x"), "read", 0, 0}, 3);
+  // The token was checked out elsewhere.
+  auditor.on_access(0, ObjectName("x"), AccessKind::kRead, 7);
   auditor.on_window_end(0, false);
   ASSERT_EQ(auditor.violations().size(), 1u);
   EXPECT_EQ(auditor.violations()[0].kind, ViolationKind::kStaleToken);
@@ -70,8 +74,8 @@ TEST(Auditor, FlagsStaleToken) {
 
 TEST(Auditor, CleanWindowWithMatchingFootprint) {
   Auditor auditor;
-  auditor.on_window_begin(0, {"x", "read", 0, 0}, 0);
-  auditor.on_access(0, "x", AccessKind::kRead, 0);
+  auditor.on_window_begin(0, {ObjectName("x"), "read", 0, 0}, 0);
+  auditor.on_access(0, ObjectName("x"), AccessKind::kRead, 0);
   auditor.on_window_end(0, false);
   EXPECT_TRUE(auditor.clean()) << auditor.summary();
   EXPECT_EQ(auditor.windows(), 1u);
@@ -82,14 +86,15 @@ TEST(Auditor, EmptyTouchWindowIsExempt) {
   // Emulated objects drive sync() directly without tokens; a window with no
   // stamped accesses means "not instrumented", not "touched nothing".
   Auditor auditor;
-  auditor.on_window_begin(0, {"x", "write", 1, 0}, 0);
+  auditor.on_window_begin(0, {ObjectName("x"), "write", 1, 0}, 0);
   auditor.on_window_end(0, false);
   EXPECT_TRUE(auditor.clean()) << auditor.summary();
 }
 
 TEST(Auditor, ResetForgetsEverything) {
   Auditor auditor;
-  auditor.on_access(0, "x", AccessKind::kRead, AccessToken::kNoWindow);
+  auditor.on_access(0, ObjectName("x"), AccessKind::kRead,
+                    AccessToken::kNoWindow);
   EXPECT_FALSE(auditor.clean());
   auditor.reset();
   EXPECT_TRUE(auditor.clean());
@@ -100,12 +105,13 @@ TEST(Auditor, ResetForgetsEverything) {
 
 TEST(Auditor, ViolationDescriptionsCarryContext) {
   Auditor auditor;
-  auditor.on_window_begin(0, {"cas", "cas", 0, 1}, 0);
-  auditor.on_access(0, "cas", AccessKind::kWrite, 0);
+  auditor.on_window_begin(0, {ObjectName("cas"), "cas", 0, 1}, 0);
+  auditor.on_access(0, ObjectName("cas"), AccessKind::kWrite, 0);
   auditor.on_window_end(0, false);
-  auditor.on_window_begin(1, {"r", "read", 0, 0}, 1);
-  auditor.on_access(1, "hidden", AccessKind::kWrite, 1);  // undeclared
-  auditor.on_access(1, "r", AccessKind::kRead, 1);
+  auditor.on_window_begin(1, {ObjectName("r"), "read", 0, 0}, 1);
+  // An undeclared touch:
+  auditor.on_access(1, ObjectName("hidden"), AccessKind::kWrite, 1);
+  auditor.on_access(1, ObjectName("r"), AccessKind::kRead, 1);
   auditor.on_window_end(1, false);
   ASSERT_EQ(auditor.violations().size(), 1u);
   const std::string text = auditor.violations()[0].to_string();
@@ -122,8 +128,9 @@ TEST(Conformance, FlagsUndeclaredTouch) {
   WindowFootprint footprint;
   footprint.pid = 0;
   footprint.step = 2;
-  footprint.declared = {"x", "read", 0, 0};
-  footprint.touched = {{"x", AccessKind::kRead}, {"y", AccessKind::kWrite}};
+  footprint.declared = {ObjectName("x"), "read", 0, 0};
+  footprint.touched = {{ObjectName("x"), AccessKind::kRead},
+                       {ObjectName("y"), AccessKind::kWrite}};
   const auto violations = check_footprint(footprint);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].kind, ViolationKind::kUndeclaredTouch);
@@ -133,8 +140,8 @@ TEST(Conformance, FlagsUndeclaredTouch) {
 TEST(Conformance, FlagsWriteInDeclaredReadOp) {
   WindowFootprint footprint;
   footprint.pid = 1;
-  footprint.declared = {"x", "read", 0, 0};
-  footprint.touched = {{"x", AccessKind::kWrite}};
+  footprint.declared = {ObjectName("x"), "read", 0, 0};
+  footprint.touched = {{ObjectName("x"), AccessKind::kWrite}};
   const auto violations = check_footprint(footprint);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].kind, ViolationKind::kWriteInReadOp);
@@ -143,8 +150,8 @@ TEST(Conformance, FlagsWriteInDeclaredReadOp) {
 TEST(Conformance, FlagsPhantomDeclaration) {
   WindowFootprint footprint;
   footprint.pid = 0;
-  footprint.declared = {"x", "write", 1, 0};
-  footprint.touched = {{"y", AccessKind::kWrite}};
+  footprint.declared = {ObjectName("x"), "write", 1, 0};
+  footprint.touched = {{ObjectName("y"), AccessKind::kWrite}};
   const auto violations = check_footprint(footprint);
   ASSERT_EQ(violations.size(), 2u);
   EXPECT_EQ(violations[0].kind, ViolationKind::kUndeclaredTouch);
@@ -154,8 +161,8 @@ TEST(Conformance, FlagsPhantomDeclaration) {
 TEST(Conformance, AbortedWindowSkipsThePhantomRuleOnly) {
   WindowFootprint footprint;
   footprint.pid = 0;
-  footprint.declared = {"x", "write", 1, 0};
-  footprint.touched = {{"y", AccessKind::kWrite}};
+  footprint.declared = {ObjectName("x"), "write", 1, 0};
+  footprint.touched = {{ObjectName("y"), AccessKind::kWrite}};
   footprint.aborted = true;
   const auto violations = check_footprint(footprint);
   // The undeclared touch still counts; the untouched declaration does not
@@ -167,7 +174,7 @@ TEST(Conformance, AbortedWindowSkipsThePhantomRuleOnly) {
 TEST(Conformance, UninstrumentedWindowIsExempt) {
   WindowFootprint footprint;
   footprint.pid = 0;
-  footprint.declared = {"x", "write", 1, 0};
+  footprint.declared = {ObjectName("x"), "write", 1, 0};
   EXPECT_TRUE(check_footprint(footprint).empty());
 }
 
@@ -192,7 +199,8 @@ TEST(SimIntegration, PreSyncPeekIsFlaggedAsUnsynced) {
   sim::SimEnv env;
   sim::MwmrRegister<int> reg("cell", 0);
   env.add_process([&](sim::Ctx& ctx) {
-    ctx.access_token().read("cell");  // no sync yet: no window open
+    // No sync yet: no window open.
+    ctx.access_token().read(ObjectName("cell"));
     (void)reg.peek();
     (void)reg.read(ctx);
   });

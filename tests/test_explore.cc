@@ -18,11 +18,11 @@ namespace {
 // ------------------------------------------------------- commutation rule
 
 TEST(OpsCommute, FootprintRule) {
-  const sim::OpDesc read_a{"a", "read", 0, 0};
-  const sim::OpDesc read_a2{"a", "read", 0, 0};
-  const sim::OpDesc write_a{"a", "write", 1, 0};
-  const sim::OpDesc write_b{"b", "write", 1, 0};
-  const sim::OpDesc cas_a{"a", "cas", 0, 1};
+  const sim::OpDesc read_a{sim::ObjectName("a"), "read", 0, 0};
+  const sim::OpDesc read_a2{sim::ObjectName("a"), "read", 0, 0};
+  const sim::OpDesc write_a{sim::ObjectName("a"), "write", 1, 0};
+  const sim::OpDesc write_b{sim::ObjectName("b"), "write", 1, 0};
+  const sim::OpDesc cas_a{sim::ObjectName("a"), "cas", 0, 1};
   EXPECT_TRUE(ops_commute(read_a, read_a2));   // both read same object
   EXPECT_TRUE(ops_commute(write_a, write_b));  // different objects
   EXPECT_FALSE(ops_commute(read_a, write_a));  // read/write same object

@@ -262,11 +262,11 @@ TEST(SpuriousSc, RestartClearsAnInjectedPendingFailure) {
   env.start();
   env.step_process(0);  // LL
   ASSERT_TRUE(env.is_parked(0));
-  ASSERT_EQ(env.pending_of(0).op, "sc");
+  ASSERT_EQ(env.pending_of(0).op.view(), "sc");
   env.inject_sc_failure(0);
   env.restart_process(0);  // the marked SC is abandoned, never performed
   env.step_process(0);     // fresh incarnation's LL
-  ASSERT_EQ(env.pending_of(0).op, "sc");
+  ASSERT_EQ(env.pending_of(0).op.view(), "sc");
   env.step_process(0);
   env.finish();
   ASSERT_EQ(results.size(), 1u);

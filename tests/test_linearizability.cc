@@ -176,7 +176,7 @@ TEST(Linearizability, NaiveCollectIsCaught) {
       for (int round = 1; round <= 3; ++round) {
         for (int component = 0; component < kComponents; ++component) {
           const std::uint64_t start = ctx.global_step();
-          ctx.sync({"reg", "write", component, round});
+          ctx.sync({ObjectName("reg"), "write", component, round});
           reg[static_cast<std::size_t>(component)] = round;
           history.push_back(
               {ctx.pid(), start, ctx.global_step(), {component, round}, {}});
@@ -188,7 +188,7 @@ TEST(Linearizability, NaiveCollectIsCaught) {
         const std::uint64_t start = ctx.global_step();
         std::vector<std::int64_t> view;
         for (int component = 0; component < kComponents; ++component) {
-          ctx.sync({"reg", "read", component, 0});
+          ctx.sync({ObjectName("reg"), "read", component, 0});
           view.push_back(reg[static_cast<std::size_t>(component)]);
         }
         history.push_back({ctx.pid(), start, ctx.global_step(), {}, view});

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/election_validator.h"
 #include "core/sim_election.h"
 #include "registers/mwmr_register.h"
 #include "registers/swmr_register.h"
 #include "runtime/fault_plan.h"
+#include "runtime/names.h"
 #include "runtime/scheduler.h"
 #include "runtime/sim_env.h"
 
@@ -101,10 +108,10 @@ TEST(SimEnv, TraceRecordsOperationsInOrder) {
   env.run(sched);
   const auto& events = env.trace().events();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].desc.op, "read");
+  EXPECT_EQ(events[0].desc.op.view(), "read");
   EXPECT_TRUE(events[0].has_result);
   EXPECT_EQ(events[0].result, 7);
-  EXPECT_EQ(events[1].desc.op, "write");
+  EXPECT_EQ(events[1].desc.op.view(), "write");
   EXPECT_EQ(events[1].desc.arg0, 9);
   EXPECT_EQ(events[0].step, 0u);
   EXPECT_EQ(events[1].step, 1u);
@@ -203,8 +210,10 @@ TEST(SimEnv, ManyProcessesInterleaveAndFinish) {
 
 TEST(Scheduler, CasConvoyPrefersNonCas) {
   // One process about to cas, one about to read: convoy must pick the read.
-  ProcView p0{.pid = 0, .ready = true, .pending = {"c", "cas", 0, 1}};
-  ProcView p1{.pid = 1, .ready = true, .pending = {"r", "read", 0, 0}};
+  ProcView p0{
+      .pid = 0, .ready = true, .pending = {ObjectName("c"), "cas", 0, 1}};
+  ProcView p1{
+      .pid = 1, .ready = true, .pending = {ObjectName("r"), "read", 0, 0}};
   std::vector<ProcView> procs{p0, p1};
   std::vector<int> runnable{0, 1};
   CasConvoyScheduler sched(1);
@@ -300,11 +309,101 @@ TEST(Scheduler, HundredSeedSweepOverElection) {
   }
 }
 
+// ------------------------------------------------------------------ names
+
+TEST(Names, EqualSpellingsInternToEqualHandlesAcrossThreads) {
+  // Every thread interns the shared spellings, in its own order, racing the
+  // others to be first, plus spellings of its own.
+  constexpr int kThreads = 4;
+  constexpr int kShared = 200;
+  constexpr int kOwn = 50;
+  const auto shared_spelling = [](int i) {
+    return "shared-object[" + std::to_string(i) + "]";
+  };
+  const auto own_spelling = [](int thread, int i) {
+    return "thread" + std::to_string(thread) + ".object[" + std::to_string(i) +
+           "]";
+  };
+  std::vector<std::vector<ObjectName>> shared(kThreads);
+  std::vector<std::vector<ObjectName>> own(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto& mine = shared[static_cast<std::size_t>(t)];
+      mine.resize(kShared);
+      for (int k = 0; k < kShared; ++k) {
+        const int rotated = (k + 53 * t) % kShared;
+        const int i = t % 2 == 0 ? rotated : kShared - 1 - rotated;
+        mine[static_cast<std::size_t>(i)] = ObjectName(shared_spelling(i));
+      }
+      for (int i = 0; i < kOwn; ++i) {
+        own[static_cast<std::size_t>(t)].emplace_back(own_spelling(t, i));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  std::set<std::string> spellings;
+  for (int i = 0; i < kShared; ++i) {
+    const ObjectName first = shared[0][static_cast<std::size_t>(i)];
+    EXPECT_EQ(first.view(), shared_spelling(i));
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(shared[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)],
+                first)
+          << shared_spelling(i) << " from thread " << t;
+    }
+    EXPECT_EQ(ObjectName(shared_spelling(i)), first) << "re-interned";
+    spellings.emplace(first.view());
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kOwn; ++i) {
+      const ObjectName name =
+          own[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)];
+      EXPECT_EQ(name.view(), own_spelling(t, i));
+      spellings.emplace(name.view());
+    }
+  }
+  ASSERT_EQ(spellings.size(),
+            static_cast<std::size_t>(kShared + kThreads * kOwn));
+  // Distinct spellings give distinct handles.
+  std::vector<ObjectName> handles;
+  for (const auto& spelling : spellings) handles.emplace_back(spelling);
+  for (std::size_t a = 0; a < handles.size(); ++a) {
+    for (std::size_t b = a + 1; b < handles.size(); ++b) {
+      ASSERT_NE(handles[a], handles[b])
+          << handles[a].view() << " vs " << handles[b].view();
+    }
+  }
+}
+
+TEST(Names, EmptyAndPrefixSpellings) {
+  EXPECT_EQ(ObjectName(), ObjectName(""));
+  EXPECT_EQ(ObjectName().view(), "");
+  EXPECT_NE(ObjectName("r"), ObjectName());
+  EXPECT_NE(ObjectName("r"), ObjectName("r[0]"));
+  EXPECT_NE(ObjectName("ab"), ObjectName("a"));
+  const std::string spelling = "built at run time";
+  EXPECT_EQ(ObjectName(spelling), ObjectName("built at run time"));
+}
+
+TEST(Names, OpNamesKeepTheirSpellings) {
+  constexpr OpName read = "read";
+  static_assert(read == OpName("read"));
+  static_assert(read != OpName("write"));
+  static_assert(OpName().view().empty());
+  EXPECT_EQ(read.view(), "read");
+  EXPECT_EQ(OpName("timer").view(), "timer");
+  const OpDesc desc{ObjectName("confirm[2]"), "cas", 1, 2};
+  std::ostringstream out;
+  out << desc.object << "." << desc.op;
+  EXPECT_EQ(out.str(), "confirm[2].cas");
+}
+
 TEST(Trace, FiltersAndCounts) {
   Trace trace;
-  trace.append({0, 1, {"a", "read", 0, 0}, 0, false});
-  trace.append({1, 2, {"b", "write", 5, 0}, 0, false});
-  trace.append({2, 1, {"a", "write", 6, 0}, 0, false});
+  trace.append({0, 1, {ObjectName("a"), "read", 0, 0}, 0, false});
+  trace.append({1, 2, {ObjectName("b"), "write", 5, 0}, 0, false});
+  trace.append({2, 1, {ObjectName("a"), "write", 6, 0}, 0, false});
   EXPECT_EQ(trace.for_object("a").size(), 2u);
   EXPECT_EQ(trace.for_pid(2).size(), 1u);
   EXPECT_EQ(trace.count(1), 2u);
@@ -325,7 +424,7 @@ TEST(Trace, HelpersOnEmptyTrace) {
 
 TEST(Trace, HelpersOnUnknownNamesAndPids) {
   Trace trace;
-  trace.append({0, 1, {"a", "read", 0, 0}, 0, false});
+  trace.append({0, 1, {ObjectName("a"), "read", 0, 0}, 0, false});
   EXPECT_TRUE(trace.for_object("no-such-object").empty());
   EXPECT_TRUE(trace.for_pid(7).empty());
   EXPECT_TRUE(trace.for_pid(-1).empty());
@@ -336,8 +435,8 @@ TEST(Trace, HelpersOnUnknownNamesAndPids) {
 TEST(Trace, ToStringTruncatesLongTraces) {
   Trace trace;
   for (int i = 0; i < 10; ++i) {
-    trace.append({static_cast<std::uint64_t>(i), 0, {"a", "read", 0, 0}, 0,
-                  false});
+    trace.append({static_cast<std::uint64_t>(i), 0,
+                  {ObjectName("a"), "read", 0, 0}, 0, false});
   }
   const std::string text = trace.to_string(3);
   EXPECT_NE(text.find("... (7 more)"), std::string::npos) << text;
@@ -376,8 +475,8 @@ TEST(VirtualTime, NowReadsZeroUntilATimerFires) {
   EXPECT_EQ(report.total_steps, 4u);
   const auto clock_events = env.trace().for_object("@clock");
   ASSERT_EQ(clock_events.size(), 4u);
-  EXPECT_EQ(clock_events[0].desc.op, "read");
-  EXPECT_EQ(clock_events[2].desc.op, "timer");
+  EXPECT_EQ(clock_events[0].desc.op.view(), "read");
+  EXPECT_EQ(clock_events[2].desc.op.view(), "timer");
   EXPECT_EQ(clock_events[2].desc.arg0, 5);
   EXPECT_TRUE(clock_events[2].has_result);
   EXPECT_EQ(clock_events[2].result, 5);
@@ -426,12 +525,12 @@ TEST(VirtualTime, RestartAbandonsParkedTimerWithoutFiringIt) {
   env.add_process(body, body);
   env.start();
   ASSERT_TRUE(env.is_parked(0));
-  EXPECT_EQ(env.pending_of(0).object, "@clock");
-  EXPECT_EQ(env.pending_of(0).op, "timer");
+  EXPECT_EQ(env.pending_of(0).object.view(), "@clock");
+  EXPECT_EQ(env.pending_of(0).op.view(), "timer");
   env.restart_process(0);
   EXPECT_EQ(env.virtual_now(), 0u);  // the abandoned timer never fired
   ASSERT_TRUE(env.is_parked(0));
-  EXPECT_EQ(env.pending_of(0).op, "timer");
+  EXPECT_EQ(env.pending_of(0).op.view(), "timer");
   env.step_process(0);  // the fresh incarnation's timer fires now
   EXPECT_EQ(env.virtual_now(), 7u);
   env.step_process(0);  // the write after the sleep

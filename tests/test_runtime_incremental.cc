@@ -30,13 +30,13 @@ TEST(Incremental, PendingOpsVisibleBeforeExecution) {
   });
   env.start();
   ASSERT_TRUE(env.is_parked(0));
-  EXPECT_EQ(env.pending_of(0).op, "read");
-  EXPECT_EQ(env.pending_of(0).object, "r");
+  EXPECT_EQ(env.pending_of(0).op.view(), "read");
+  EXPECT_EQ(env.pending_of(0).object.view(), "r");
   const TraceEvent first = env.step_process(0);
-  EXPECT_EQ(first.desc.op, "read");
+  EXPECT_EQ(first.desc.op.view(), "read");
   EXPECT_EQ(first.result, 5);
   ASSERT_TRUE(env.is_parked(0));
-  EXPECT_EQ(env.pending_of(0).op, "write");
+  EXPECT_EQ(env.pending_of(0).op.view(), "write");
   EXPECT_EQ(env.pending_of(0).arg0, 9);
   env.step_process(0);
   EXPECT_TRUE(env.is_finished(0));
@@ -49,7 +49,7 @@ TEST(Incremental, InjectionDeliversResults) {
   SimEnv env;
   std::int64_t got = -1;
   env.add_process([&](Ctx& ctx) {
-    ctx.sync({"fake", "cas", 0, 1});
+    ctx.sync({ObjectName("fake"), "cas", 0, 1});
     got = ctx.take_injection();
   });
   env.start();
@@ -62,7 +62,7 @@ TEST(Incremental, InjectionDeliversResults) {
 TEST(Incremental, MissingInjectionIsAnError) {
   SimEnv env;
   env.add_process([&](Ctx& ctx) {
-    ctx.sync({"fake", "cas", 0, 1});
+    ctx.sync({ObjectName("fake"), "cas", 0, 1});
     (void)ctx.take_injection();  // nothing injected: invariant error
   });
   env.start();
@@ -78,7 +78,7 @@ TEST(Incremental, InjectionIsConsumedPerStep) {
   std::vector<std::int64_t> got;
   env.add_process([&](Ctx& ctx) {
     for (int i = 0; i < 2; ++i) {
-      ctx.sync({"fake", "cas", i, i + 1});
+      ctx.sync({ObjectName("fake"), "cas", i, i + 1});
       got.push_back(ctx.take_injection());
     }
   });
@@ -153,7 +153,7 @@ TEST(Incremental, StepTraceIsRecorded) {
   env.step_process(0);
   env.finish();
   ASSERT_EQ(env.trace().size(), 1u);
-  EXPECT_EQ(env.trace().events()[0].desc.op, "read");
+  EXPECT_EQ(env.trace().events()[0].desc.op.view(), "read");
 }
 
 TEST(Incremental, MixedModesRejected) {
@@ -253,7 +253,7 @@ TEST(Decisions, ScFailureNeedsAPendingStoreConditional) {
   env.add_process([&](Ctx& ctx) {
     reg.write(ctx, 1);
     for (int i = 0; i < 3; ++i) {
-      ctx.sync({"x", "sc", 0, 0});
+      ctx.sync({ObjectName("x"), "sc", 0, 0});
       if (i != 1) failed.push_back(ctx.take_sc_failure());
     }
   });
@@ -291,7 +291,7 @@ struct ParitySystem {
     });
     env.add_process([](Ctx& ctx) {
       for (int i = 0; i < 2; ++i) {
-        ctx.sync({"x", "sc", 0, 0});
+        ctx.sync({ObjectName("x"), "sc", 0, 0});
         ctx.note_result(ctx.take_sc_failure() ? 0 : 1);
       }
     });

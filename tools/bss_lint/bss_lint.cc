@@ -39,6 +39,9 @@
 //                           BSS_FOOTPRINT(Class, op...) annotation whose
 //                           op-name set matches the file's ctx.sync({...})
 //                           op literals exactly (registers/footprint.h).
+//                           A sync whose op is not a string literal in
+//                           that place is a finding too: the rule cannot
+//                           check what it cannot read.
 //
 // Suppression syntax — on the offending line or the line above:
 //
@@ -686,24 +689,43 @@ void check_footprint(const SourceFile& file, std::vector<Finding>& findings) {
   std::map<std::string, std::size_t> sync_ops;  // op -> first line
   for (std::size_t pos = code.find(".sync("); pos != std::string_view::npos;
        pos = code.find(".sync(", pos + 1)) {
+    const auto unreadable = [&] {
+      emit(findings, file, line_of(file, pos), "footprint-declared",
+           "cannot read this sync's op: write it as ctx.sync({object, "
+           "\"op\", ...}) with the op a string literal");
+    };
     std::size_t cursor = skip_ws(code, pos + 6);
-    if (cursor >= code.size() || code[cursor] != '{') continue;
+    if (cursor >= code.size() || code[cursor] != '{') {
+      unreadable();
+      continue;
+    }
     // Skip the object-name expression up to the first top-level comma.
     int depth = 0;
-    while (cursor < code.size()) {
+    while (cursor < code.size() && depth >= 0) {
       const char c = code[cursor];
       if (c == '(' || c == '{' || c == '[') ++depth;
       if (c == ')' || c == '}' || c == ']') --depth;
       if (c == ',' && depth == 1) break;
       ++cursor;
     }
+    if (cursor >= code.size() || code[cursor] != ',') {
+      unreadable();
+      continue;
+    }
     cursor = skip_ws(code, cursor + 1);
-    if (cursor >= code.size() || code[cursor] != '"') continue;
+    if (cursor >= code.size() || code[cursor] != '"') {
+      unreadable();
+      continue;
+    }
     const std::size_t begin = cursor + 1;
     std::size_t end = begin;
     while (end < code.size() && code[end] != '"') ++end;
     const std::string op(code.substr(begin, end - begin));
-    if (!op.empty()) sync_ops.emplace(op, line_of(file, pos));
+    if (op.empty()) {
+      unreadable();
+      continue;
+    }
+    sync_ops.emplace(op, line_of(file, pos));
   }
   const bool stamps_tokens =
       code.find("access_token()") != std::string_view::npos;
