@@ -6,7 +6,7 @@
 // DFS, every violation collected, no minimization (19,920 schedules,
 // 15,936 violations).  Passes alternate between observers off (the replay
 // fast path) and fully audited (audit on, every schedule commute-checked,
-// metrics+events telemetry), three per side, and each side keeps its
+// metrics telemetry), three per side, and each side keeps its
 // fastest pass.  The bench exits 1 unless audited/off is at least 2.0 and
 // every pass's result (summary and violation tapes) equals the first off
 // pass.  The explorer's rates are measured by perfbench; the identity
@@ -131,7 +131,6 @@ Gate run_gate(int jobs) {
                                                         &split_cas};
   bss::obs::Telemetry::Options obs_options;
   obs_options.metrics = true;
-  obs_options.events = true;
   bss::obs::Telemetry telemetry(obs_options);
 
   Gate gate;

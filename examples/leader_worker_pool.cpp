@@ -30,7 +30,6 @@
 #include <optional>
 #include <string>
 
-#include "obs/obs.h"
 #include "obs/runreport.h"
 #include "obs/status.h"
 #include "runtime/fault_plan.h"
@@ -62,11 +61,9 @@ LeaseConfig pool_config() {
 /// plan, ledger checked after the run.  Returns nullopt when safe.
 std::optional<std::string> run_sim_storm(const LeaseConfig& config,
                                          std::uint64_t seed,
-                                         LeaseStats& stats, int& restarts,
-                                         bss::obs::Telemetry* telemetry) {
+                                         LeaseStats& stats, int& restarts) {
   bss::service::LeaseSharedState state(config);
   LeaseLedger ledger;
-  ledger.set_obs_sink(telemetry);
   bss::sim::SimEnv env;
   for (int pid = 0; pid < config.n; ++pid) {
     const auto program = [&, pid](bss::sim::Ctx& ctx) {
@@ -153,13 +150,11 @@ int main(int argc, char** argv) {
   heartbeat(0, "running");  // seq 0: the soak is visible immediately
 
   // --- sim backend: seeded random storms through the simulator -----------
-  bss::obs::Telemetry telemetry;  // lifecycle events from the FIRST run only
   LeaseStats sim_stats;
   int sim_restarts = 0;
   for (int run = 0; run < sim_runs; ++run) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(run);
-    const auto verdict = run_sim_storm(config, seed, sim_stats, sim_restarts,
-                                       run == 0 ? &telemetry : nullptr);
+    const auto verdict = run_sim_storm(config, seed, sim_stats, sim_restarts);
     if (verdict.has_value()) {
       std::fprintf(stderr, "sim VIOLATION: %s\n", verdict->c_str());
       ++violations;
@@ -202,10 +197,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(thread_stats.leases_acquired),
               static_cast<unsigned long long>(thread_stats.step_downs),
               violations);
-  std::printf("telemetry: %llu lifecycle events from the showcase run "
-              "(service.acquire/renew/step_down/give_up)\n",
-              static_cast<unsigned long long>(
-                  telemetry.event_log().emitted()));
 
   // --- runreport: the service.* stat family, schema-gated ----------------
   if (!out_path.empty()) {

@@ -1,18 +1,16 @@
 // report_tour — the telemetry layer end to end (DESIGN.md §9).
 //
-// Explores a seeded election mutant with a full Telemetry sink attached —
-// metrics, structured events and worker timelines — then walks through
-// every artifact the run produced:
+// Explores a seeded election mutant with Telemetry attached — metrics and
+// worker timelines — then walks through every artifact the run produced:
 //
 //   1. the bss-runreport v1 document (deterministic channel + quarantined
 //      timing), re-parsed through the version gate,
 //   2. the merged metrics snapshot and where its numbers come from,
-//   3. the structured event log as JSONL, split by channel,
-//   4. the Chrome trace (load the printed file in Perfetto or
-//      chrome://tracing to see one track per worker plus the merge).
+//   3. the Chrome trace (load the printed file in Perfetto or
+//      chrome://tracing to see one track per worker).
 //
-// The exploration itself is byte-identical with and without the sink —
-// the tour re-runs it bare and checks that on the spot.
+// The exploration itself is byte-identical with and without telemetry —
+// the tour re-runs it bare and checks that on the spot, exiting 1 if not.
 #include <cstdio>
 #include <string>
 
@@ -25,10 +23,10 @@ int main() {
   const bss::explore::OneShotSystem system(
       4, 3, bss::core::OneShotMutant::kClaimAfterCas);
 
-  bss::obs::Telemetry::Options sink_options;
-  sink_options.timeline = true;
-  sink_options.trace_path = "report_tour.trace.json";
-  bss::obs::Telemetry telemetry(sink_options);
+  bss::obs::Telemetry::Options telemetry_options;
+  telemetry_options.timeline = true;
+  telemetry_options.trace_path = "report_tour.trace.json";
+  bss::obs::Telemetry telemetry(telemetry_options);
 
   bss::explore::ExploreOptions options;
   options.jobs = 4;
@@ -70,29 +68,11 @@ int main() {
                 static_cast<unsigned long long>(value));
   }
 
-  // --- 3. the event log, one JSON object per line ------------------------
-  const auto& log = telemetry.event_log();
-  std::printf("\n== events (%llu emitted, %llu dropped), first lines ==\n",
-              static_cast<unsigned long long>(log.emitted()),
-              static_cast<unsigned long long>(log.dropped()));
-  const std::string jsonl = log.to_jsonl();
-  std::size_t printed = 0;
-  std::size_t begin = 0;
-  while (printed < 6 && begin < jsonl.size()) {
-    const std::size_t end = jsonl.find('\n', begin);
-    std::printf("  %s\n", jsonl.substr(begin, end - begin).c_str());
-    begin = end + 1;
-    ++printed;
-  }
-  std::printf("  ... (everything under \"timing\" is wall-clock and may\n"
-              "       differ run to run; everything else must not)\n");
-
-  // --- 4. the Perfetto trace ---------------------------------------------
+  // --- 3. the Perfetto trace ---------------------------------------------
   std::printf("\n== timeline: %zu spans -> %s ==\n",
               telemetry.timeline().spans().size(),
-              sink_options.trace_path.c_str());
-  std::printf("load it in https://ui.perfetto.dev — one track per worker,\n"
-              "plus the merge coordinator track.\n");
+              telemetry_options.trace_path.c_str());
+  std::printf("load it in https://ui.perfetto.dev — one track per worker.\n");
 
   // --- passivity spot-check ----------------------------------------------
   bss::explore::ExploreOptions bare = options;

@@ -137,13 +137,9 @@ int find_choice(const Frame& frame, const PassState& pass, Visit&& visit) {
 
 }  // namespace
 
-ObsCtx make_obs_ctx(obs::ObsSink* sink, int worker) {
-  ObsCtx octx;
-  octx.sink = sink;
-  octx.shard = sink != nullptr ? sink->metric_shard(worker) : nullptr;
-  octx.worker = worker;
-  octx.profiler = sink != nullptr ? sink->profiler() : nullptr;
-  return octx;
+ObsCtx make_obs_ctx(obs::Telemetry* telemetry, int worker) {
+  if (telemetry == nullptr) return {};
+  return {telemetry->metric_shard(worker), telemetry->profiler()};
 }
 
 void RunMetrics::note_pruned() {
@@ -573,18 +569,6 @@ RunOutcome run_one(const ExplorableSystem& system, const ExploreOptions& opts,
     unit.audit.commute_mismatches += cross.mismatches.size();
     for (const auto& mismatch : cross.mismatches) {
       unit.audit.note("commute mismatch: " + mismatch.detail);
-    }
-    if (octx.sink != nullptr && octx.sink->events_enabled()) {
-      obs::Event event;
-      event.kind = "audit.cross_check";
-      event.step = unit.audit.schedules_cross_checked;
-      event.worker = octx.worker;
-      event.fields.emplace_back("pairs",
-                                std::to_string(cross.pairs_considered));
-      event.fields.emplace_back("swaps", std::to_string(cross.swaps_replayed));
-      event.fields.emplace_back("mismatches",
-                                std::to_string(cross.mismatches.size()));
-      octx.sink->emit(std::move(event));
     }
   }
   return outcome;

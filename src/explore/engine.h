@@ -87,18 +87,16 @@ struct PassState {
   std::size_t floor = 0;
 };
 
-/// Observability context threaded through the hot loop: the sink (null =
-/// off), the caller's single-writer metric shard, and the logical worker id
-/// events are attributed to.  Strictly passive — nothing here may influence
-/// an exploration decision.
+/// Observability context threaded through the hot loop: the caller's
+/// single-writer metric shard and the phase profiler, each null when off.
+/// Strictly passive — nothing here may influence an exploration decision.
 struct ObsCtx {
-  obs::ObsSink* sink = nullptr;
   obs::MetricShard* shard = nullptr;
-  int worker = obs::Event::kCoordinator;
   obs::PhaseProfiler* profiler = nullptr;
 };
 
-ObsCtx make_obs_ctx(obs::ObsSink* sink, int worker);
+/// The context of logical worker `worker` (null telemetry: all off).
+ObsCtx make_obs_ctx(obs::Telemetry* telemetry, int worker);
 
 /// The two metrics run_one bumps on every schedule, looked up by name once
 /// per unit instead of once per schedule.  Each cell is resolved on first

@@ -1,7 +1,6 @@
 #include "explore/explore.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -60,22 +59,15 @@ ExploreResult explore(const ExplorableSystem& system,
                       const ExploreOptions& options) {
   const int jobs = resolve_jobs(options);
 
-  obs::ObsSink* sink = options.telemetry;
-  const bool events = sink != nullptr && sink->events_enabled();
+  obs::Telemetry* const telemetry = options.telemetry;
   obs::PhaseProfiler* const profiler =
-      sink != nullptr ? sink->profiler() : nullptr;
-  // bss-lint: wallclock-ok(feeds only the runreport "timing" section)
-  const auto wall_begin = std::chrono::steady_clock::now();
-  if (events) {
-    obs::Event event;
-    event.kind = "explore.start";
-    event.fields.emplace_back("system", system.name());
-    event.fields.emplace_back("jobs", std::to_string(jobs));
-    sink->emit(std::move(event));
-  }
-  if (sink != nullptr) {
+      telemetry != nullptr ? telemetry->profiler() : nullptr;
+  // Feeds only the runreport's "timing" section.
+  const std::uint64_t wall_begin =
+      telemetry != nullptr ? obs::PhaseProfiler::now_ns() : 0;
+  if (telemetry != nullptr) {
     if (obs::MetricShard* shard =
-            sink->metric_shard(obs::Event::kCoordinator)) {
+            telemetry->metric_shard(obs::kCoordinatorShard)) {
       shard->gauge_max("explore.jobs", static_cast<std::uint64_t>(jobs));
     }
   }
@@ -203,15 +195,6 @@ ExploreResult explore(const ExplorableSystem& system,
     for (std::size_t pi = fi == start_fault ? start_preempt : 0;
          pi < preemption_budgets.size(); ++pi) {
       const int budget = preemption_budgets[pi];
-      if (events) {
-        obs::Event event;
-        event.kind = "pass.start";
-        event.step = campaign.pass_ordinal;
-        event.fields.emplace_back("fault_budget",
-                                  std::to_string(faults_on ? fault_budget : 0));
-        event.fields.emplace_back("preemption_budget", std::to_string(budget));
-        sink->emit(std::move(event));
-      }
       PassConfig cfg;
       cfg.base.budget = budget;
       cfg.base.fault_budget = faults_on ? fault_budget : 0;
@@ -275,8 +258,8 @@ ExploreResult explore(const ExplorableSystem& system,
   ExploreResult result;
   if (halted) {
     // halt_after_checkpoints fired: the checkpoint artifact is the durable
-    // output; the result carries no stats and no explore.done/runreport is
-    // emitted — this return is the deterministic stand-in for a SIGKILL.
+    // output; the result carries no stats and no runreport is emitted —
+    // this return is the deterministic stand-in for a SIGKILL.
     result.halted = true;
     result.checkpoints_written = ckpt != nullptr ? ckpt->written : 0;
     return result;
@@ -303,17 +286,7 @@ ExploreResult explore(const ExplorableSystem& system,
     result.checkpoints_written = ckpt->written;
   }
 
-  if (sink != nullptr) {
-    if (events) {
-      obs::Event event;
-      event.kind = "explore.done";
-      event.fields.emplace_back("schedules",
-                                std::to_string(campaign.stats.schedules));
-      event.fields.emplace_back("violations",
-                                std::to_string(campaign.violations.size()));
-      event.fields.emplace_back("exhausted", campaign.exhausted ? "1" : "0");
-      sink->emit(std::move(event));
-    }
+  if (telemetry != nullptr) {
     obs::ReportBuilder report("explore", "explore()");
     report.set_system(system.name());
     report.environment("jobs", jobs);
@@ -354,13 +327,8 @@ ExploreResult explore(const ExplorableSystem& system,
           obs::json::Value(static_cast<std::uint64_t>(cex.shrunk_from)));
       report.violation(std::move(violation));
     }
-    const auto wall_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            // bss-lint: wallclock-ok(runreport "timing" section only)
-            std::chrono::steady_clock::now() - wall_begin)
-            .count();
-    report.timing("explore_wall_ns",
-                  static_cast<std::uint64_t>(wall_ns));
+    const std::uint64_t wall_ns = obs::PhaseProfiler::now_ns() - wall_begin;
+    report.timing("explore_wall_ns", wall_ns);
     // Schedules/second lives in the quarantined timing channel: it varies
     // run to run, so it must never leak into the canonical sections.
     if (wall_ns > 0) {
@@ -368,7 +336,7 @@ ExploreResult explore(const ExplorableSystem& system,
                     static_cast<double>(stats.schedules) * 1e9 /
                         static_cast<double>(wall_ns));
     }
-    sink->report(report);
+    telemetry->report(report);
   }
   if (status != nullptr) {
     // Terminal heartbeat: unconditional (cadence ignored) so monitors see

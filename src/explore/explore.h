@@ -84,7 +84,7 @@
 #include "runtime/trace.h"
 
 namespace bss::obs {
-class ObsSink;
+class Telemetry;
 }  // namespace bss::obs
 
 namespace bss::explore {
@@ -200,8 +200,8 @@ struct ExploreOptions {
   /// When non-empty, explore() periodically publishes a `bss-status v1`
   /// heartbeat here (atomically: tmp file + rename) — live progress,
   /// throughput, per-worker state, checkpoint age; see src/obs/status.h.
-  /// Empty resolves through the BSS_STATUS environment variable.  Like the
-  /// telemetry sink, the heartbeat is passive: every field outside its
+  /// Empty resolves through the BSS_STATUS environment variable.  Like
+  /// telemetry, the heartbeat is passive: every field outside its
   /// `timing`/`profile` sections derives from the deterministic counters,
   /// and results are byte-identical with status on or off.
   std::string status_path;
@@ -224,14 +224,14 @@ struct ExploreOptions {
   /// picked for every worker count and split point.  1 checks every
   /// schedule; 0 disables the cross-check.
   std::uint32_t audit_commute_sample = 16;
-  /// Telemetry sink (src/obs): per-worker metric shards, the structured
-  /// event log, worker timelines and the bss-runreport artifact.  nullptr —
-  /// the default — disables observability entirely.  The layer is
-  /// passive: stats, violations, artifacts and `exhausted` are
-  /// byte-identical with the sink attached or not, at every worker count
-  /// (metrics measure work *performed*, speculation included, so metric
-  /// values themselves are not worker-count invariant; see DESIGN.md §9).
-  obs::ObsSink* telemetry = nullptr;
+  /// Telemetry (src/obs): per-worker metric shards, worker timelines, the
+  /// phase profile and the bss-runreport artifact.  nullptr — the default —
+  /// disables observability entirely.  The layer is passive: stats,
+  /// violations, artifacts and `exhausted` are byte-identical with
+  /// telemetry attached or not, at every worker count (metrics measure work
+  /// *performed*, speculation included, so metric values themselves are
+  /// not worker-count invariant; see DESIGN.md §9).
+  obs::Telemetry* telemetry = nullptr;
 };
 
 /// Aggregated audit-layer results (ExploreOptions::audit).  Deliberately

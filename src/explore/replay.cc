@@ -30,8 +30,7 @@ struct TapeResult {
 };
 
 TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
-                    const std::vector<int>& tape,
-                    obs::ObsSink* env_sink = nullptr) {
+                    const std::vector<int>& tape) {
   const obs::ScopedPhase replay_scope(
       opts.telemetry != nullptr ? opts.telemetry->profiler() : nullptr,
       obs::Phase::kReplay);
@@ -39,10 +38,6 @@ TapeResult run_tape(const ExplorableSystem& system, const ExploreOptions& opts,
   auto instance = system.make();
   sim::SimEnv env;  // records the trace: checks may read it on replay
   instance->populate(env);
-  // Fault-injection events (sim.crash / sim.restart / sim.sc_failure) are
-  // attached only on explicit replays: exploration re-runs the factory
-  // thousands of times and would drown the bounded event log.
-  if (env_sink != nullptr) env.set_obs_sink(env_sink);
   std::optional<audit::Auditor> auditor;
   if (opts.audit) {
     // Replays audit too, so audit-found counterexamples reproduce (and
@@ -112,21 +107,6 @@ Counterexample minimize_counterexample(const ExplorableSystem& system,
     ++used;
     if (stats != nullptr) ++stats->shrink_runs;
   };
-  // ddmin progress events: stamped with the re-execution count *within this
-  // minimization*, so the per-counterexample shrink trajectory is
-  // deterministic even when several minimizations interleave across workers.
-  obs::ObsSink* sink = options.telemetry;
-  const bool events = sink != nullptr && sink->events_enabled();
-  const auto emit_ddmin = [&](const char* kind, std::size_t from,
-                              std::size_t to) {
-    if (!events) return;
-    obs::Event event;
-    event.kind = kind;
-    event.step = used;
-    event.fields.emplace_back("from", std::to_string(from));
-    event.fields.emplace_back("to", std::to_string(to));
-    sink->emit(std::move(event));
-  };
   // The shrink analogue of max_schedules: ddmin replays on a pathological
   // tape must not run unboundedly after the exploration budget is spent.
   const auto budget_left = [&] {
@@ -143,7 +123,6 @@ Counterexample minimize_counterexample(const ExplorableSystem& system,
   std::vector<int> best = std::move(current.canonical);
   std::string violation = std::move(current.violation);
   cex.shrunk_from = std::max(cex.decisions.size(), best.size());
-  emit_ddmin("ddmin.start", cex.shrunk_from, best.size());
 
   // Greedy ddmin-style chunk deletion: drop spans of halving size wherever
   // the violation still reproduces.  The fallback completes a truncated
@@ -173,7 +152,6 @@ Counterexample minimize_counterexample(const ExplorableSystem& system,
       count_run();
       TapeResult attempt = run_tape(system, options, candidate);
       if (attempt.reproduced && attempt.canonical.size() < best.size()) {
-        emit_ddmin("ddmin.accept", best.size(), attempt.canonical.size());
         best = std::move(attempt.canonical);
         violation = std::move(attempt.violation);
         // retry the same start position against the new, shorter tape
@@ -184,8 +162,6 @@ Counterexample minimize_counterexample(const ExplorableSystem& system,
     if (budget_hit || chunk == 1) break;
   }
   if (budget_hit && stats != nullptr) ++stats->shrink_budget_hits;
-  emit_ddmin(budget_hit ? "ddmin.budget_hit" : "ddmin.done", cex.shrunk_from,
-             best.size());
 
   cex.decisions = std::move(best);
   cex.violation = std::move(violation);
@@ -195,8 +171,7 @@ Counterexample minimize_counterexample(const ExplorableSystem& system,
 ReplayOutcome replay_counterexample(const ExplorableSystem& system,
                                     const Counterexample& cex,
                                     const ExploreOptions& options) {
-  TapeResult result = run_tape(system, options, cex.decisions,
-                               options.telemetry);
+  TapeResult result = run_tape(system, options, cex.decisions);
   ReplayOutcome outcome;
   outcome.violated = result.reproduced;
   outcome.violation = std::move(result.violation);

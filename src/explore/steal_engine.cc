@@ -13,7 +13,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -89,41 +88,6 @@ void publish_unit_metrics(obs::MetricShard* shard, const UnitResult& claimed,
 /// schedule cap): the pass is over, and no later unit may be folded.
 bool merge_one(UnitResult& unit, const ExploreOptions& opts,
                Checkpoint& prefix) {
-  obs::ObsSink* sink = opts.telemetry;
-  const bool events = sink != nullptr && sink->events_enabled();
-  // Violation and fault-point-first-coverage events are emitted HERE, at
-  // fold time, not where workers found them: units fold in DFS order under
-  // the pool lock, so the event stream (kind, step, fields) is identical
-  // for every worker count — only the timing channel varies.
-  const auto note_violation = [&](Counterexample&& cex) {
-    if (events) {
-      obs::Event event;
-      event.kind = "violation.found";
-      event.step = prefix.violations.size();
-      event.fields.emplace_back("violation", cex.violation);
-      event.fields.emplace_back("decisions",
-                                std::to_string(cex.decisions.size()));
-      event.fields.emplace_back("faults", std::to_string(cex.fault_count()));
-      event.fields.emplace_back("shrunk_from",
-                                std::to_string(cex.shrunk_from));
-      sink->emit(std::move(event));
-    }
-    prefix.violations.push_back(std::move(cex));
-  };
-  const auto cover_fault_points = [&](const std::set<FaultPoint>& points) {
-    for (const FaultPoint& point : points) {
-      if (!prefix.fault_points.insert(point).second) continue;
-      if (events) {
-        obs::Event event;
-        event.kind = "coverage.fault_point";
-        event.step = prefix.fault_points.size() - 1;
-        event.fields.emplace_back("action", action_token(point.first));
-        event.fields.emplace_back("victim_steps",
-                                  std::to_string(point.second));
-        sink->emit(std::move(event));
-      }
-    }
-  };
   // Fold the whole unit, or only up to the first violation that meets the
   // stop rule — the tally recorded with it.
   const UnitTally* tally = &unit;
@@ -140,12 +104,13 @@ bool merge_one(UnitResult& unit, const ExploreOptions& opts,
   }
   prefix.stats.merge_from(tally->stats);
   prefix.audit.merge_from(tally->audit);
-  cover_fault_points(tally->fault_points);
+  prefix.fault_points.insert(tally->fault_points.begin(),
+                             tally->fault_points.end());
   prefix.stats.fault_points = prefix.fault_points.size();
   prefix.pass_budget_limited |= tally->budget_limited;
   prefix.pass_fault_limited |= tally->fault_limited;
   for (std::size_t i = 0; i < taken; ++i) {
-    note_violation(std::move(unit.violations[i]));
+    prefix.violations.push_back(std::move(unit.violations[i]));
   }
   // Every partial joins, cut or not: a pass that ends the campaign folds
   // none of them into the cache.
@@ -175,7 +140,6 @@ struct StealUnit {
   std::size_t floor = 0;
   UnitResult result;
   Status status = Status::kPending;
-  bool abort = false;  ///< a confirmed stop discards this running unit
   bool stolen = false;  ///< unit was split off a victim (worker-beat steals)
 };
 
@@ -188,11 +152,11 @@ struct StealPool {
   std::mutex mu;
   std::condition_variable cv;
   std::list<StealUnit> units;
-  /// Units past a confirmed stop, moved out of `units` (splicing keeps their
-  /// owners' iterators valid) and dropped with the pool.
-  std::list<StealUnit> discarded;
   std::size_t idle = 0;     ///< workers blocked waiting for a pending unit
   std::size_t running = 0;  ///< units currently owned by a worker
+  /// The fold ended the pass.  Only the head unit ever folds, so every unit
+  /// was past the stop and the list is cleared: an owner tests this before
+  /// it touches its unit, whose iterator no longer points into the list.
   bool stop_confirmed = false;
   bool halt = false;  ///< halt_after_checkpoints fired (SIGKILL stand-in)
   bool abort_all = false;
@@ -369,11 +333,10 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
       std::memory_order_relaxed);
 
   const std::string system_name = system.name();
-  obs::ObsSink* sink = opts.telemetry;
-  const bool events = sink != nullptr && sink->events_enabled();
-  const bool spans = sink != nullptr && sink->timeline_enabled();
+  obs::Telemetry* const telemetry = opts.telemetry;
+  const bool spans = telemetry != nullptr && telemetry->timeline_enabled();
   obs::PhaseProfiler* const profiler =
-      sink != nullptr ? sink->profiler() : nullptr;
+      telemetry != nullptr ? telemetry->profiler() : nullptr;
   const std::size_t quota =
       opts.max_violations > campaign.violations.size()
           ? opts.max_violations - campaign.violations.size()
@@ -396,8 +359,8 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
   /// Folds the finished units at the head of the list into the running
   /// prefix, in DFS order, and drops them from the list (pool.mu held).
   /// merge_one's verdict is the stop decision: once the prefix ends the
-  /// pass, every unit past it is discarded work — it leaves the list, and
-  /// running owners are told to abandon theirs.
+  /// pass, every unit left in the list is past it — the list is cleared,
+  /// and running owners abandon theirs when they see the flag.
   const auto walk_frontier = [&] {
     while (!pool.stop_confirmed && !pool.units.empty() &&
            pool.units.front().status == StealUnit::Status::kComplete) {
@@ -409,8 +372,7 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
       pool.units.pop_front();
     }
     if (!pool.stop_confirmed) return;
-    for (StealUnit& unit : pool.units) unit.abort = true;
-    pool.discarded.splice(pool.discarded.end(), pool.units);
+    pool.units.clear();
     refresh_attention();
     pool.cv.notify_all();
   };
@@ -423,24 +385,12 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
     for (const StealUnit& unit : pool.units) {
       campaign.frontier.push_back(serialize_steal_unit(unit, cfg.base));
     }
-    const std::uint64_t seq = campaign.seq;
-    const std::size_t frontier = campaign.frontier.size();
     write_checkpoint(campaign, *ckpt, status);
     ++ckpt->periodic;
     pool.last_checkpoint_at.store(
         budget.schedules.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
     if (octx.shard != nullptr) ++octx.shard->counter("explore.checkpoints");
-    if (events) {
-      obs::Event event;
-      event.kind = "worker.checkpoint";
-      event.step = seq;
-      event.worker = octx.worker;
-      event.fields.emplace_back("frontier", std::to_string(frontier));
-      event.fields.emplace_back("schedules",
-                                std::to_string(campaign.stats.schedules));
-      sink->emit(std::move(event));
-    }
   };
 
   /// Writes the checkpoint if one is due (pool.mu held).  Returns true iff
@@ -465,16 +415,9 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
 
   const auto worker = [&](int worker_index) {
     try {
-      const ObsCtx octx = make_obs_ctx(sink, worker_index);
+      const ObsCtx octx = make_obs_ctx(telemetry, worker_index);
       WorkerBeat* const beat =
           beats != nullptr ? &beats[worker_index] : nullptr;
-      if (events) {
-        obs::Event event;
-        event.kind = "worker.start";
-        event.worker = worker_index;
-        sink->emit(std::move(event));
-      }
-      std::uint64_t claims = 0;
       bool halted = false;
       Scratch scratch;
       while (!halted) {
@@ -518,22 +461,11 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
             }
           }
         }
-        if (events) {
-          obs::Event event;
-          event.kind = "worker.claim";
-          event.step = claims;
-          event.worker = worker_index;
-          event.fields.emplace_back("depth",
-                                    std::to_string(pass.frames.size()));
-          event.fields.emplace_back("floor", std::to_string(pass.floor));
-          sink->emit(std::move(event));
-        }
-        ++claims;
         // The metrics baseline: results the unit already carried (non-empty
         // only for units restored from a checkpoint).
         const UnitResult at_claim =
             octx.shard != nullptr ? local : UnitResult{};
-        const std::uint64_t unit_begin = spans ? sink->now_ns() : 0;
+        const std::uint64_t unit_begin = spans ? telemetry->now_ns() : 0;
         RunMetrics run_metrics(octx.shard);
         bool aborted = false;
         for (;;) {
@@ -541,7 +473,7 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
             std::lock_guard<std::mutex> lock(pool.mu);
             if (pool.abort_all || pool.halt) {
               halted = true;
-            } else if (self->abort) {
+            } else if (pool.stop_confirmed) {
               aborted = true;
             } else {
               std::size_t splits = 0;
@@ -552,13 +484,6 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
                 ++splits;
                 if (octx.shard != nullptr) {
                   ++octx.shard->counter("explore.steals");
-                }
-                if (events) {
-                  obs::Event event;
-                  event.kind = "worker.steal";
-                  event.step = pass.floor;  // victim floor == split depth + 1
-                  event.worker = worker_index;
-                  sink->emit(std::move(event));
                 }
                 pool.cv.notify_one();
               }
@@ -629,7 +554,7 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
         {
           std::lock_guard<std::mutex> lock(pool.mu);
           --pool.running;
-          if (!aborted && !self->abort) {  // else: past the confirmed stop
+          if (!pool.stop_confirmed) {  // else: past the confirmed stop
             self->frames.clear();
             self->floor = 0;
             self->result = std::move(local);
@@ -648,20 +573,13 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
           span.name = "unit";
           span.track = worker_index;
           span.begin_ns = unit_begin;
-          span.end_ns = sink->now_ns();
+          span.end_ns = telemetry->now_ns();
           span.args.emplace_back("schedules", std::to_string(unit_schedules));
-          sink->record_span(std::move(span));
+          telemetry->record_span(std::move(span));
         }
       }
       if (beat != nullptr) {
         beat->state.store(WorkerBeat::kIdle, std::memory_order_relaxed);
-      }
-      if (events) {
-        obs::Event event;
-        event.kind = "worker.finish";
-        event.step = claims;
-        event.worker = worker_index;
-        sink->emit(std::move(event));
       }
     } catch (...) {
       // Any lock held when the exception was raised has already been

@@ -1,5 +1,5 @@
 // Minimal JSON for the telemetry layer's artifacts (the `bss-runreport v1`
-// document, the JSONL event log, the Chrome trace export): a variant value
+// and `bss-status v1` documents, the Chrome trace export): a variant value
 // type, a writer with canonical output, and a strict parser for round-trips
 // and CI schema validation.
 //

@@ -26,6 +26,10 @@
 
 namespace bss::obs {
 
+/// The metric shard of the explore() thread itself; workers use their
+/// worker index, 0 and up.
+inline constexpr int kCoordinatorShard = -1;
+
 /// A bounded histogram: `bounds` are ascending inclusive upper bounds, and
 /// counts has bounds.size() + 1 buckets — the last one catches everything
 /// above the largest bound, so the memory footprint is fixed no matter the
@@ -80,7 +84,7 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  /// Shard for `id` (workers use their worker index; Event::kCoordinator
+  /// Shard for `id` (workers use their worker index; kCoordinatorShard
   /// for the coordinator), created on first use.  Thread-safe; the
   /// returned reference is stable.
   MetricShard& shard(int id);

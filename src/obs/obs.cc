@@ -4,22 +4,12 @@
 
 namespace bss::obs {
 
-Telemetry::Telemetry(Options options)
-    : options_(std::move(options)), events_(options_.event_capacity) {}
+Telemetry::Telemetry(Options options) : options_(std::move(options)) {}
 
 MetricShard* Telemetry::metric_shard(int worker) {
   if (!options_.metrics) return nullptr;
   return &metrics_.shard(worker);
 }
-
-bool Telemetry::events_enabled() const { return options_.events; }
-
-void Telemetry::emit(Event event) {
-  if (!options_.events) return;
-  events_.emit(std::move(event));
-}
-
-bool Telemetry::timeline_enabled() const { return options_.timeline; }
 
 std::uint64_t Telemetry::now_ns() const {
   if (!options_.timeline) return 0;
@@ -33,7 +23,6 @@ void Telemetry::record_span(Span span) {
 
 void Telemetry::report(ReportBuilder& builder) {
   if (options_.metrics) builder.metrics(metrics_.snapshot());
-  if (options_.events) builder.events(events_.emitted(), events_.dropped());
   if (options_.profile && profiler_.has_data()) {
     builder.profile(profiler_.to_json());
   }

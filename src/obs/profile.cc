@@ -60,9 +60,10 @@ void check_profile_cells(const json::Object& profile,
 }
 
 std::uint64_t PhaseProfiler::now_ns() {
-  // The profiler IS the wall-clock channel: everything it measures flows
-  // only into the quarantined `profile` sections of runreport and status.
-  // bss-lint: wallclock-ok(profiler interval source, quarantined output)
+  // The wall-clock channel: everything read here flows only into the
+  // quarantined `profile` and `timing` sections of runreport and status
+  // and into the Chrome trace.
+  // bss-lint: wallclock-ok(the one clock source, quarantined output)
   const auto now = std::chrono::steady_clock::now().time_since_epoch();
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(now).count());

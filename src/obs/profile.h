@@ -90,8 +90,9 @@ class PhaseProfiler {
   /// — the `profile` section shape shared by runreport and status.
   json::Object to_json() const;
 
-  /// Monotonic nanoseconds for interval measurement.  Non-inline so the
-  /// clock read (and its lint suppression) lives in exactly one place.
+  /// Monotonic nanoseconds: the one clock read in src/.  Phase intervals,
+  /// timeline spans and explore()'s runreport wall time all go through it,
+  /// so the clock (and its lint suppression) lives in exactly one place.
   static std::uint64_t now_ns();
 
  private:

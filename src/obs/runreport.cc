@@ -65,13 +65,6 @@ void ReportBuilder::metrics(const MetricsSnapshot& snapshot) {
   root_["metrics"] = snapshot.to_json();
 }
 
-void ReportBuilder::events(std::uint64_t emitted, std::uint64_t dropped) {
-  root_["events"] = json::Object{
-      {"emitted", json::Value(emitted)},
-      {"dropped", json::Value(dropped)},
-  };
-}
-
 void ReportBuilder::profile(json::Object table) {
   root_["profile"] = json::Value(std::move(table));
 }
@@ -184,6 +177,8 @@ std::vector<std::string> validate_runreport(std::string_view text) {
       {"violations", json::Kind::kArray, false},
       {"rows", json::Kind::kArray, false},
       {"metrics", json::Kind::kObject, false},
+      // Written by builds that still kept an event log; accepted so older
+      // v1 artifacts stay valid.
       {"events", json::Kind::kObject, false},
       {"profile", json::Kind::kObject, false},
       {"timing", json::Kind::kObject, false},

@@ -17,7 +17,7 @@
 //     "violations": [ { … }, … ],        // per-counterexample summaries
 //     "rows": [ { … }, … ],              // bench table rows, one object each
 //     "metrics": { counters/gauges/histograms },   // MetricsSnapshot
-//     "events": { "emitted": N, "dropped": N },
+//     "events": { "emitted": N, "dropped": N },    // older producers only
 //     "profile": { "<phase>": {"calls": N, "ns": N}, … },  // PhaseProfiler
 //     "timing": { "wall_seconds": … }    // wall-clock channel, quarantined
 //   }
@@ -59,7 +59,6 @@ class ReportBuilder {
   void violation(json::Object summary);
   void row(json::Object row);
   void metrics(const MetricsSnapshot& snapshot);
-  void events(std::uint64_t emitted, std::uint64_t dropped);
   /// Phase wall-time table (PhaseProfiler::to_json()) — quarantined like
   /// timing().
   void profile(json::Object table);

@@ -1,25 +1,18 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 
 #include "obs/json.h"
+#include "obs/profile.h"
 
 namespace bss::obs {
 
-namespace {
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+Timeline::Timeline() : epoch_ns_(PhaseProfiler::now_ns()) {}
+
+std::uint64_t Timeline::now_ns() const {
+  return PhaseProfiler::now_ns() - epoch_ns_;
 }
-}  // namespace
-
-Timeline::Timeline() : epoch_ns_(steady_now_ns()) {}
-
-std::uint64_t Timeline::now_ns() const { return steady_now_ns() - epoch_ns_; }
 
 void Timeline::record(Span span) {
   const std::lock_guard<std::mutex> lock(mu_);

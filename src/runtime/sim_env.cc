@@ -8,7 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/obs.h"
 #include "util/checked.h"
 
 // Sanitizer fiber annotations, detected from the compiler: GCC defines
@@ -467,26 +466,6 @@ void SimEnv::set_access_observer(audit::AccessObserver* observer) {
   observer_ = observer;
 }
 
-void SimEnv::set_obs_sink(obs::ObsSink* sink) {
-  expects(lifecycle_ == Lifecycle::kSetup, "set_obs_sink after the run began");
-  obs_sink_ = sink;
-}
-
-void SimEnv::note_fault_event(const char* kind, int pid) {
-  if (obs_sink_ == nullptr || lifecycle_ == Lifecycle::kFinished ||
-      !obs_sink_->events_enabled()) {
-    return;
-  }
-  obs::Event event;
-  event.kind = kind;
-  event.step = step_;  // global step counter: deterministic for replays
-  event.fields.emplace_back("pid", std::to_string(pid));
-  event.fields.emplace_back(
-      "victim_steps",
-      std::to_string(procs_[static_cast<std::size_t>(pid)].ctx->steps_taken()));
-  obs_sink_->emit(std::move(event));
-}
-
 bool SimEnv::restart_supported(int pid) const {
   return static_cast<bool>(restart_hooks_[static_cast<std::size_t>(pid)]);
 }
@@ -681,7 +660,6 @@ TraceEvent SimEnv::step_process(int pid) {
 void SimEnv::kill_process(int pid) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   if (proc.state != State::kReady) return;
-  note_fault_event("sim.crash", pid);
   proc.crash_requested = true;
   resume(proc);
 }
@@ -690,7 +668,6 @@ void SimEnv::restart_process(int pid) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   expects(proc.state == State::kReady, "restart_process: process is not parked");
   expects(restart_supported(pid), "restart_process: process has no restart hook");
-  note_fault_event("sim.restart", pid);
   proc.restart_requested = true;
   proc.crash_requested = true;
   resume(proc);  // until the restarted incarnation parks (or finishes)
@@ -702,7 +679,6 @@ void SimEnv::inject_sc_failure(int pid) {
           "inject_sc_failure: process is not parked");
   expects(proc.pending.op == OpName("sc"),
           "inject_sc_failure: pending operation is not a store-conditional");
-  note_fault_event("sim.sc_failure", pid);
   proc.sc_failure_pending = true;
 }
 
@@ -806,18 +782,6 @@ RunReport SimEnv::run(Scheduler& scheduler, const FaultPlan& faults) {
   }
   finish();
   return snapshot_report();
-}
-
-RunReport run_system(
-    int n, const std::function<std::function<void(Ctx&)>(int)>& make_body,
-    Scheduler& scheduler, Trace* trace_out, const FaultPlan& faults,
-    SimOptions options, std::vector<int>* decisions_out) {
-  SimEnv env(options);
-  for (int pid = 0; pid < n; ++pid) env.add_process(make_body(pid));
-  RunReport report = env.run(scheduler, faults);
-  if (trace_out != nullptr) *trace_out = env.trace();
-  if (decisions_out != nullptr) *decisions_out = env.decisions();
-  return report;
 }
 
 }  // namespace bss::sim

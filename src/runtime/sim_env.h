@@ -106,10 +106,6 @@
 #include "runtime/trace.h"
 #include "util/checked.h"
 
-namespace bss::obs {
-class ObsSink;
-}  // namespace bss::obs
-
 namespace bss::sim {
 
 // ------------------------------------------------------------ decision tape
@@ -301,16 +297,6 @@ class SimEnv {
   /// results — and must outlive the run.  Call before run()/start().
   void set_access_observer(audit::AccessObserver* observer);
 
-  /// Attaches a telemetry sink (src/obs) before the run: fault injections
-  /// (kill_process, restart_process, inject_sc_failure) emit sim.crash /
-  /// sim.restart / sim.sc_failure events stamped with the global step
-  /// counter.  Passive, like the access observer: attaching one changes
-  /// neither scheduling nor results.  The engine's own shutdown kills in
-  /// finish() are NOT events — only explicit injections are.  The explorer
-  /// attaches this on counterexample replays only (exploration re-runs the
-  /// factory thousands of times and would flood the bounded log).
-  void set_obs_sink(obs::ObsSink* sink);
-
   /// Executes the system to quiescence (all processes finished/crashed) or
   /// to the step limit: start(), then one apply() per due FaultPlan event
   /// (crash or restart) and per scheduler pick (a grant, or an SC-failure
@@ -422,14 +408,9 @@ class SimEnv {
   // fiber's stack goes back to the pool.
   void resume(Proc& proc);
 
-  // Emits a sim.* fault-injection event through obs_sink_ (no-op when
-  // detached or during finish()'s shutdown kills).
-  void note_fault_event(const char* kind, int pid);
-
   SimOptions options_;
   Lifecycle lifecycle_ = Lifecycle::kSetup;
   audit::AccessObserver* observer_ = nullptr;
-  obs::ObsSink* obs_sink_ = nullptr;
   int window_pid_ = -1;  ///< grantee of the currently open window, or -1
   std::vector<std::function<void(Ctx&)>> bodies_;
   std::vector<std::function<void(Ctx&)>> restart_hooks_;  // empty = fail-stop only
@@ -452,18 +433,5 @@ struct FiberStackStats {
   std::size_t pooled = 0;
 };
 FiberStackStats fiber_stack_stats();
-
-/// Convenience: build, populate and run a SimEnv in one call.
-/// `make_body(pid)` must return the body for process `pid`.
-///
-/// This is also the cheap re-run-from-factory path used by the schedule
-/// explorer (src/explore), which re-executes the same factory thousands of
-/// times: pass `options.record_trace = false` to skip trace accumulation and
-/// `decisions_out` to receive the decision sequence (moved, not copied) for
-/// replay or shrinking.
-RunReport run_system(int n, const std::function<std::function<void(Ctx&)>(int)>& make_body,
-                     Scheduler& scheduler, Trace* trace_out = nullptr,
-                     const FaultPlan& faults = {}, SimOptions options = {},
-                     std::vector<int>* decisions_out = nullptr);
 
 }  // namespace bss::sim

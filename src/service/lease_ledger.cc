@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "obs/obs.h"
 #include "util/checked.h"
 
 namespace bss::service {
@@ -56,17 +55,6 @@ ReignRecord* LeaseLedger::open_reign_locked(int pid) {
   return nullptr;
 }
 
-void LeaseLedger::emit_event(const char* kind, int pid, std::uint64_t t,
-                             const char* detail) {
-  if (sink_ == nullptr || !sink_->events_enabled()) return;
-  obs::Event event;
-  event.kind = kind;
-  event.step = t;  // virtual time: deterministic per schedule
-  event.fields.emplace_back("pid", std::to_string(pid));
-  if (detail != nullptr) event.fields.emplace_back("reason", detail);
-  sink_->emit(std::move(event));
-}
-
 void LeaseLedger::acquired(int pid, int incarnation, std::uint64_t start,
                            std::uint64_t expiry, bool takeover) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -79,7 +67,6 @@ void LeaseLedger::acquired(int pid, int incarnation, std::uint64_t start,
   reigns_.push_back(record);
   ++stats_.leases_acquired;
   if (takeover) ++stats_.takeovers;
-  emit_event("service.acquire", pid, start, takeover ? "takeover" : "vacant");
 }
 
 void LeaseLedger::led(int pid, std::uint64_t t) {
@@ -94,7 +81,6 @@ void LeaseLedger::renewed(int pid, std::uint64_t new_expiry) {
   ++stats_.renewals;
   ReignRecord* reign = open_reign_locked(pid);
   if (reign != nullptr) reign->expiry = std::max(reign->expiry, new_expiry);
-  emit_event("service.renew", pid, new_expiry, nullptr);
 }
 
 void LeaseLedger::renew_failed(int pid) {
@@ -112,7 +98,8 @@ void LeaseLedger::retried(int pid) {
 void LeaseLedger::gave_up(int pid, std::uint64_t t) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.give_ups;
-  emit_event("service.give_up", pid, t, nullptr);
+  (void)pid;
+  (void)t;
 }
 
 void LeaseLedger::stepped_down(int pid, std::uint64_t end,
@@ -124,7 +111,6 @@ void LeaseLedger::stepped_down(int pid, std::uint64_t end,
   expects(reign != nullptr, "lease ledger: step-down without an open reign");
   reign->end = static_cast<std::int64_t>(end);
   reign->reason = reason;
-  emit_event("service.step_down", pid, end, to_string(reason));
 }
 
 namespace {

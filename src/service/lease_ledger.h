@@ -15,9 +15,7 @@
 // moment the rest of the world was free to take over).
 //
 // Thread-safe (one mutex): the sim backend serializes all calls anyway,
-// and the std::thread backend needs the lock.  Optionally mirrors lease
-// lifecycle events into an obs::ObsSink — passive, like every sink in this
-// repository: attaching one changes neither the records nor the check.
+// and the std::thread backend needs the lock.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +25,6 @@
 #include <vector>
 
 #include "service/lease_config.h"
-
-namespace bss::obs {
-class ObsSink;
-}  // namespace bss::obs
 
 namespace bss::service {
 
@@ -73,11 +67,6 @@ struct LeaseStats {
 
 class LeaseLedger {
  public:
-  /// Attach telemetry (may be nullptr).  Lifecycle calls then emit
-  /// service.acquire / service.renew / service.step_down / service.give_up
-  /// events stamped with the virtual time.  Passive; call before the run.
-  void set_obs_sink(obs::ObsSink* sink) { sink_ = sink; }
-
   void acquired(int pid, int incarnation, std::uint64_t start,
                 std::uint64_t expiry, bool takeover);
   /// A leader action ("served a request") at virtual time `t`.  The service
@@ -107,13 +96,10 @@ class LeaseLedger {
 
  private:
   ReignRecord* open_reign_locked(int pid);
-  void emit_event(const char* kind, int pid, std::uint64_t t,
-                  const char* detail);
 
   mutable std::mutex mutex_;
   std::vector<ReignRecord> reigns_;
   LeaseStats stats_;
-  obs::ObsSink* sink_ = nullptr;
 };
 
 }  // namespace bss::service

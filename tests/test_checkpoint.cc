@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/mutant_elections.h"
+#include "expect_identical.h"
 #include "explore/checkpoint.h"
 #include "explore/election_systems.h"
 #include "explore/explore.h"
@@ -63,18 +64,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-void expect_identical(const ExploreResult& serial, const ExploreResult& other,
-                      const std::string& label) {
-  EXPECT_EQ(serial.stats.summary(), other.stats.summary()) << label;
-  EXPECT_EQ(serial.exhausted, other.exhausted) << label;
-  ASSERT_EQ(serial.violations.size(), other.violations.size()) << label;
-  for (std::size_t i = 0; i < serial.violations.size(); ++i) {
-    EXPECT_EQ(serial.violations[i].to_artifact(),
-              other.violations[i].to_artifact())
-        << label << " violation " << i;
-  }
 }
 
 /// Runs the campaign to completion through repeated kill-and-resume cycles:

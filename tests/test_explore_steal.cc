@@ -17,6 +17,7 @@
 #include <string>
 
 #include "core/mutant_elections.h"
+#include "expect_identical.h"
 #include "explore/election_systems.h"
 #include "explore/explore.h"
 #include "explore/skewed_system.h"
@@ -28,21 +29,6 @@ namespace {
 
 using core::OneShotMutant;
 using core::RestartBehavior;
-
-/// Byte-level equality of two ExploreResults: every stats field (via the
-/// summary string, which prints them all), the exhausted verdict, and every
-/// violation's full artifact text.
-void expect_identical(const ExploreResult& serial, const ExploreResult& other,
-                      const std::string& label) {
-  EXPECT_EQ(serial.stats.summary(), other.stats.summary()) << label;
-  EXPECT_EQ(serial.exhausted, other.exhausted) << label;
-  ASSERT_EQ(serial.violations.size(), other.violations.size()) << label;
-  for (std::size_t i = 0; i < serial.violations.size(); ++i) {
-    EXPECT_EQ(serial.violations[i].to_artifact(),
-              other.violations[i].to_artifact())
-        << label << " violation " << i;
-  }
-}
 
 /// Runs `system` serially, then at every worker count, asserting
 /// byte-identical results each time.  Returns the serial result.
@@ -206,7 +192,6 @@ TEST(StealExplore, BusyMultiWorkerRunActuallySteals) {
   OneShotSystem system(4, 3);
   obs::Telemetry::Options sink_options;
   sink_options.metrics = true;
-  sink_options.events = false;
   obs::Telemetry telemetry(sink_options);
   ExploreOptions options;
   options.use_por = false;
@@ -252,7 +237,6 @@ class ScopedJobsEnv {
 std::uint64_t resolved_jobs(ExploreOptions options) {
   obs::Telemetry::Options sink_options;
   sink_options.metrics = true;
-  sink_options.events = false;
   obs::Telemetry telemetry(sink_options);
   options.telemetry = &telemetry;
   (void)explore(OneShotSystem(3, 2), options);

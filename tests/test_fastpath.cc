@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/mutant_elections.h"
+#include "expect_identical.h"
 #include "explore/checkpoint.h"
 #include "explore/election_systems.h"
 #include "explore/explore.h"
@@ -77,20 +78,6 @@ ExploreOptions iterative_options(bool prune) {
   return options;
 }
 
-void expect_identical(const ExploreResult& expected,
-                      const ExploreResult& actual, const std::string& label) {
-  EXPECT_EQ(expected.stats.summary(), actual.stats.summary()) << label;
-  EXPECT_EQ(expected.stats.fingerprint_prunes,
-            actual.stats.fingerprint_prunes)
-      << label;
-  EXPECT_EQ(expected.exhausted, actual.exhausted) << label;
-  ASSERT_EQ(expected.violations.size(), actual.violations.size()) << label;
-  for (std::size_t i = 0; i < expected.violations.size(); ++i) {
-    EXPECT_EQ(expected.violations[i].decisions, actual.violations[i].decisions)
-        << label << " violation " << i;
-  }
-}
-
 /// Coverage parity between a pruned and a full campaign: same exhausted
 /// verdict and the identical violation tapes (schedule counts legitimately
 /// differ — that is the point of the cache).
@@ -121,8 +108,9 @@ TEST(Fastpath, PruneResultsInvariantAcrossJobs) {
 }
 
 // Audit and telemetry stay passive with the cache engaged: a fully observed
-// prune-on run (every schedule commute-checked, metrics and events on)
-// prunes the same subtrees and ends byte-identical to the plain one.
+// prune-on run (every schedule commute-checked; metrics, timeline and
+// profiler on) prunes the same subtrees and ends byte-identical to the
+// plain one.
 TEST(Fastpath, AuditAndTelemetryPassiveUnderPruning) {
   SkewedWriterSystem system(4, 6, 1);
   ExploreOptions options = iterative_options(true);
@@ -132,7 +120,8 @@ TEST(Fastpath, AuditAndTelemetryPassiveUnderPruning) {
 
   obs::Telemetry::Options obs_options;
   obs_options.metrics = true;
-  obs_options.events = true;
+  obs_options.timeline = true;
+  obs_options.profile = true;
   obs::Telemetry telemetry(obs_options);
   options.audit = true;
   options.audit_commute_sample = 1;

@@ -1,9 +1,9 @@
 // Telemetry layer tests (DESIGN.md §9): metric primitives and their
-// deterministic merge, the bounded event log's two channels, the Chrome
-// trace export's track structure, the bss-runreport v1 round-trip and its
-// version/schema gates — and the passivity contract: attaching a Telemetry
-// sink to explore() must leave every result byte-identical, at every worker
-// count, across the whole mutant suite.
+// deterministic merge, the Chrome trace export's track structure, the
+// bss-runreport v1 round-trip and its version/schema gates — and the
+// passivity contract: attaching Telemetry to explore() must leave every
+// result byte-identical, at every worker count, across the whole mutant
+// suite.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -20,6 +20,7 @@
 
 #include "core/mutant_elections.h"
 #include "core/recoverable_election.h"
+#include "expect_identical.h"
 #include "explore/election_systems.h"
 #include "explore/explore.h"
 #include "obs/obs.h"
@@ -105,9 +106,9 @@ TEST(MetricsRegistry, SnapshotIsShardOrderIndependent) {
   MetricsRegistry forward;
   feed(forward.shard(0), 1);
   feed(forward.shard(1), 2);
-  feed(forward.shard(Event::kCoordinator), 3);
+  feed(forward.shard(kCoordinatorShard), 3);
   MetricsRegistry backward;
-  feed(backward.shard(Event::kCoordinator), 3);
+  feed(backward.shard(kCoordinatorShard), 3);
   feed(backward.shard(1), 2);
   feed(backward.shard(0), 1);
 
@@ -126,48 +127,6 @@ TEST(MetricsRegistry, CounterReferenceIsStableForHotLoops) {
   std::uint64_t& cell = registry.shard(0).counter("hot");
   for (int i = 0; i < 100; ++i) ++cell;
   EXPECT_EQ(registry.snapshot().counters.at("hot"), 100u);
-}
-
-// -------------------------------------------------------------- event log
-
-TEST(EventLog, CapacityBoundsDropsAreCountedNeverSilent) {
-  EventLog log(/*capacity=*/2);
-  for (int i = 0; i < 5; ++i) {
-    Event event;
-    event.kind = "test.tick";
-    event.step = static_cast<std::uint64_t>(i);
-    log.emit(std::move(event));
-  }
-  EXPECT_EQ(log.events().size(), 2u);
-  EXPECT_EQ(log.emitted(), 5u);
-  EXPECT_EQ(log.dropped(), 3u);
-}
-
-TEST(EventLog, JsonlSeparatesDeterministicAndTimingChannels) {
-  EventLog log;
-  Event event;
-  event.kind = "violation.found";
-  event.step = 0;
-  event.fields.emplace_back("violation", "two leaders");
-  log.emit(std::move(event));
-
-  std::istringstream lines(log.to_jsonl());
-  std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  std::string error;
-  const auto parsed = json::Value::parse(line, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  const auto& object = parsed->as_object();
-  EXPECT_EQ(object.at("kind").as_string(), "violation.found");
-  EXPECT_EQ(object.at("step").as_int(), 0);
-  EXPECT_EQ(object.at("worker").as_int(), Event::kCoordinator);
-  EXPECT_EQ(object.at("fields").as_object().at("violation").as_string(),
-            "two leaders");
-  // The wall clock lives only under "timing".
-  const json::Value* timing = parsed->find("timing");
-  ASSERT_NE(timing, nullptr);
-  EXPECT_NE(timing->find("wall_ns"), nullptr);
-  EXPECT_NE(timing->find("seq"), nullptr);
 }
 
 // ---------------------------------------------------------------- timeline
@@ -217,7 +176,6 @@ ReportBuilder sample_report() {
   builder.option("fault_bound", 1);
   builder.stat("schedules", 123);
   builder.coverage("exhausted", true);
-  builder.events(7, 0);
   builder.timing("explore_wall_ns", 42);
   return builder;
 }
@@ -254,6 +212,16 @@ TEST(RunReport, RejectsMissingSchemaKey) {
 
 TEST(RunReport, ValidatorAcceptsBuilderOutput) {
   EXPECT_TRUE(validate_runreport(sample_report().to_json()).empty());
+}
+
+TEST(RunReport, ValidatorAcceptsOlderReportWithEventsSection) {
+  // Producers that still kept an event log wrote its counts under
+  // "events"; their v1 reports stay valid.
+  auto root = json::Value::parse(sample_report().to_json())->as_object();
+  root.emplace("events", json::Object{{"emitted", json::Value(7)},
+                                      {"dropped", json::Value(0)}});
+  const auto errors = validate_runreport(json::Value(root).dump(1));
+  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors[0]);
 }
 
 TEST(RunReport, ValidatorRejectsUnknownTopLevelKey) {
@@ -315,42 +283,27 @@ TEST(RunReport, ValidatorRequiresServiceTrioWhenFamilyPresent) {
 
 // ------------------------------------------------------ explore passivity
 
-/// Byte-level equality of two ExploreResults, the same contract the
-/// parallel-determinism suite asserts across worker counts.
-void expect_identical(const ExploreResult& reference,
-                      const ExploreResult& candidate,
-                      const std::string& label) {
-  EXPECT_EQ(reference.stats.summary(), candidate.stats.summary()) << label;
-  EXPECT_EQ(reference.exhausted, candidate.exhausted) << label;
-  ASSERT_EQ(reference.violations.size(), candidate.violations.size()) << label;
-  for (std::size_t i = 0; i < reference.violations.size(); ++i) {
-    EXPECT_EQ(reference.violations[i].to_artifact(),
-              candidate.violations[i].to_artifact())
-        << label << " violation " << i;
-  }
-}
-
-/// Explores `system` without telemetry, then with metrics-only and with the
-/// full sink, serial and at jobs=4 — six runs whose results must all be
-/// byte-identical to the reference.
+/// Explores `system` without telemetry, then with metrics only and with
+/// metrics, timeline and profiler all on, serial and at jobs=4 — four runs
+/// whose results must all be byte-identical to the reference.
 void expect_telemetry_passive(const ExplorableSystem& system,
                               ExploreOptions options) {
   options.jobs = 1;
   options.telemetry = nullptr;
   const ExploreResult reference = explore::explore(system, options);
   for (const int jobs : {1, 4}) {
-    for (const bool events : {false, true}) {
-      Telemetry::Options sink_options;
-      sink_options.metrics = true;
-      sink_options.events = events;
-      sink_options.timeline = events;
-      Telemetry telemetry(sink_options);
+    for (const bool full : {false, true}) {
+      Telemetry::Options telemetry_options;
+      telemetry_options.metrics = true;
+      telemetry_options.timeline = full;
+      telemetry_options.profile = full;
+      Telemetry telemetry(telemetry_options);
       ExploreOptions instrumented = options;
       instrumented.jobs = jobs;
       instrumented.telemetry = &telemetry;
       expect_identical(reference, explore::explore(system, instrumented),
                        system.name() + " jobs=" + std::to_string(jobs) +
-                           (events ? " metrics+events" : " metrics"));
+                           (full ? " metrics+timeline+profile" : " metrics"));
     }
   }
 }
@@ -391,125 +344,24 @@ TEST(ObsPassivity, FreshClaimFaultRefutation) {
 
 // -------------------------------------- passivity under work-stealing
 
-/// The stealing engine's extra instrumentation (worker.steal and
-/// worker.checkpoint events, the explore.steals / explore.checkpoints
-/// counters) must be as passive as the rest of the sink: at jobs = 4 the
-/// results stay byte-identical to the uninstrumented serial run.
+/// The stealing engine's extra instrumentation (the explore.steals /
+/// explore.checkpoints counters, unit spans, the merge phase) must be as
+/// passive as the rest of the telemetry: at jobs = 4 the results stay
+/// byte-identical to the uninstrumented serial run.
 TEST(ObsPassivity, WorkStealingEngineAtFourJobs) {
   OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
   ExploreOptions serial;
   serial.jobs = 1;
   const ExploreResult reference = explore::explore(system, serial);
-  Telemetry::Options sink_options;
-  sink_options.metrics = true;
-  sink_options.events = true;
-  sink_options.timeline = true;
-  Telemetry telemetry(sink_options);
+  Telemetry::Options telemetry_options;
+  telemetry_options.metrics = true;
+  telemetry_options.timeline = true;
+  telemetry_options.profile = true;
+  Telemetry telemetry(telemetry_options);
   ExploreOptions options;
   options.jobs = 4;
   options.telemetry = &telemetry;
   expect_identical(reference, explore::explore(system, options), "stealing");
-}
-
-// ------------------------------------------------- event stream contents
-
-/// The deterministic channel of the merge-time and coordinator events:
-/// everything except worker lifecycle (whose fields are legitimately
-/// scheduling-dependent), ddmin progress (stamped per speculative
-/// minimization, so present in workers' discovery order), and explore.start
-/// (which records the jobs configuration under comparison).
-std::string deterministic_event_trace(const Telemetry& telemetry) {
-  std::string out;
-  for (const auto& stamped : telemetry.event_log().events()) {
-    const std::string& kind = stamped.event.kind;
-    if (kind.rfind("worker.", 0) == 0 || kind.rfind("ddmin.", 0) == 0 ||
-        kind.rfind("shrink.", 0) == 0 || kind == "explore.start") {
-      continue;
-    }
-    out += kind + "#" + std::to_string(stamped.event.step);
-    for (const auto& [key, value] : stamped.event.fields) {
-      out += " " + key + "=" + value;
-    }
-    out += "\n";
-  }
-  return out;
-}
-
-TEST(ObsEvents, MergeTimeEventStreamIsWorkerCountInvariant) {
-  OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
-  const auto trace_at = [&](int jobs) {
-    Telemetry::Options sink_options;
-    sink_options.timeline = true;
-    Telemetry telemetry(sink_options);
-    ExploreOptions options;
-    options.jobs = jobs;
-    options.telemetry = &telemetry;
-    (void)explore::explore(system, options);
-    return deterministic_event_trace(telemetry);
-  };
-  const std::string serial = trace_at(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_NE(serial.find("violation.found#0"), std::string::npos);
-  EXPECT_NE(serial.find("explore.done"), std::string::npos);
-  EXPECT_EQ(serial, trace_at(4));
-}
-
-TEST(ObsEvents, FaultPointCoverageEventsMatchCoverageCount) {
-  OneShotSystem system(4, 2, OneShotMutant::kNone, /*restartable=*/true);
-  Telemetry telemetry;
-  ExploreOptions options;
-  options.fault_bound = 1;
-  options.iterative = true;
-  options.telemetry = &telemetry;
-  const ExploreResult result = explore::explore(system, options);
-  std::uint64_t coverage_events = 0;
-  for (const auto& stamped : telemetry.event_log().events()) {
-    if (stamped.event.kind == "coverage.fault_point") ++coverage_events;
-  }
-  EXPECT_EQ(coverage_events, result.stats.fault_points);
-}
-
-TEST(ObsEvents, DdminEventsTraceEachMinimization) {
-  OneShotSystem system(4, 2, OneShotMutant::kSplitCas);
-  Telemetry telemetry;
-  ExploreOptions options;
-  options.telemetry = &telemetry;
-  const ExploreResult result = explore::explore(system, options);
-  ASSERT_FALSE(result.violations.empty());
-  std::uint64_t starts = 0;
-  std::uint64_t ends = 0;
-  for (const auto& stamped : telemetry.event_log().events()) {
-    if (stamped.event.kind == "ddmin.start") ++starts;
-    if (stamped.event.kind == "ddmin.done" ||
-        stamped.event.kind == "ddmin.budget_hit") {
-      ++ends;
-    }
-  }
-  EXPECT_GT(starts, 0u);
-  EXPECT_EQ(starts, ends);
-}
-
-TEST(ObsEvents, ReplayAttachesSimEnvFaultEvents) {
-  RecoverableFvtSystem system(3, 2, RestartBehavior::kFreshClaim);
-  ExploreOptions options;
-  options.fault_bound = 1;
-  options.iterative = true;
-  options.explore_crashes = false;
-  const ExploreResult result = explore::explore(system, options);
-  ASSERT_FALSE(result.violations.empty());
-  ASSERT_GT(result.violations[0].fault_count(), 0u);
-
-  Telemetry telemetry;
-  ExploreOptions replay_options = options;
-  replay_options.telemetry = &telemetry;
-  const auto outcome =
-      replay_counterexample(system, result.violations[0], replay_options);
-  EXPECT_TRUE(outcome.violated);
-  std::uint64_t sim_events = 0;
-  for (const auto& stamped : telemetry.event_log().events()) {
-    if (stamped.event.kind.rfind("sim.", 0) == 0) ++sim_events;
-  }
-  EXPECT_EQ(sim_events, result.violations[0].fault_count());
 }
 
 // ---------------------------------------------------- explore() runreport
@@ -795,8 +647,8 @@ TEST(StatusWriterTest, HugeCadenceDoesNotWrapIntoAShortOne) {
 
 TEST(PhaseProfilerTest, InertWithoutASink) {
   // The passivity contract's cheap half: a null profiler means ScopedPhase
-  // is two pointer writes and zero clock reads, and the default Telemetry
-  // sink hands explore() exactly that null.
+  // is two pointer writes and zero clock reads, and a default Telemetry
+  // hands explore() exactly that null.
   const ScopedPhase inert(nullptr, Phase::kStep);
   Telemetry telemetry;
   EXPECT_EQ(telemetry.profiler(), nullptr);

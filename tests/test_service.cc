@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "expect_identical.h"
 #include "explore/explore.h"
 #include "obs/obs.h"
 #include "obs/runreport.h"
@@ -210,22 +211,6 @@ TEST(LeaseLedger, StatsMergeAddsCounters) {
   EXPECT_EQ(merged.expirations, 2u);
 }
 
-TEST(LeaseLedger, LifecycleEventsReachTheObsSink) {
-  obs::Telemetry telemetry;
-  LeaseLedger ledger;
-  ledger.set_obs_sink(&telemetry);
-  ledger.acquired(0, 0, 0, 8, false);
-  ledger.renewed(0, 13);
-  ledger.stepped_down(0, 13, StepDownReason::kRetired);
-  std::vector<std::string> kinds;
-  for (const auto& stamped : telemetry.event_log().events()) {
-    kinds.push_back(stamped.event.kind);
-  }
-  EXPECT_EQ(kinds, (std::vector<std::string>{
-                       "service.acquire", "service.renew",
-                       "service.step_down"}));
-}
-
 // ------------------------------------------------------- single-run sanity
 
 TEST(LeaseService, RoundRobinRunIsSafeAndFingerprints) {
@@ -349,21 +334,6 @@ TEST(LeaseService, NoStepDownMutantNeedsTheSpuriousScFault) {
 }
 
 // --------------------------------------- determinism and audit invariants
-
-/// Byte-level equality of two ExploreResults (the parallel-determinism
-/// contract, here exercised with virtual time in the schedule space).
-void expect_identical(const ExploreResult& reference,
-                      const ExploreResult& candidate,
-                      const std::string& label) {
-  EXPECT_EQ(reference.stats.summary(), candidate.stats.summary()) << label;
-  EXPECT_EQ(reference.exhausted, candidate.exhausted) << label;
-  ASSERT_EQ(reference.violations.size(), candidate.violations.size()) << label;
-  for (std::size_t i = 0; i < reference.violations.size(); ++i) {
-    EXPECT_EQ(reference.violations[i].to_artifact(),
-              candidate.violations[i].to_artifact())
-        << label << " violation " << i;
-  }
-}
 
 TEST(LeaseService, ParallelExplorationIsByteIdenticalWithTimers) {
   LeaseServiceSystem system(small_config(3));

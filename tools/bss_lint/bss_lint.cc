@@ -14,9 +14,9 @@
 //   no-wallclock            system_clock / steady_clock /
 //                           high_resolution_clock / gettimeofday /
 //                           clock_gettime outside the timing quarantine
-//                           (bench/ — the bench timing layer — and the obs
-//                           timing channel: src/obs/events.cc,
-//                           src/obs/timeline.cc).
+//                           (the bench timing layer: bench/bench_explore.cc,
+//                           bench/bench_report.h).  src/ reads the clock
+//                           in one suppressed place, PhaseProfiler::now_ns.
 //   no-ambient-randomness   std::random_device, rand()/srand(), and argless
 //                           construction of std:: engines (mt19937 & co);
 //                           randomness must be plumbed from a printed seed
@@ -296,12 +296,10 @@ bool path_ends_with(const std::string& path, std::string_view suffix) {
 
 bool wallclock_quarantined(const std::string& path) {
   // bench_explore.cc times its fast-path gate and bench_report.h stamps the
-  // runreport's wall_ns; events.cc/timeline.cc carry the obs timing channel.
-  // The runreport schema quarantines all of them under "timing".
+  // runreport's wall_ns; the runreport schema quarantines both under
+  // "timing".
   return path_ends_with(path, "bench/bench_explore.cc") ||
-         path_ends_with(path, "bench/bench_report.h") ||
-         path_ends_with(path, "src/obs/events.cc") ||
-         path_ends_with(path, "src/obs/timeline.cc");
+         path_ends_with(path, "bench/bench_report.h");
 }
 
 void check_wallclock(const SourceFile& file, std::vector<Finding>& findings) {
