@@ -12,6 +12,7 @@
 // with zero divergences, i.e. the artifact still drives this build of the
 // code end to end.
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -78,10 +79,13 @@ int replay_from_file(const char* path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc > 2) {
     std::cerr << "usage: " << argv[0] << " [artifact-file]\n";
     return 2;
   }
   return argc == 2 ? replay_from_file(argv[1]) : explore_and_print();
+} catch (const std::exception& error) {
+  std::cerr << "explore_counterexample: error: " << error.what() << "\n";
+  return 2;
 }

@@ -20,6 +20,7 @@
 //
 // The replay exits 0 only when the violation reproduced with zero
 // divergences — schedule AND faults re-executed from the tape.
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -77,7 +78,7 @@ int replay(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc > 1) return replay(argv[1]);
 
   // Act 1: one surgical crash-restart.
@@ -137,4 +138,7 @@ int main(int argc, char** argv) {
             << "); artifact on stdout\n";
   std::cout << cex.to_artifact();
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "fault_tour: error: " << error.what() << "\n";
+  return 2;
 }

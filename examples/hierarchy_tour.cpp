@@ -8,6 +8,7 @@
 // (or unbounded c&s) go all the way up — at the price of unbounded supply,
 // which the universal construction makes concrete.
 #include <cstdio>
+#include <exception>
 
 #include "checker/bivalence.h"
 #include "checker/consensus_check.h"
@@ -39,7 +40,7 @@ void show(const bss::check::Protocol& protocol, const char* story) {
 
 }  // namespace
 
-int main() {
+int main() try {
   std::printf("=== level 1: read/write registers ===\n");
   bss::check::RwWriteReadConsensus rw;
   show(rw,
@@ -96,4 +97,7 @@ int main() {
       "which is the paper's question, answered.\n",
       queue.log_length());
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "hierarchy_tour: error: %s\n", error.what());
+  return 2;
 }

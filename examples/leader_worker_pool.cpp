@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -96,7 +97,7 @@ std::optional<std::string> run_sim_storm(const LeaseConfig& config,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bool soak = false;
   std::uint64_t base_seed = 1;
   std::string out_path;
@@ -232,4 +233,7 @@ int main(int argc, char** argv) {
   }
 
   return violations == 0 ? 0 : 1;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "leader_worker_pool: error: %s\n", error.what());
+  return 2;
 }

@@ -8,10 +8,11 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
 #include <cstdio>
+#include <exception>
 
 #include "core/concurrent_election.h"
 
-int main() {
+int main() try {
   constexpr int kK = 5;        // register holds 5 values: ⊥,1,2,3,4
   constexpr int kThreads = 24; // == (kK-1)! — the algorithm's full capacity
 
@@ -41,4 +42,7 @@ int main() {
   }
   std::printf("\n");
   return report.consistent ? 0 : 1;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "quickstart: error: %s\n", error.what());
+  return 2;
 }

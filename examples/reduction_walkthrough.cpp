@@ -7,6 +7,7 @@
 // operational face of Theorem 1: algorithm A simply does not have enough
 // process slots to feed (k-1)!+1 = 3 emulators.
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "emulation/driver.h"
@@ -33,7 +34,7 @@ const char* event_name(bss::emu::EmuEventKind kind) {
 
 }  // namespace
 
-int main() {
+int main() try {
   std::printf(
       "Reduction walkthrough (k=3): 2 emulators, 1 v-process each, A = "
       "FirstValueTree\n"
@@ -109,4 +110,7 @@ int main() {
       "  hand (k-1)!+1 read/write processes an impossible (k-1)!-set\n"
       "  consensus.  Hence n_k is bounded: Theorem 1.\n");
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "reduction_walkthrough: error: %s\n", error.what());
+  return 2;
 }

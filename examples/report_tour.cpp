@@ -12,6 +12,7 @@
 // The exploration itself is byte-identical with and without telemetry —
 // the tour re-runs it bare and checks that on the spot, exiting 1 if not.
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "core/mutant_elections.h"
@@ -19,7 +20,7 @@
 #include "explore/explore.h"
 #include "obs/obs.h"
 
-int main() {
+int main() try {
   const bss::explore::OneShotSystem system(
       4, 3, bss::core::OneShotMutant::kClaimAfterCas);
 
@@ -83,4 +84,7 @@ int main() {
   std::printf("\ntelemetry passive (bare rerun identical): %s\n",
               identical ? "yes" : "NO — BUG");
   return identical ? 0 : 1;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "report_tour: error: %s\n", error.what());
+  return 2;
 }

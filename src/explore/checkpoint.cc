@@ -1,12 +1,11 @@
 #include "explore/checkpoint.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
 #include "obs/json.h"
-#include "util/checked.h"
 
 namespace bss::explore {
 
@@ -137,159 +136,64 @@ json::Value unit_to_json(const CheckpointUnit& unit) {
   return json::Value(std::move(object));
 }
 
-// ------------------------------------------------------------------- parsing
+// ------------------------------------------------------------------- reading
 //
-// Strict shape enforcement mirrors the runreport gate: every listed key is
-// required, unknown keys reject (schema drift must bump the version), and
-// type/range violations throw InvariantError with the offending location —
-// from_artifact catches and surfaces them as one-line errors.
+// One walk over the document through obs/json.h's Reader, mirroring the
+// runreport and status walks: every key is required unless read as
+// optional, unknown keys reject (schema drift must bump the version), and
+// every type, range or structure violation is recorded with its location
+// while the walk goes on.
 
-/// Every `required` key must be present; `optional` keys may be absent
-/// (how fingerprint-prune fields extend the schema without invalidating
-/// pre-existing artifacts); anything else rejects.
-void check_keys(const json::Object& object,
-                const std::vector<std::string_view>& required,
-                const std::vector<std::string_view>& optional,
-                const char* where) {
-  for (const std::string_view key : required) {
-    expects(object.count(std::string(key)) != 0, [&] {
-      return std::string(where) + ": missing required key '" +
-             std::string(key) + "'";
-    });
+/// Reads a counter table's rows into `record`, then rejects any other key;
+/// an omit_zero row reads as zero when absent.
+template <class Record>
+void read_counters(json::Reader& object, const auto& rows, Record& record) {
+  for (const CounterRow<Record>& row : rows) {
+    record.*row.member = object.counter(
+        row.name, row.omit_zero ? json::kOptional : json::kRequired);
   }
-  const auto listed = [](const std::vector<std::string_view>& keys,
-                         const std::string& key) {
-    return std::find(keys.begin(), keys.end(), key) != keys.end();
-  };
-  for (const auto& entry : object) {
-    const std::string& key = entry.first;
-    expects(listed(required, key) || listed(optional, key),
-            [&] { return std::string(where) + ": unknown key '" + key + "'"; });
-  }
-}
-
-void check_keys(const json::Object& object,
-                const std::vector<std::string_view>& keys,
-                const char* where) {
-  check_keys(object, keys, {}, where);
-}
-
-const json::Object& get_object(const json::Object& object,
-                               const std::string& key, const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_object(), [&] {
-    return std::string(where) + ": '" + key + "' must be an object";
-  });
-  return it->second.as_object();
-}
-
-const json::Array& get_array(const json::Object& object,
-                             const std::string& key, const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_array(), [&] {
-    return std::string(where) + ": '" + key + "' must be an array";
-  });
-  return it->second.as_array();
-}
-
-std::uint64_t get_u64(const json::Object& object, const std::string& key,
-                      const char* where) {
-  const auto it = object.find(key);
-  expects(
-      it != object.end() && it->second.is_int() && it->second.as_int() >= 0,
-      [&] {
-        return std::string(where) + ": '" + key +
-               "' must be a non-negative integer";
-      });
-  return static_cast<std::uint64_t>(it->second.as_int());
-}
-
-int get_int(const json::Object& object, const std::string& key,
-            const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_int(), [&] {
-    return std::string(where) + ": '" + key + "' must be an integer";
-  });
-  return checked_cast<int>(it->second.as_int());
-}
-
-bool get_bool(const json::Object& object, const std::string& key,
-              const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_bool(), [&] {
-    return std::string(where) + ": '" + key + "' must be a boolean";
-  });
-  return it->second.as_bool();
-}
-
-const std::string& get_string(const json::Object& object,
-                              const std::string& key, const char* where) {
-  const auto it = object.find(key);
-  expects(it != object.end() && it->second.is_string(), [&] {
-    return std::string(where) + ": '" + key + "' must be a string";
-  });
-  return it->second.as_string();
-}
-
-std::uint64_t get_u64_or(const json::Object& object, const std::string& key,
-                         std::uint64_t fallback, const char* where) {
-  if (object.count(key) == 0) return fallback;
-  return get_u64(object, key, where);
-}
-
-bool get_bool_or(const json::Object& object, const std::string& key,
-                 bool fallback, const char* where) {
-  if (object.count(key) == 0) return fallback;
-  return get_bool(object, key, where);
+  object.finish();
 }
 
 /// Parses a 32-hex-char cache key back into its (lo, hi) halves; anything
-/// but exactly 32 lowercase hex digits rejects.
-FpKey parse_fp_key(const std::string& text, const char* where) {
-  expects(text.size() == 32, [&] {
-    return std::string(where) + ": cache key must be 32 hex chars";
-  });
+/// but a string of exactly 32 lowercase hex digits rejects.
+std::optional<FpKey> read_fp_key(const json::Value& value) {
+  if (!value.is_string() || value.as_string().size() != 32) {
+    return std::nullopt;
+  }
   std::uint64_t halves[2] = {0, 0};
   for (std::size_t i = 0; i < 32; ++i) {
-    const char c = text[i];
+    const char c = value.as_string()[i];
     std::uint64_t digit = 0;
     if (c >= '0' && c <= '9') {
       digit = static_cast<std::uint64_t>(c - '0');
     } else if (c >= 'a' && c <= 'f') {
       digit = static_cast<std::uint64_t>(c - 'a') + 10;
     } else {
-      expects(false, [&] {
-        return std::string(where) + ": cache key must be lowercase hex";
-      });
+      return std::nullopt;
     }
     halves[i / 16] = (halves[i / 16] << 4) | digit;
   }
-  return {halves[0], halves[1]};
+  return FpKey{halves[0], halves[1]};
 }
 
-std::vector<FingerprintPartial> parse_fp_partials(const json::Object& parent,
-                                                  const std::string& key,
-                                                  const char* where) {
+/// The optional `fp_partials` list of [key, dirty] pairs (absent in
+/// pre-prune artifacts).
+std::vector<FingerprintPartial> read_fp_partials(json::Reader& object) {
   std::vector<FingerprintPartial> partials;
-  if (parent.count(key) == 0) return partials;  // pre-prune artifacts
-  for (const json::Value& entry : get_array(parent, key, where)) {
-    expects(entry.is_array() && entry.as_array().size() == 2, [&] {
-      return std::string(where) + ": fp partial must be a [key, dirty] pair";
-    });
-    const json::Value& key_value = entry.as_array()[0];
-    expects(key_value.is_string(), [&] {
-      return std::string(where) + ": fp partial key must be a string";
-    });
-    const auto [lo, hi] = parse_fp_key(key_value.as_string(), where);
-    const json::Value& dirty = entry.as_array()[1];
-    expects(dirty.is_bool(), [&] {
-      return std::string(where) + ": fp partial dirty must be a boolean";
-    });
-    FingerprintPartial partial;
-    partial.lo = lo;
-    partial.hi = hi;
-    partial.dirty = dirty.as_bool();
-    partials.push_back(partial);
+  const json::Array* entries = object.array("fp_partials", json::kOptional);
+  if (entries == nullptr) return partials;
+  for (const json::Value& entry : *entries) {
+    const bool pair = entry.is_array() && entry.as_array().size() == 2;
+    const std::optional<FpKey> key =
+        pair ? read_fp_key(entry.as_array()[0]) : std::nullopt;
+    if (!key.has_value() || !entry.as_array()[1].is_bool()) {
+      object.fail("fp_partials",
+                  "holds an entry that is not a [cache key, dirty] pair");
+      continue;
+    }
+    partials.push_back(
+        {key->first, key->second, entry.as_array()[1].as_bool()});
   }
   return partials;
 }
@@ -297,206 +201,184 @@ std::vector<FingerprintPartial> parse_fp_partials(const json::Object& parent,
 /// Decision tokens go through the shared parser plus the process-count
 /// range check — an out-of-range pid in a checkpoint must reject exactly
 /// like one in a counterexample artifact.
-int parse_decision(const json::Value& value, int processes,
-                   const char* where) {
-  expects(value.is_string(), [&] {
-    return std::string(where) + ": decision token must be a string";
-  });
+std::optional<int> read_decision(json::Reader& object, std::string_view key,
+                                 const json::Value& value, int processes) {
+  if (!value.is_string()) {
+    object.fail(key, "holds a decision token that is not a string");
+    return std::nullopt;
+  }
   const std::optional<int> decision = parse_action_token(value.as_string());
-  expects(decision.has_value(), [&] {
-    return std::string(where) + ": malformed decision token '" +
-           value.as_string() + "'";
-  });
-  const sim::Action action = sim::decode_action(*decision);
-  expects(action.pid < processes, [&] {
-    return std::string(where) + ": decision token pid " +
-           std::to_string(action.pid) + " out of range for " +
-           std::to_string(processes) + " processes";
-  });
-  return *decision;
+  if (!decision.has_value()) {
+    object.fail(key, "holds a malformed decision token '" +
+                         value.as_string() + "'");
+    return std::nullopt;
+  }
+  const int pid = sim::decode_action(*decision).pid;
+  if (pid >= processes) {
+    object.fail(key, "holds decision token pid " + std::to_string(pid) +
+                         ", out of range for " + std::to_string(processes) +
+                         " processes");
+    return std::nullopt;
+  }
+  return decision;
 }
 
-/// Reads a counter table's rows into `record`.  `object` may carry no
-/// keys but the rows' and `required`; an omit_zero row parses as zero when
-/// absent.
-template <class Record>
-void parse_counters(const json::Object& object, const auto& rows,
-                    std::vector<std::string_view> required, Record& record,
-                    const char* where) {
-  std::vector<std::string_view> optional;
-  for (const CounterRow<Record>& row : rows) {
-    (row.omit_zero ? optional : required).push_back(row.name);
-  }
-  check_keys(object, required, optional, where);
-  for (const CounterRow<Record>& row : rows) {
-    record.*row.member = row.omit_zero
-                             ? get_u64_or(object, row.name, 0, where)
-                             : get_u64(object, row.name, where);
-  }
-}
-
-AuditSummary parse_audit(const json::Object& parent, const char* where) {
-  const json::Object& object = get_object(parent, "audit", where);
+AuditSummary read_audit(json::Reader object) {
   AuditSummary audit;
-  parse_counters(object, kAuditCounters, {"enabled", "findings"}, audit,
-                 where);
-  audit.enabled = get_bool(object, "enabled", where);
-  for (const json::Value& finding : get_array(object, "findings", where)) {
-    expects(finding.is_string(), [&] {
-      return std::string(where) + ": audit findings must be strings";
-    });
-    audit.note(finding.as_string());
+  audit.enabled = object.boolean("enabled");
+  if (const json::Array* findings = object.array("findings")) {
+    for (const json::Value& finding : *findings) {
+      if (finding.is_string()) {
+        audit.note(finding.as_string());
+      } else {
+        object.fail("findings", "holds a finding that is not a string");
+      }
+    }
   }
+  read_counters(object, kAuditCounters, audit);
   return audit;
 }
 
-ExploreStats parse_stats(const json::Object& parent, const char* where) {
+ExploreStats read_stats(json::Reader object) {
   ExploreStats stats;
-  parse_counters(get_object(parent, "stats", where), kExploreCounters, {},
-                 stats, where);
+  read_counters(object, kExploreCounters, stats);
   return stats;
 }
 
-std::set<FaultPoint> parse_fault_points(const json::Object& parent,
-                                        int processes, const char* where) {
+std::set<FaultPoint> read_fault_points(json::Reader& object, int processes) {
   std::set<FaultPoint> points;
-  for (const json::Value& entry : get_array(parent, "fault_points", where)) {
-    expects(entry.is_array() && entry.as_array().size() == 2, [&] {
-      return std::string(where) + ": fault point must be a [token, steps] pair";
-    });
-    const int action = parse_decision(entry.as_array()[0], processes, where);
-    expects(sim::is_fault_action(action), [&] {
-      return std::string(where) + ": fault point carries a non-fault token";
-    });
+  const json::Array* entries = object.array("fault_points");
+  if (entries == nullptr) return points;
+  for (const json::Value& entry : *entries) {
+    if (!entry.is_array() || entry.as_array().size() != 2) {
+      object.fail("fault_points",
+                  "holds an entry that is not a [token, steps] pair");
+      continue;
+    }
+    const std::optional<int> action =
+        read_decision(object, "fault_points", entry.as_array()[0], processes);
+    if (action.has_value() && !sim::is_fault_action(*action)) {
+      object.fail("fault_points", "holds a non-fault token");
+      continue;
+    }
     const json::Value& steps = entry.as_array()[1];
-    expects(steps.is_int() && steps.as_int() >= 0, [&] {
-      return std::string(where) + ": fault point steps must be non-negative";
-    });
-    points.emplace(action, static_cast<std::uint64_t>(steps.as_int()));
+    if (!steps.is_int() || steps.as_int() < 0) {
+      object.fail("fault_points", "holds steps that are not non-negative");
+      continue;
+    }
+    if (action.has_value()) {
+      points.emplace(*action, static_cast<std::uint64_t>(steps.as_int()));
+    }
   }
   return points;
 }
 
-/// `keys` plus the keys tally_to_json writes.
-std::vector<std::string_view> with_tally_keys(
-    std::vector<std::string_view> keys) {
-  keys.insert(keys.end(), {"stats", "audit", "fault_points", "budget_limited",
-                           "fault_limited"});
-  return keys;
+/// The keys tally_to_json writes.
+void read_tally(json::Reader& object, int processes, UnitTally& tally) {
+  tally.stats = read_stats(object.object("stats"));
+  tally.audit = read_audit(object.object("audit"));
+  tally.fault_points = read_fault_points(object, processes);
+  tally.budget_limited = object.boolean("budget_limited");
+  tally.fault_limited = object.boolean("fault_limited");
 }
 
-void parse_tally(const json::Object& object, int processes,
-                 const char* where, UnitTally& tally) {
-  tally.stats = parse_stats(object, where);
-  tally.audit = parse_audit(object, where);
-  tally.fault_points = parse_fault_points(object, processes, where);
-  tally.budget_limited = get_bool(object, "budget_limited", where);
-  tally.fault_limited = get_bool(object, "fault_limited", where);
-}
-
-ExploreOptions parse_options(const json::Object& parent, const char* where) {
-  const json::Object& object = get_object(parent, "options", where);
-  std::vector<std::string_view> required;
-  std::vector<std::string_view> optional;
-  visit_key_options([&](const char* name, auto, bool is_optional) {
-    (is_optional ? optional : required).push_back(name);
-  });
-  check_keys(object, required, optional, where);
+ExploreOptions read_options(json::Reader object) {
   ExploreOptions options;
-  visit_key_options([&](const char* name, auto member, bool is_optional) {
+  visit_key_options([&](const char* name, auto member, bool optional) {
     auto& field = options.*member;
     using T = std::remove_reference_t<decltype(field)>;
-    if (is_optional && object.count(name) == 0) {
-      field = T{};
-      return;
-    }
+    const json::Presence presence =
+        optional ? json::kOptional : json::kRequired;
     if constexpr (std::is_same_v<T, bool>) {
-      field = get_bool(object, name, where);
-    } else if constexpr (std::is_signed_v<T>) {
-      field = get_int(object, name, where);
+      field = object.boolean(name, presence);
     } else {
-      field = checked_cast<T>(get_u64(object, name, where));
+      field = object.integer<T>(name, presence);
     }
   });
+  object.finish();
   return options;
 }
 
-Counterexample parse_embedded_counterexample(const json::Value& value,
-                                             const std::string& system,
-                                             int processes,
-                                             const char* where) {
-  expects(value.is_string(), [&] {
-    return std::string(where) + ": counterexample artifact must be a string";
-  });
-  const std::optional<Counterexample> cex =
-      Counterexample::from_artifact(value.as_string());
-  expects(cex.has_value(), [&] {
-    return std::string(where) + ": embedded counterexample does not parse";
-  });
-  expects(cex->system == system && cex->processes == processes, [&] {
-    return std::string(where) +
-           ": embedded counterexample targets a different system";
-  });
-  for (const int decision : cex->decisions) {
-    expects(sim::decode_action(decision).pid < processes, [&] {
-      return std::string(where) + ": embedded counterexample pid out of range";
-    });
+std::optional<Counterexample> read_counterexample(json::Reader& object,
+                                                  std::string_view key,
+                                                  const json::Value& value,
+                                                  const std::string& system,
+                                                  int processes) {
+  if (!value.is_string()) {
+    object.fail(key, "holds a counterexample artifact that is not a string");
+    return std::nullopt;
   }
-  return *cex;
+  std::optional<Counterexample> cex =
+      Counterexample::from_artifact(value.as_string());
+  if (!cex.has_value()) {
+    object.fail(key, "holds a counterexample artifact that does not parse");
+    return std::nullopt;
+  }
+  if (cex->system != system || cex->processes != processes) {
+    object.fail(key, "holds a counterexample of a different system");
+    return std::nullopt;
+  }
+  for (const int decision : cex->decisions) {
+    if (sim::decode_action(decision).pid >= processes) {
+      object.fail(key, "holds a counterexample pid out of range");
+      return std::nullopt;
+    }
+  }
+  return cex;
 }
 
-CheckpointUnit parse_unit(const json::Value& value, const std::string& system,
-                          int processes) {
-  const char* where = "frontier unit";
-  expects(value.is_object(), "frontier entries must be objects");
-  const json::Object& object = value.as_object();
-  check_keys(object,
-             with_tally_keys({"frames", "floor", "complete", "violations",
-                              "cap_hit", "stopped"}),
-             {"fp_partials"}, where);
+CheckpointUnit read_unit(json::Reader object, const std::string& system,
+                         int processes) {
   CheckpointUnit unit;
-  for (const json::Value& frame_value : get_array(object, "frames", where)) {
-    expects(frame_value.is_object(), "frontier frames must be objects");
-    const json::Object& frame_object = frame_value.as_object();
-    check_keys(frame_object, {"chosen", "done"}, {"fp_dirty"},
-               "frontier frame");
-    CheckpointFrame frame;
-    const auto chosen = frame_object.find("chosen");
-    frame.chosen =
-        parse_decision(chosen->second, processes, "frontier frame chosen");
-    for (const json::Value& done :
-         get_array(frame_object, "done", "frontier frame")) {
-      frame.done.push_back(
-          parse_decision(done, processes, "frontier frame done"));
+  if (const json::Array* frames = object.array("frames")) {
+    for (std::size_t i = 0; i < frames->size(); ++i) {
+      json::Reader frame_object = object.item("frames", i, (*frames)[i]);
+      CheckpointFrame& frame = unit.frames.emplace_back();
+      if (const json::Value* chosen = frame_object.value("chosen")) {
+        frame.chosen =
+            read_decision(frame_object, "chosen", *chosen, processes)
+                .value_or(0);
+      }
+      if (const json::Array* done = frame_object.array("done")) {
+        for (const json::Value& token : *done) {
+          if (const std::optional<int> decision =
+                  read_decision(frame_object, "done", token, processes)) {
+            frame.done.push_back(*decision);
+          }
+        }
+      }
+      frame.fp_dirty = frame_object.boolean("fp_dirty", json::kOptional);
+      frame_object.finish();
     }
-    frame.fp_dirty =
-        get_bool_or(frame_object, "fp_dirty", false, "frontier frame");
-    unit.frames.push_back(std::move(frame));
   }
-  unit.floor = get_u64(object, "floor", where);
-  unit.complete = get_bool(object, "complete", where);
-  expects(unit.floor <= unit.frames.size(),
-          "frontier unit floor exceeds its frame stack");
-  expects(!unit.complete || unit.frames.empty(),
-          "complete frontier unit still carries frames");
+  unit.floor = object.counter("floor");
+  if (unit.floor > unit.frames.size()) {
+    object.fail("floor", "exceeds the unit's frame stack");
+  }
+  unit.complete = object.boolean("complete");
+  if (unit.complete && !unit.frames.empty()) {
+    object.fail("complete", "is true but the unit still carries frames");
+  }
   UnitResult& result = unit.result;
-  parse_tally(object, processes, where, result);
-  for (const json::Value& violation_value :
-       get_array(object, "violations", where)) {
-    expects(violation_value.is_object(),
-            "frontier unit violations must be objects");
-    const json::Object& violation_object = violation_value.as_object();
-    check_keys(violation_object, with_tally_keys({"artifact"}),
-               "frontier violation");
-    result.violations.push_back(parse_embedded_counterexample(
-        violation_object.find("artifact")->second, system, processes,
-        "frontier violation"));
-    parse_tally(violation_object, processes, where,
-                result.tallies.emplace_back());
+  read_tally(object, processes, result);
+  if (const json::Array* violations = object.array("violations")) {
+    for (std::size_t i = 0; i < violations->size(); ++i) {
+      json::Reader violation =
+          object.item("violations", i, (*violations)[i]);
+      if (const json::Value* artifact = violation.value("artifact")) {
+        if (std::optional<Counterexample> cex = read_counterexample(
+                violation, "artifact", *artifact, system, processes)) {
+          result.violations.push_back(std::move(*cex));
+        }
+      }
+      read_tally(violation, processes, result.tallies.emplace_back());
+      violation.finish();
+    }
   }
-  result.cap_hit = get_bool(object, "cap_hit", where);
-  result.stopped = get_bool(object, "stopped", where);
-  result.fp_partials = parse_fp_partials(object, "fp_partials", where);
+  result.cap_hit = object.boolean("cap_hit");
+  result.stopped = object.boolean("stopped");
+  result.fp_partials = read_fp_partials(object);
+  object.finish();
   return unit;
 }
 
@@ -560,101 +442,85 @@ std::string Checkpoint::to_artifact() const {
   return json::Value(std::move(root)).dump(2) + "\n";
 }
 
-std::optional<Checkpoint> Checkpoint::from_artifact(const std::string& text,
-                                                    std::string* error) {
-  const auto fail = [&](std::string message) -> std::optional<Checkpoint> {
-    if (error != nullptr) *error = std::move(message);
-    return std::nullopt;
-  };
-  std::string parse_error;
-  const std::optional<json::Value> root = json::Value::parse(text,
-                                                             &parse_error);
-  if (!root.has_value()) return fail("parse error: " + parse_error);
-  if (!root->is_object()) return fail("checkpoint must be a JSON object");
-  try {
-    const json::Object& object = root->as_object();
-    const auto schema = object.find("schema");
-    expects(schema != object.end() && schema->second.is_string(),
-            "missing schema key");
-    expects(schema->second.as_string() == kCheckpointSchema, [&] {
-      return "unknown schema version '" + schema->second.as_string() + "'";
-    });
-    check_keys(object,
-               {"schema", "seq", "system", "processes", "options", "complete",
-                "exhausted", "progress", "stats", "audit", "violations",
-                "fault_points", "frontier"},
-               {"fp_cache", "fp_partials"}, "checkpoint");
-    Checkpoint checkpoint;
-    checkpoint.seq = get_u64(object, "seq", "checkpoint");
-    checkpoint.system = get_string(object, "system", "checkpoint");
-    checkpoint.processes = get_int(object, "processes", "checkpoint");
-    expects(checkpoint.processes >= 1 && checkpoint.processes <= 64,
-            "checkpoint process count outside [1, 64]");
-    checkpoint.options = parse_options(object, "checkpoint options");
-    checkpoint.complete = get_bool(object, "complete", "checkpoint");
-    checkpoint.exhausted = get_bool(object, "exhausted", "checkpoint");
-    const json::Object& progress =
-        get_object(object, "progress", "checkpoint");
-    check_keys(progress,
-               {"pass_ordinal", "fault_index", "preemption_index", "cap_hit",
-                "stopped", "last_pass_budget_limited", "pass_budget_limited",
-                "pass_fault_limited"},
-               "checkpoint progress");
-    checkpoint.pass_ordinal = get_u64(progress, "pass_ordinal", "progress");
-    checkpoint.fault_index = get_u64(progress, "fault_index", "progress");
-    checkpoint.preemption_index =
-        get_u64(progress, "preemption_index", "progress");
-    checkpoint.cap_hit = get_bool(progress, "cap_hit", "progress");
-    checkpoint.stopped = get_bool(progress, "stopped", "progress");
-    checkpoint.last_pass_budget_limited =
-        get_bool(progress, "last_pass_budget_limited", "progress");
-    checkpoint.pass_budget_limited =
-        get_bool(progress, "pass_budget_limited", "progress");
-    checkpoint.pass_fault_limited =
-        get_bool(progress, "pass_fault_limited", "progress");
-    checkpoint.stats = parse_stats(object, "checkpoint");
-    checkpoint.audit = parse_audit(object, "checkpoint");
-    for (const json::Value& value :
-         get_array(object, "violations", "checkpoint")) {
-      checkpoint.violations.push_back(parse_embedded_counterexample(
-          value, checkpoint.system, checkpoint.processes,
-          "checkpoint violation"));
-    }
-    checkpoint.fault_points =
-        parse_fault_points(object, checkpoint.processes, "checkpoint");
-    for (const json::Value& value :
-         get_array(object, "frontier", "checkpoint")) {
-      checkpoint.frontier.push_back(
-          parse_unit(value, checkpoint.system, checkpoint.processes));
-    }
-    if (object.count("fp_cache") != 0) {
-      for (const json::Value& value :
-           get_array(object, "fp_cache", "checkpoint")) {
-        expects(value.is_string(),
-                "checkpoint: fp_cache entries must be strings");
-        checkpoint.fp_cache.insert(
-            parse_fp_key(value.as_string(), "checkpoint fp_cache"));
+Checkpoint Checkpoint::read(const obs::json::Value& document,
+                            std::vector<std::string>& errors) {
+  json::Reader root = json::read_schema(document, kCheckpointSchema, errors);
+  Checkpoint checkpoint;
+  checkpoint.seq = root.counter("seq");
+  checkpoint.system = root.string("system");
+  checkpoint.processes = root.integer<int>("processes");
+  if (checkpoint.processes < 1 || checkpoint.processes > 64) {
+    root.fail("processes", "is outside [1, 64]");
+  }
+  checkpoint.options = read_options(root.object("options"));
+  checkpoint.complete = root.boolean("complete");
+  checkpoint.exhausted = root.boolean("exhausted");
+  json::Reader progress = root.object("progress");
+  checkpoint.pass_ordinal = progress.counter("pass_ordinal");
+  checkpoint.fault_index = progress.counter("fault_index");
+  checkpoint.preemption_index = progress.counter("preemption_index");
+  checkpoint.cap_hit = progress.boolean("cap_hit");
+  checkpoint.stopped = progress.boolean("stopped");
+  checkpoint.last_pass_budget_limited =
+      progress.boolean("last_pass_budget_limited");
+  checkpoint.pass_budget_limited = progress.boolean("pass_budget_limited");
+  checkpoint.pass_fault_limited = progress.boolean("pass_fault_limited");
+  progress.finish();
+  checkpoint.stats = read_stats(root.object("stats"));
+  checkpoint.audit = read_audit(root.object("audit"));
+  if (const json::Array* violations = root.array("violations")) {
+    for (const json::Value& artifact : *violations) {
+      if (std::optional<Counterexample> cex =
+              read_counterexample(root, "violations", artifact,
+                                  checkpoint.system, checkpoint.processes)) {
+        checkpoint.violations.push_back(std::move(*cex));
       }
     }
-    std::vector<FingerprintPartial> partials =
-        parse_fp_partials(object, "fp_partials", "checkpoint");
-    if (!partials.empty()) {
-      checkpoint.fp_partials.push_back(std::move(partials));
-    }
-    expects(!checkpoint.complete || checkpoint.frontier.empty(),
-            "complete checkpoint still carries a frontier");
-    return checkpoint;
-  } catch (const std::exception& failure) {
-    return fail(failure.what());
   }
+  checkpoint.fault_points = read_fault_points(root, checkpoint.processes);
+  if (const json::Array* frontier = root.array("frontier")) {
+    for (std::size_t i = 0; i < frontier->size(); ++i) {
+      checkpoint.frontier.push_back(
+          read_unit(root.item("frontier", i, (*frontier)[i]),
+                    checkpoint.system, checkpoint.processes));
+    }
+  }
+  if (checkpoint.complete && !checkpoint.frontier.empty()) {
+    root.fail("complete", "is true but the frontier is not empty");
+  }
+  if (const json::Array* cache = root.array("fp_cache", json::kOptional)) {
+    for (const json::Value& entry : *cache) {
+      if (const std::optional<FpKey> key = read_fp_key(entry)) {
+        checkpoint.fp_cache.insert(*key);
+      } else {
+        root.fail("fp_cache", "holds an entry that is not a cache key");
+      }
+    }
+  }
+  std::vector<FingerprintPartial> partials = read_fp_partials(root);
+  if (!partials.empty()) checkpoint.fp_partials.push_back(std::move(partials));
+  root.finish();
+  return checkpoint;
+}
+
+std::optional<Checkpoint> Checkpoint::from_artifact(const std::string& text,
+                                                    std::string* error) {
+  std::vector<std::string> errors;
+  std::optional<Checkpoint> checkpoint;
+  if (const auto document = json::parse_document(text, errors)) {
+    checkpoint = read(*document, errors);
+  }
+  if (errors.empty()) return checkpoint;
+  if (error != nullptr) *error = errors.front();
+  return std::nullopt;
 }
 
 std::vector<std::string> validate_checkpoint(std::string_view text) {
-  std::string error;
-  if (!Checkpoint::from_artifact(std::string(text), &error).has_value()) {
-    return {error};
+  std::vector<std::string> errors;
+  if (const auto document = json::parse_document(text, errors)) {
+    (void)Checkpoint::read(*document, errors);
   }
-  return {};
+  return errors;
 }
 
 }  // namespace bss::explore

@@ -29,11 +29,13 @@
 // function of the frames.  A resumed campaign therefore ends byte-identical
 // to an uninterrupted run.
 //
-// Version policy is the `bss-counterexample` / `bss-runreport` one: parsers
-// hard-reject a missing or unknown schema string, unknown keys, wrong-typed
-// values, out-of-range pid tokens, and frontiers that fail structural
-// validation.  tools/report_check gates both runreports and checkpoints by
-// sniffing the schema string.
+// Version policy is the `bss-counterexample` / `bss-runreport` one: the
+// reader hard-rejects a missing or unknown schema string, unknown keys,
+// wrong-typed values, out-of-range pid tokens, and frontiers that fail
+// structural validation.  It is one walk over obs/json.h's Reader, shared
+// with the runreport and status formats: resume, validate_checkpoint and
+// tools/report_check (which dispatches on the schema string) all get its
+// verdict, and the validator reports every error rather than the first.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,7 @@
 #include <vector>
 
 #include "explore/explore.h"
+#include "obs/json.h"
 
 namespace bss::explore {
 
@@ -206,14 +209,19 @@ struct Checkpoint {
   /// Canonical JSON with a trailing newline; dump(parse(text)) is a fixed
   /// point, so round-trip tests assert byte equality.
   std::string to_artifact() const;
-  /// Strict parse + structural validation; nullopt (with a one-line reason
-  /// in `error`) on schema/version/type/range violations.
+  /// The one walk over a parsed document: records every schema, version,
+  /// type, range and structure violation in `errors`, each with its
+  /// location.  The result means something only when none was recorded.
+  static Checkpoint read(const obs::json::Value& document,
+                         std::vector<std::string>& errors);
+  /// Parse + read; nullopt (with the first error in `error`) unless the
+  /// walk recorded none.
   static std::optional<Checkpoint> from_artifact(const std::string& text,
                                                  std::string* error = nullptr);
 };
 
-/// Full validation for the CI gate (tools/report_check): every error is
-/// human-readable; empty result == valid.
+/// The walk's error list for the CI gate (tools/report_check): empty ==
+/// valid, the same verdict as from_artifact.
 std::vector<std::string> validate_checkpoint(std::string_view text);
 
 }  // namespace bss::explore

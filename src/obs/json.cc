@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -483,6 +484,164 @@ std::optional<Value> Value::parse(std::string_view text, std::string* error) {
     return std::nullopt;
   }
   return value;
+}
+
+// ------------------------------------------------------------------ reader
+
+Reader::Reader(const Value& value, std::string where,
+               std::vector<std::string>& errors)
+    : where_(std::move(where)), errors_(&errors) {
+  if (value.is_object()) {
+    object_ = &value.as_object();
+  } else {
+    fail("is not an object");
+  }
+}
+
+const Object& Reader::members() const {
+  static const Object kEmpty;
+  return object_ != nullptr ? *object_ : kEmpty;
+}
+
+bool Reader::has(std::string_view key) const {
+  return object_ != nullptr && object_->count(std::string(key)) != 0;
+}
+
+const Value* Reader::value(std::string_view key, Presence presence) {
+  if (object_ == nullptr) return nullptr;
+  const auto it = object_->find(std::string(key));
+  if (it == object_->end()) {
+    if (presence == kRequired) {
+      errors_->push_back("missing required " + where_ + " key \"" +
+                         std::string(key) + "\"");
+    }
+    return nullptr;
+  }
+  read_.push_back(&it->second);
+  return &it->second;
+}
+
+bool Reader::boolean(std::string_view key, Presence presence) {
+  const Value* member = value(key, presence);
+  if (member == nullptr) return false;
+  if (member->is_bool()) return member->as_bool();
+  fail(key, "is not a boolean");
+  return false;
+}
+
+std::string Reader::string(std::string_view key, Presence presence) {
+  const Value* member = value(key, presence);
+  if (member == nullptr) return {};
+  if (member->is_string()) return member->as_string();
+  fail(key, "is not a string");
+  return {};
+}
+
+std::string Reader::one_of(std::string_view key,
+                           std::initializer_list<std::string_view> names,
+                           Presence presence) {
+  const Value* member = value(key, presence);
+  if (member == nullptr) return {};
+  if (!member->is_string()) {
+    fail(key, "is not a string");
+    return {};
+  }
+  if (std::find(names.begin(), names.end(), member->as_string()) ==
+      names.end()) {
+    std::string listed;
+    for (const std::string_view name : names) {
+      listed += (listed.empty() ? "" : " / ") + std::string(name);
+    }
+    fail(key, "is not one of " + listed);
+  }
+  return member->as_string();
+}
+
+double Reader::rate(std::string_view key, Presence presence) {
+  const Value* member = value(key, presence);
+  if (member == nullptr) return 0;
+  if (!member->is_number()) {
+    fail(key, "is not a number");
+    return 0;
+  }
+  const double parsed = member->as_double();
+  if (parsed >= 0.0 && parsed <= 1e308) return parsed;
+  fail(key, "is negative or not finite");
+  return 0;
+}
+
+Reader Reader::object(std::string_view key, Presence presence) {
+  const Value* member = value(key, presence);
+  if (member == nullptr) return Reader(path(key), *errors_);
+  if (!member->is_object()) {
+    fail(key, "is not an object");
+    return Reader(path(key), *errors_);
+  }
+  return Reader(*member, path(key), *errors_);
+}
+
+const Array* Reader::array(std::string_view key, Presence presence) {
+  const Value* member = value(key, presence);
+  if (member == nullptr) return nullptr;
+  if (member->is_array()) return &member->as_array();
+  fail(key, "is not an array");
+  return nullptr;
+}
+
+Reader Reader::item(std::string_view key, std::size_t index,
+                    const Value& value) const {
+  return Reader(value, path(key) + "[" + std::to_string(index) + "]",
+                *errors_);
+}
+
+void Reader::fail(std::string_view key, std::string_view what) {
+  errors_->push_back(where_ + " key \"" + std::string(key) + "\" " +
+                     std::string(what));
+}
+
+void Reader::fail(std::string_view what) {
+  errors_->push_back(where_ + ": " + std::string(what));
+}
+
+void Reader::finish() {
+  if (object_ == nullptr) return;
+  for (const auto& [key, member] : *object_) {
+    if (std::find(read_.begin(), read_.end(), &member) == read_.end()) {
+      errors_->push_back("unknown " + where_ + " key \"" + key +
+                         "\" (schema drift? bump the version)");
+    }
+  }
+}
+
+std::string Reader::path(std::string_view key) const {
+  if (where_ == "top-level") return std::string(key);
+  return where_ + "." + std::string(key);
+}
+
+std::optional<Value> parse_document(std::string_view text,
+                                    std::vector<std::string>& errors) {
+  std::string error;
+  std::optional<Value> document = Value::parse(text, &error);
+  if (!document.has_value()) errors.push_back("parse error: " + error);
+  return document;
+}
+
+Reader read_schema(const Value& document, std::string_view schema,
+                   std::vector<std::string>& errors) {
+  if (!document.is_object()) {
+    errors.emplace_back("document is not a JSON object");
+    return Reader("top-level", errors);
+  }
+  Reader root(document, "top-level", errors);
+  const Value* line = document.find("schema");
+  if (line == nullptr || !line->is_string()) {
+    errors.emplace_back("missing schema version key \"schema\"");
+  } else if (line->as_string() != schema) {
+    errors.push_back("unknown schema version '" + line->as_string() +
+                     "' (this build reads '" + std::string(schema) + "')");
+  }
+  (void)root.value("schema", kOptional);
+  return root;
 }
 
 }  // namespace bss::obs::json

@@ -1,7 +1,7 @@
-// Minimal JSON for the telemetry layer's artifacts (the `bss-runreport v1`
-// and `bss-status v1` documents, the Chrome trace export): a variant value
-// type, a writer with canonical output, and a strict parser for round-trips
-// and CI schema validation.
+// Minimal JSON for the artifacts (the `bss-runreport v1`, `bss-status v1`
+// and `bss-checkpoint v1` documents, the Chrome trace export): a variant
+// value type, a writer with canonical output, a strict parser, and the one
+// field Reader every artifact format is read through.
 //
 // Canonical output means byte-stable for equal values: object members are
 // stored in a sorted map (so key order never depends on insertion order),
@@ -14,11 +14,15 @@
 // fall back to double.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace bss::obs::json {
@@ -90,5 +94,108 @@ class Value {
 
 /// Appends the JSON escaping of `text` (quotes included) to `out`.
 void append_quoted(std::string& out, std::string_view text);
+
+// ------------------------------------------------------------------ reader
+//
+// Each artifact format is read by one walk over its document.  A Reader
+// wraps one JSON object and hands out its members by name through typed
+// accessors.  An accessor marks its member read; a wrong-typed member, or
+// a missing one the walk requires, records one error under the Reader's
+// location label in the walk's shared list and yields an empty value, so
+// the walk goes on and collects every error.  finish() reports each member
+// nothing read as an unknown key.  A format's key names therefore appear
+// once, in its walk, and the walk's error list is both the validator's
+// findings and the parser's verdict: the document is valid iff it is empty.
+
+enum Presence { kRequired, kOptional };
+
+class Reader {
+ public:
+  /// Reads `value` under the label `where` ("top-level", "progress",
+  /// "frontier[3]").  A non-object records "<where> is not an object" and
+  /// yields a reader whose members are all absent.
+  Reader(const Value& value, std::string where,
+         std::vector<std::string>& errors);
+
+  /// False when the wrapped value was absent or not an object.
+  bool valid() const { return object_ != nullptr; }
+  /// Every member, read or not (empty when !valid()).
+  const Object& members() const;
+  /// True when `key` is present, whatever its type; reads nothing.
+  bool has(std::string_view key) const;
+
+  /// The member, of any type; nullptr when absent.
+  const Value* value(std::string_view key, Presence presence = kRequired);
+  /// An integer that fits `Int`: non-negative when `Int` is unsigned.
+  template <std::integral Int>
+  Int integer(std::string_view key, Presence presence = kRequired);
+  /// A non-negative integer.
+  std::uint64_t counter(std::string_view key, Presence presence = kRequired) {
+    return integer<std::uint64_t>(key, presence);
+  }
+  bool boolean(std::string_view key, Presence presence = kRequired);
+  std::string string(std::string_view key, Presence presence = kRequired);
+  /// A string that is one of `names`.
+  std::string one_of(std::string_view key,
+                     std::initializer_list<std::string_view> names,
+                     Presence presence = kRequired);
+  /// A number in [0, 1e308]: the rates of the wall-clock `timing` sections.
+  double rate(std::string_view key, Presence presence = kRequired);
+  /// The member object, read under "<where>.<key>".
+  Reader object(std::string_view key, Presence presence = kRequired);
+  /// The member array; nullptr when absent or not an array.
+  const Array* array(std::string_view key, Presence presence = kRequired);
+  /// A Reader over `value`, element `index` of array member `key`.
+  Reader item(std::string_view key, std::size_t index,
+              const Value& value) const;
+
+  /// Records `<where> key "<key>" <what>`.
+  void fail(std::string_view key, std::string_view what);
+  /// Records `<where>: <what>`.
+  void fail(std::string_view what);
+  /// Records one unknown-key error per member that nothing has read.
+  void finish();
+
+ private:
+  friend Reader read_schema(const Value& document, std::string_view schema,
+                            std::vector<std::string>& errors);
+
+  /// An invalid Reader: every member absent, no error recorded.
+  Reader(std::string where, std::vector<std::string>& errors)
+      : where_(std::move(where)), errors_(&errors) {}
+
+  std::string path(std::string_view key) const;
+
+  const Object* object_ = nullptr;
+  std::string where_;
+  std::vector<std::string>* errors_;
+  std::vector<const Value*> read_;
+};
+
+template <std::integral Int>
+Int Reader::integer(std::string_view key, Presence presence) {
+  const Value* member = value(key, presence);
+  if (member == nullptr) return 0;
+  if (!member->is_int() || (std::is_unsigned_v<Int> && member->as_int() < 0)) {
+    fail(key, std::is_unsigned_v<Int> ? "is not a non-negative integer"
+                                      : "is not an integer");
+  } else if (!std::in_range<Int>(member->as_int())) {
+    fail(key, "is out of range");
+  } else {
+    return static_cast<Int>(member->as_int());
+  }
+  return 0;
+}
+
+/// Strict parse of one artifact; a failure records "parse error: ...".
+std::optional<Value> parse_document(std::string_view text,
+                                    std::vector<std::string>& errors);
+
+/// The schema-line check: `document` must be an object whose "schema"
+/// member is the string `schema`.  Returns the top-level Reader with that
+/// member read; a non-object records one error and yields an invalid
+/// Reader.
+Reader read_schema(const Value& document, std::string_view schema,
+                   std::vector<std::string>& errors);
 
 }  // namespace bss::obs::json

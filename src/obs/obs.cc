@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/checked.h"
+
 namespace bss::obs {
 
 Telemetry::Telemetry(Options options) : options_(std::move(options)) {}
@@ -28,10 +30,13 @@ void Telemetry::report(ReportBuilder& builder) {
   }
   last_report_ = builder.to_json();
   if (!options_.report_path.empty()) {
-    write_file(options_.report_path, last_report_);
+    expects(write_file(options_.report_path, last_report_), [&] {
+      return "failed to write runreport: " + options_.report_path;
+    });
   }
   if (!options_.trace_path.empty()) {
-    write_file(options_.trace_path, timeline_.to_chrome_trace());
+    expects(write_file(options_.trace_path, timeline_.to_chrome_trace()),
+            [&] { return "failed to write trace: " + options_.trace_path; });
   }
 }
 

@@ -50,7 +50,8 @@ class Telemetry {
   /// Called once at the end of an instrumented run with the deterministic
   /// payload already filled in: appends the metrics and the profile, keeps
   /// the document as last_report(), and writes the report and trace files
-  /// when their paths are set.
+  /// when their paths are set; InvariantError naming the path when a write
+  /// fails.
   void report(ReportBuilder& builder);
 
   /// The phase profiler to accumulate into, or nullptr when phase timing

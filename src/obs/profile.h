@@ -16,17 +16,15 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/json.h"
 
 namespace bss::obs {
 
 /// The closed phase set.  Adding a phase means adding an enumerator here
-/// and a JSON name in kPhaseNames — check_profile_cells, which both the
-/// runreport and status validators call, rejects names outside this list.
+/// and a JSON name in kPhaseNames — read_profile, which both the runreport
+/// and status walks call, rejects names outside this list.
 enum class Phase : int {
   kReplay = 0,       ///< re-running a recorded tape through the simulator
   kStep,             ///< executing one fresh schedule (run_one)
@@ -52,12 +50,10 @@ constexpr bool is_phase_name(std::string_view name) {
   return false;
 }
 
-/// Validates a `profile` section against the closed phase set: one error
-/// per phase name outside kPhaseNames, per cell that is not an object, per
-/// missing or negative `calls`/`ns` field, and per unknown field.  Shared
-/// by the runreport and status validators.
-void check_profile_cells(const json::Object& profile,
-                         std::vector<std::string>& errors);
+/// Reads a `profile` section against the closed phase set: every member is
+/// a phase named in kPhaseNames holding exactly the non-negative `calls`
+/// and `ns` counters.  Shared by the runreport and status walks.
+void read_profile(json::Reader section);
 
 /// Thread-safe accumulator: per-phase {calls, ns} cells bumped with relaxed
 /// atomics (totals are exact, cross-phase ordering is irrelevant).  One

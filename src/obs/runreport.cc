@@ -1,9 +1,12 @@
 #include "obs/runreport.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "obs/profile.h"
-#include "util/checked.h"
 
 namespace bss::obs {
 
@@ -77,28 +80,77 @@ json::Value ReportBuilder::build() const { return json::Value(root_); }
 
 std::string ReportBuilder::to_json() const { return build().dump(1) + "\n"; }
 
+RunReport RunReport::read(json::Value document,
+                          std::vector<std::string>& errors) {
+  json::Reader root = json::read_schema(document, kRunReportSchema, errors);
+  (void)root.string("kind");
+  (void)root.string("producer");
+  (void)root.string("system", json::kOptional);
+  // Free-form sections: only their type is fixed.  "events" is written by
+  // builds that still kept an event log; accepted so older v1 artifacts
+  // stay valid.
+  for (const char* section :
+       {"environment", "options", "coverage", "metrics", "events"}) {
+    (void)root.object(section, json::kOptional);
+  }
+  (void)root.array("violations", json::kOptional);
+  (void)root.array("rows", json::kOptional);
+
+  // The "service." stat family is a closed namespace (the lease service's
+  // LeaseStats counters): an unrecognized name there is a typo or schema
+  // drift, not a new ad-hoc counter.  And a report that mentions the
+  // family at all must carry its load-bearing trio — acquisitions,
+  // retries, step-downs — since a soak that reports renewals but hides
+  // how often the service gave ground is not auditable.
+  json::Reader stats = root.object("stats", json::kOptional);
+  static constexpr std::string_view kServiceStats[] = {
+      "service.leases_acquired", "service.takeovers",
+      "service.renewals",        "service.renew_failures",
+      "service.retries",         "service.step_downs",
+      "service.expirations",     "service.give_ups",
+      "service.actions",
+  };
+  bool any_service = false;
+  for (const auto& [name, stat] : stats.members()) {
+    (void)stats.integer<std::int64_t>(name);
+    if (!name.starts_with("service.")) continue;
+    any_service = true;
+    if (std::find(std::begin(kServiceStats), std::end(kServiceStats), name) ==
+        std::end(kServiceStats)) {
+      stats.fail("unknown service stat \"" + name +
+                 "\" (not a LeaseStats counter)");
+    }
+  }
+  if (any_service) {
+    for (const char* required : {"service.leases_acquired", "service.retries",
+                                 "service.step_downs"}) {
+      if (!stats.has(required)) {
+        stats.fail("service stats present but missing \"" +
+                   std::string(required) + "\"");
+      }
+    }
+  }
+
+  read_profile(root.object("profile", json::kOptional));
+  // Timing is the quarantined non-canonical channel, so entries are free
+  // form — but a rate that parses as negative or non-finite is a producer
+  // bug, not noise, and would poison any downstream aggregation.
+  (void)root.object("timing", json::kOptional)
+      .rate("schedules_per_second", json::kOptional);
+  root.finish();
+  return RunReport{std::move(document)};
+}
+
 std::optional<RunReport> RunReport::parse(std::string_view text,
                                           std::string* error) {
-  auto value = json::Value::parse(text, error);
-  if (!value.has_value()) return std::nullopt;
-  if (!value->is_object()) {
-    if (error != nullptr) *error = "runreport: document is not an object";
-    return std::nullopt;
+  std::vector<std::string> errors;
+  std::optional<RunReport> report;
+  if (auto document = json::parse_document(text, errors)) {
+    report = read(std::move(*document), errors);
   }
-  const json::Value* schema = value->find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    if (error != nullptr) *error = "runreport: missing schema version";
-    return std::nullopt;
-  }
-  if (schema->as_string() != kRunReportSchema) {
-    if (error != nullptr) {
-      *error = "runreport: unknown schema version '" + schema->as_string() +
-               "' (this build understands '" + std::string(kRunReportSchema) +
-               "')";
-    }
-    return std::nullopt;
-  }
-  return RunReport{std::move(*value)};
+  if (errors.empty()) return report;
+  if (error != nullptr) *error = "runreport: " + errors.front();
+  return std::nullopt;
 }
 
 namespace {
@@ -140,144 +192,8 @@ std::uint64_t RunReport::stat(const std::string& name,
 
 std::vector<std::string> validate_runreport(std::string_view text) {
   std::vector<std::string> errors;
-  std::string parse_error;
-  const auto value = json::Value::parse(text, &parse_error);
-  if (!value.has_value()) {
-    errors.push_back("parse error: " + parse_error);
-    return errors;
-  }
-  if (!value->is_object()) {
-    errors.emplace_back("document is not a JSON object");
-    return errors;
-  }
-  const json::Object& root = value->as_object();
-
-  const json::Value* schema = value->find("schema");
-  if (schema == nullptr || !schema->is_string()) {
-    errors.emplace_back("missing schema version key \"schema\"");
-  } else if (schema->as_string() != kRunReportSchema) {
-    errors.push_back("unknown schema version '" + schema->as_string() + "'");
-  }
-
-  // key -> required kind.  Anything outside this table is schema drift.
-  struct KnownKey {
-    std::string_view name;
-    json::Kind kind;
-    bool required;
-  };
-  static constexpr KnownKey kKnown[] = {
-      {"schema", json::Kind::kString, true},
-      {"kind", json::Kind::kString, true},
-      {"producer", json::Kind::kString, true},
-      {"system", json::Kind::kString, false},
-      {"environment", json::Kind::kObject, false},
-      {"options", json::Kind::kObject, false},
-      {"stats", json::Kind::kObject, false},
-      {"coverage", json::Kind::kObject, false},
-      {"violations", json::Kind::kArray, false},
-      {"rows", json::Kind::kArray, false},
-      {"metrics", json::Kind::kObject, false},
-      // Written by builds that still kept an event log; accepted so older
-      // v1 artifacts stay valid.
-      {"events", json::Kind::kObject, false},
-      {"profile", json::Kind::kObject, false},
-      {"timing", json::Kind::kObject, false},
-  };
-  for (const KnownKey& known : kKnown) {
-    const auto it = root.find(std::string(known.name));
-    if (it == root.end()) {
-      if (known.required) {
-        errors.push_back("missing required key \"" + std::string(known.name) +
-                         "\"");
-      }
-      continue;
-    }
-    if (it->second.kind() != known.kind) {
-      errors.push_back("key \"" + std::string(known.name) +
-                       "\" has the wrong type");
-    }
-  }
-  for (const auto& [key, member] : root) {
-    (void)member;
-    bool known = false;
-    for (const KnownKey& candidate : kKnown) {
-      if (candidate.name == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      errors.push_back("unknown top-level key \"" + key +
-                       "\" (schema drift? bump the version)");
-    }
-  }
-  if (const json::Value* stats = value->find("stats");
-      stats != nullptr && stats->is_object()) {
-    // The "service." stat family is a closed namespace (the lease service's
-    // LeaseStats counters): an unrecognized name there is a typo or schema
-    // drift, not a new ad-hoc counter.  And a report that mentions the
-    // family at all must carry its load-bearing trio — acquisitions,
-    // retries, step-downs — since a soak that reports renewals but hides
-    // how often the service gave ground is not auditable.
-    static constexpr std::string_view kServiceStats[] = {
-        "service.leases_acquired", "service.takeovers",
-        "service.renewals",        "service.renew_failures",
-        "service.retries",         "service.step_downs",
-        "service.expirations",     "service.give_ups",
-        "service.actions",
-    };
-    bool any_service = false;
-    for (const auto& [name, stat] : stats->as_object()) {
-      if (!stat.is_int()) {
-        errors.push_back("stat \"" + name + "\" is not an integer");
-      }
-      if (name.rfind("service.", 0) != 0) continue;
-      any_service = true;
-      bool known = false;
-      for (std::string_view candidate : kServiceStats) {
-        known |= candidate == name;
-      }
-      if (!known) {
-        errors.push_back("unknown service stat \"" + name +
-                         "\" (not a LeaseStats counter)");
-      }
-    }
-    if (any_service) {
-      for (std::string_view required : {"service.leases_acquired",
-                                        "service.retries",
-                                        "service.step_downs"}) {
-        if (stats->as_object().find(std::string(required)) ==
-            stats->as_object().end()) {
-          errors.push_back("service stats present but missing \"" +
-                           std::string(required) + "\"");
-        }
-      }
-    }
-  }
-  if (const json::Value* profile = value->find("profile");
-      profile != nullptr && profile->is_object()) {
-    // The profile section is keyed by the closed phase set (obs/profile.h):
-    // an unknown phase name is schema drift, and each cell is exactly the
-    // {calls, ns} pair the profiler emits.
-    check_profile_cells(profile->as_object(), errors);
-  }
-  if (const json::Value* timing = value->find("timing");
-      timing != nullptr && timing->is_object()) {
-    // Timing is the quarantined non-canonical channel, so entries are free
-    // form — but a rate that parses as negative or non-finite is a producer
-    // bug, not noise, and would poison any downstream aggregation.
-    if (const json::Value* rate = timing->find("schedules_per_second");
-        rate != nullptr) {
-      if (!rate->is_number()) {
-        errors.emplace_back("timing \"schedules_per_second\" is not a number");
-      } else {
-        const double parsed = rate->as_double();
-        if (!(parsed >= 0.0) || parsed > 1e308) {
-          errors.emplace_back(
-              "timing \"schedules_per_second\" is negative or not finite");
-        }
-      }
-    }
+  if (auto document = json::parse_document(text, errors)) {
+    (void)RunReport::read(std::move(*document), errors);
   }
   return errors;
 }
@@ -292,7 +208,7 @@ bool write_file(const std::string& path, std::string_view text) {
 }
 
 bool write_file_atomic(const std::string& path, std::string_view text) {
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = path + ".tmp." + std::to_string(getpid());
   if (!write_file(tmp, text)) return false;
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());

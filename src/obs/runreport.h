@@ -27,9 +27,8 @@
 // carries the phase self-profiler's accumulated nanoseconds, keyed by the
 // closed phase set in obs/profile.h).  Consumers must reject documents whose
 // schema line is missing or names a version they do not understand —
-// exactly the `bss-counterexample v2` policy — and the CI gate
-// (tools/report_check) additionally rejects unknown top-level keys so
-// schema drift fails loudly instead of silently forking the format.
+// exactly the `bss-counterexample v2` policy — and unknown top-level keys,
+// so schema drift fails loudly instead of silently forking the format.
 #pragma once
 
 #include <cstdint>
@@ -73,12 +72,21 @@ class ReportBuilder {
   json::Object root_;
 };
 
-/// A parsed report.  parse() enforces the version gate: a missing schema
-/// key or any value other than `kRunReportSchema` is a hard reject (the
-/// artifact may be a future version this binary cannot interpret).
+/// A parsed report.
 struct RunReport {
   json::Value root;
 
+  /// The one walk over a parsed document: records every error in `errors`
+  /// (a missing or unknown schema version, unknown top-level keys,
+  /// wrong-typed known keys, stats outside the closed "service." family,
+  /// unknown profile phases, a negative or non-finite schedule rate).  The
+  /// result means something only when no error was recorded.
+  static RunReport read(json::Value document,
+                        std::vector<std::string>& errors);
+
+  /// Parse + read: accepts exactly what validate_runreport accepts, so a
+  /// future schema version or a drifted key is a hard reject, and returns
+  /// the first error in `error` otherwise.
   static std::optional<RunReport> parse(std::string_view text,
                                         std::string* error = nullptr);
 
@@ -91,18 +99,18 @@ struct RunReport {
   const json::Array* rows() const;
 };
 
-/// Full schema validation for the CI gate: parse failure, missing/unknown
-/// schema version, unknown top-level keys, or wrong-typed known keys each
-/// produce one human-readable error.  Empty result == valid.
+/// The walk's error list for the CI gate (tools/report_check): empty ==
+/// valid, the same verdict as RunReport::parse.
 std::vector<std::string> validate_runreport(std::string_view text);
 
 /// Writes `text` to `path` atomically enough for artifacts (truncate +
 /// write + close); returns false on any I/O failure.
 bool write_file(const std::string& path, std::string_view text);
 
-/// Atomically replaces `path` with `text`: write `path`.tmp, close, rename
-/// over the target, so a reader (or a resume after SIGKILL) sees either the
-/// previous document or the new one, never a torn file.  False on I/O
+/// Atomically replaces `path` with `text`: write `path`.tmp.<pid>, close,
+/// rename over the target, so a reader (or a resume after SIGKILL) sees
+/// either the previous document or the new one, never a torn file, and two
+/// processes writing one path never share a temporary file.  False on I/O
 /// failure.
 bool write_file_atomic(const std::string& path, std::string_view text);
 

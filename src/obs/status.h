@@ -85,17 +85,22 @@ struct Status {
   /// Pretty-printed document with a trailing newline (file-ready).
   std::string to_json() const;
 
-  /// Strict parse + full validation; rejects exactly what validate_status
-  /// rejects.
+  /// The one walk over a parsed document: records every error in
+  /// `errors` (a wrong schema version, unknown or missing keys, wrong
+  /// types, out-of-range counters such as negative values, a hit rate above
+  /// one million or a negative checkpoint age or rate).  The result means
+  /// something only when no error was recorded.
+  static Status read(const json::Value& document,
+                     std::vector<std::string>& errors);
+
+  /// Parse + read; nullopt (with the first error in `error`) unless the
+  /// walk recorded none.
   static std::optional<Status> from_artifact(std::string_view text,
                                              std::string* error = nullptr);
 };
 
-/// Full schema validation for the CI gate (tools/report_check): parse
-/// failure, wrong schema version, unknown or missing keys, wrong types,
-/// out-of-range counters (negative values, a hit rate above one million,
-/// a negative checkpoint age or rate) each produce one human-readable
-/// error.  Empty result == valid.
+/// The walk's error list for the CI gate (tools/report_check): empty ==
+/// valid, the same verdict as from_artifact.
 std::vector<std::string> validate_status(std::string_view text);
 
 /// The heartbeat driver: owns the path, the cadence, and the wall-clock

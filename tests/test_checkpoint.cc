@@ -775,8 +775,23 @@ TEST(Checkpoint, WriteIsAtomicReplacement) {
   }
   ASSERT_TRUE(obs::write_file_atomic(path, "new contents\n"));
   EXPECT_EQ(read_file(path), "new contents\n");
-  EXPECT_FALSE(std::ifstream(path + ".tmp").good())
-      << "the temp file must not survive the rename";
+  const std::filesystem::path target(path);
+  const std::string tmp_prefix = target.filename().string() + ".tmp";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(tmp_prefix, 0), 0u)
+        << "the temp file must not survive the rename: " << entry.path();
+  }
+}
+
+TEST(Checkpoint, WriteUsesAPerProcessTemporaryName) {
+  // Two writers of one path must not share a temporary file: a directory
+  // squatting on the shared name `<path>.tmp` does not block this process.
+  const std::string path = temp_path("cp_tmp_squat.json");
+  std::filesystem::create_directory(path + ".tmp");
+  EXPECT_TRUE(obs::write_file_atomic(path, "contents\n"));
+  EXPECT_EQ(read_file(path), "contents\n");
+  std::filesystem::remove(path + ".tmp");
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -15,12 +16,14 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/mutant_elections.h"
 #include "core/recoverable_election.h"
 #include "expect_identical.h"
+#include "explore/checkpoint.h"
 #include "explore/election_systems.h"
 #include "explore/explore.h"
 #include "obs/obs.h"
@@ -234,6 +237,20 @@ TEST(RunReport, ValidatorRejectsUnknownTopLevelKey) {
       << errors[0];
 }
 
+TEST(RunReport, ParseRejectsWhatTheValidatorRejects) {
+  // One walk serves both: a drifted key is a parse reject too, not only a
+  // CI finding.
+  const std::string text =
+      R"({"schema":"bss-runreport v1","kind":"x","producer":"y",)"
+      R"("surprise":1})";
+  EXPECT_FALSE(validate_runreport(text).empty());
+  std::string error;
+  EXPECT_FALSE(RunReport::parse(text, &error).has_value());
+  EXPECT_NE(error.find("unknown top-level key \"surprise\""),
+            std::string::npos)
+      << error;
+}
+
 TEST(RunReport, ValidatorRejectsNonIntegerStats) {
   auto root = json::Value::parse(sample_report().to_json())->as_object();
   root["stats"].as_object()["schedules"] = json::Value("lots");
@@ -382,6 +399,27 @@ TEST(ObsReport, ExploreEmitsValidRunReport) {
   EXPECT_EQ(report->system(), system.name());
   EXPECT_EQ(report->stat("schedules"), result.stats.schedules);
   EXPECT_EQ(report->stat("violations"), result.violations.size());
+}
+
+TEST(ObsReport, UnwritableReportOrTracePathThrowsNamingIt) {
+  const std::string missing_dir = (std::filesystem::temp_directory_path() /
+                                   (std::to_string(getpid()) + ".no_such_dir"))
+                                      .string();
+  for (const bool trace : {false, true}) {
+    Telemetry::Options options;
+    (trace ? options.trace_path : options.report_path) =
+        missing_dir + "/artifact.json";
+    Telemetry telemetry(options);
+    ReportBuilder builder("bench", "test");
+    try {
+      telemetry.report(builder);
+      ADD_FAILURE() << "a write into a missing directory must throw";
+    } catch (const InvariantError& error) {
+      EXPECT_NE(std::string(error.what()).find(missing_dir + "/artifact.json"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -810,6 +848,68 @@ TEST(StatusCorpus, EveryCorpusFileHoldsTheFuzzOracles) {
     }
   }
   EXPECT_GE(seen, 8u) << "corpus dir unexpectedly thin: " << dir;
+}
+
+// ------------------------------------------------- corpus verdict table
+
+TEST(ArtifactCorpus, EveryFileKeepsItsVerdict) {
+  // The accept/reject verdict of every checked-in artifact, pinned per
+  // file: a reader change that flips one shows up here by name.  The table
+  // must list every file, so a new corpus seed gets a verdict too.
+  struct Verdict {
+    const char* file;
+    bool valid;
+  };
+  static constexpr Verdict kVerdicts[] = {
+      {"checkpoint/campaign.json", true},
+      {"checkpoint/golden_llsc_faults.json", true},
+      {"checkpoint/golden_skewed_pruned.json", true},
+      {"checkpoint/golden_split_cas_collect.json", true},
+      {"checkpoint/schema_only.json", false},
+      {"checkpoint/truncated.json", false},
+      {"runreport/duplicate_key.json", false},
+      {"runreport/faults.json", true},
+      {"runreport/huge_number.json", false},
+      {"runreport/minimal.json", true},
+      {"runreport/truncated.json", false},
+      {"status/bad_state.json", false},
+      {"status/explore_midrun.json", true},
+      {"status/minimal.json", true},
+      {"status/negative_rate.json", false},
+      {"status/soak_complete.json", true},
+      {"status/stale_age.json", false},
+      {"status/truncated.json", false},
+      {"status/unknown_key.json", false},
+  };
+  const std::string root = BSS_FUZZ_CORPUS_DIR;
+  std::size_t listed = 0;
+  for (const char* format : {"checkpoint", "runreport", "status"}) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(root + "/" + format)) {
+      ++listed;
+      const std::string file =
+          std::string(format) + "/" + entry.path().filename().string();
+      const auto verdict =
+          std::find_if(std::begin(kVerdicts), std::end(kVerdicts),
+                       [&](const Verdict& v) { return file == v.file; });
+      if (verdict == std::end(kVerdicts)) {
+        ADD_FAILURE() << file << " has no pinned verdict";
+        continue;
+      }
+      std::ifstream stream(entry.path(), std::ios::binary);
+      std::ostringstream buffer;
+      buffer << stream.rdbuf();
+      const std::string text = buffer.str();
+      const std::string_view kind = format;
+      const std::vector<std::string> errors =
+          kind == "checkpoint" ? explore::validate_checkpoint(text)
+          : kind == "runreport" ? validate_runreport(text)
+                                : validate_status(text);
+      EXPECT_EQ(errors.empty(), verdict->valid)
+          << file << (errors.empty() ? "" : ": " + errors.front());
+    }
+  }
+  EXPECT_EQ(listed, std::size(kVerdicts));
 }
 
 }  // namespace

@@ -4,13 +4,12 @@
 // three artifact grammars).
 //
 // Oracles, beyond "does not crash":
-//   1. If the full validator is satisfied, the lighter parse() gate must
-//      accept too (validate ⊆ parse in strictness, never the reverse).
+//   1. validate/parse agreement, both directions: parse() accepts exactly
+//      the documents the validator passes clean (both run the one walk).
 //   2. The canonical-JSON fixed point: any text json::Value::parse accepts
 //      re-parses from its own dump() into an equal value, and dump() of
 //      that re-parse is byte-identical.
-//   3. Accessors on a parsed report (kind/producer/stats) never crash,
-//      whatever shape the JSON took.
+//   3. Accessors on a parsed report (kind/producer/stats) never crash.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -47,8 +46,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Layer 2: the runreport schema gate on top.
   const auto report = bss::obs::RunReport::parse(text, &error);
   const auto gate = bss::obs::validate_runreport(text);
-  if (gate.empty() && !report.has_value()) {
-    die("validator accepted what RunReport::parse rejected");
+  if (gate.empty() != report.has_value()) {
+    die(gate.empty() ? "validator accepted what RunReport::parse rejected"
+                     : "RunReport::parse accepted what the validator rejected");
   }
   if (report.has_value()) {
     // Accessors must be total: they fall back, never crash, on odd shapes.

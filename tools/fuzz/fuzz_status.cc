@@ -4,8 +4,8 @@
 // Oracles, beyond "does not crash":
 //   1. validate/parse agreement, both directions: a document the validator
 //      passes clean must round-trip through the typed Status parse, and a
-//      document the typed parse accepts must be validator-clean (the two
-//      run the same checks — from_artifact is validate + extraction).
+//      document the typed parse accepts must be validator-clean (both run
+//      the one walk).
 //   2. The typed round trip is a byte fixed point: to_json() of a parsed
 //      Status re-validates clean, re-parses, and dumps byte-identically
 //      (absent⟺empty canonicalization makes this exact).
