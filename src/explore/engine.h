@@ -5,8 +5,8 @@
 //                      accounting, the visited-state key, run_one
 //   steal_engine.cc    the work-stealing pass engine: the unit list, splits,
 //                      the DFS-ordered fold of finished units into the
-//                      running prefix (the one stop rule) and the periodic
-//                      checkpoint writer
+//                      running prefix (the one stop rule), the periodic
+//                      checkpoint writer and the process's helper threads
 //   replay.cc          tape replay, ddmin minimization, replay_counterexample
 //   counterexample.cc  the bss-counterexample v1/v2 codec and action tokens
 //   explore.cc         explore(): the pass sweep, resume, the checkpoint

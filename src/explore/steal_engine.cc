@@ -2,13 +2,17 @@
 // idle workers splitting busy victims' frame stacks, the DFS-ordered fold of
 // finished units into the campaign's running prefix that makes every worker
 // count byte-identical to the serial walk, and the periodic bss-checkpoint
-// writer that persists that prefix plus the outstanding units.
+// writer that persists that prefix plus the outstanding units.  A pass runs
+// worker 0 on its calling thread and the others on helper threads that live
+// for the process; an owner publishes its unit's results by moving what it
+// found since its last publish, never by copying what it found before.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <iterator>
 #include <list>
 #include <memory>
@@ -50,13 +54,14 @@ Counterexample build_counterexample(const ExplorableSystem& system,
 }
 
 /// Publishes the work a worker performed on one unit into its metric
-/// shard: the difference between the unit's results when the worker
-/// claimed it and when it let go.  The unit's ExploreStats / AuditSummary
-/// are the single increment site of every engine counter; the metrics are
-/// derived from them here, once per unit, before the merge discards any
-/// speculative work (so they keep measuring work *performed*).
-void publish_unit_metrics(obs::MetricShard* shard, const UnitResult& claimed,
-                          const UnitResult& done) {
+/// shard: the difference between the unit's counters when the worker
+/// claimed it and when it let go, plus the `found` violations it recorded.
+/// The unit's ExploreStats / AuditSummary are the single increment site of
+/// every engine counter; the metrics are derived from them here, once per
+/// unit, before the merge discards any speculative work (so they keep
+/// measuring work *performed*).
+void publish_unit_metrics(obs::MetricShard* shard, const UnitTally& claimed,
+                          const UnitTally& done, std::size_t found) {
   if (shard == nullptr) return;
   // Counters appear once they count something, as they always have.
   const auto add = [shard](const char* name, std::uint64_t delta) {
@@ -76,8 +81,7 @@ void publish_unit_metrics(obs::MetricShard* shard, const UnitResult& claimed,
   };
   publish(kExploreCounters, claimed.stats, done.stats);
   publish(kAuditCounters, claimed.audit, done.audit);
-  add("explore.violations_found",
-      done.violations.size() - claimed.violations.size());
+  add("explore.violations_found", found);
 }
 
 /// Folds ONE finished unit into the campaign's running prefix under the
@@ -129,9 +133,9 @@ bool merge_one(UnitResult& unit, const ExploreOptions& opts,
 
 /// One unit of the stealing frontier: a contiguous segment of the pass's
 /// DFS, owned by at most one worker at a time.  `frames`/`floor`/`result`
-/// are the owner's last *published* snapshot (claim, split and due
-/// checkpoint boundaries); between publishes the owner works on private
-/// copies, so a checkpoint taken from the snapshots simply re-explores
+/// are the owner's last *published* snapshot (claim, split, due checkpoint
+/// and completion boundaries); between publishes the owner works on private
+/// state, so a checkpoint taken from the snapshots simply re-explores
 /// anything past them on resume — sound, because unit exploration is a pure
 /// function of the frames.
 struct StealUnit {
@@ -142,6 +146,32 @@ struct StealUnit {
   Status status = Status::kPending;
   bool stolen = false;  ///< unit was split off a victim (worker-beat steals)
 };
+
+/// Appends `from`'s elements to `to` by moving them, and empties `from`.
+template <typename T>
+void move_append(std::vector<T>& to, std::vector<T>& from) {
+  if (to.empty()) {
+    to.swap(from);
+  } else {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  }
+  from.clear();
+}
+
+/// Publishes an owner's private results into its unit's snapshot (pool.mu
+/// held).  The owner's `local` carries the unit's cumulative counters but
+/// only the violations, tallies and coverage partials found since its last
+/// publish: the counters are copied, and the lists move onto the end of the
+/// snapshot's, which therefore reads exactly as a full copy would.
+void publish(UnitResult& local, UnitResult& snapshot) {
+  static_cast<UnitTally&>(snapshot) = local;
+  move_append(snapshot.violations, local.violations);
+  move_append(snapshot.tallies, local.tallies);
+  move_append(snapshot.fp_partials, local.fp_partials);
+  snapshot.cap_hit = local.cap_hit;
+  snapshot.stopped = local.stopped;
+}
 
 /// Shared state of one stealing pass.  The std::list gives iterator-stable
 /// DFS order: a split inserts the thief unit right after its victim, so at
@@ -300,6 +330,100 @@ const char* beat_state_name(int state) {
   }
 }
 
+// ---------------------------------------------------------- helper threads
+
+/// The process's helper threads.  A pass runs worker 0 on its calling
+/// thread and offers worker indices 1..jobs-1 to idle helpers; a helper
+/// runs the index it takes, then waits for the next offer.  A new thread
+/// starts on its spawner's CPU set — under a one-CPU affinity it waits a
+/// scheduler slice before it can run anywhere else — and maps its fiber
+/// stacks anew; a helper keeps its placement, stack pool and caches from
+/// pass to pass.  Helpers are optional: a pass whose indices nobody takes
+/// completes on worker 0 alone, so nested or concurrent passes cannot
+/// deadlock.  The set never shrinks.
+class Helpers {
+ public:
+  /// Runs work(0) on the calling thread and work(1..jobs-1) on helpers as
+  /// they take the indices; returns once every helper that took one left.
+  /// An index no helper took before work(0) returned is never run.
+  static void run(int jobs, const std::function<void(int)>& work) {
+    // Never destroyed: idle helpers wait on it until the process exits.
+    static Helpers* const helpers = new Helpers;
+    helpers->run_pass(jobs, work);
+  }
+
+ private:
+  struct Offer {
+    const std::function<void(int)>* work;
+    int next = 1;    ///< the next index to hand out
+    int end = 1;     ///< one past the last index
+    int joined = 0;  ///< helpers inside work() now
+  };
+
+  void run_pass(int jobs, const std::function<void(int)>& work) {
+    if (jobs <= 1) {
+      work(0);
+      return;
+    }
+    Offer offer{&work, 1, jobs};
+    {
+      const auto wanted = static_cast<std::size_t>(jobs - 1);
+      const std::lock_guard<std::mutex> lock(mu_);
+      // Spawn only what the idle helpers not already promised to another
+      // pass's indices cannot cover, so concurrent passes keep their width.
+      for (std::size_t free = idle_ > unclaimed_ ? idle_ - unclaimed_ : 0;
+           free < wanted; ++free) {
+        std::thread([this] { serve(); }).detach();
+        ++idle_;
+      }
+      offers_.push_back(&offer);
+      unclaimed_ += wanted;
+      offered_.notify_all();
+    }
+    // Closes the offer even if work(0) throws: no helper may take an index
+    // of a pass that is gone, and the pass waits for those that did.
+    struct Close {
+      Helpers& helpers;
+      Offer& offer;
+      ~Close() {
+        std::unique_lock<std::mutex> lock(helpers.mu_);
+        helpers.unclaimed_ -= static_cast<std::size_t>(offer.end - offer.next);
+        helpers.offers_.erase(std::find(helpers.offers_.begin(),
+                                        helpers.offers_.end(), &offer));
+        helpers.left_.wait(lock, [this] { return offer.joined == 0; });
+      }
+    };
+    const Close close{*this, offer};
+    work(0);
+  }
+
+  [[noreturn]] void serve() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      offered_.wait(lock, [this] { return unclaimed_ > 0; });
+      Offer& offer = **std::find_if(
+          offers_.begin(), offers_.end(),
+          [](const Offer* o) { return o->next < o->end; });
+      const int index = offer.next++;
+      --unclaimed_;
+      --idle_;
+      ++offer.joined;
+      lock.unlock();
+      (*offer.work)(index);
+      lock.lock();
+      ++idle_;
+      if (--offer.joined == 0) left_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable offered_;  ///< an open offer has an index left
+  std::condition_variable left_;     ///< a helper left its offer
+  std::vector<Offer*> offers_;       ///< open offers, oldest first
+  std::size_t idle_ = 0;       ///< helpers outside work(), from their spawn
+  std::size_t unclaimed_ = 0;  ///< indices left in open offers
+};
+
 }  // namespace
 
 /// Runs one (budget pair) pass on the work-stealing engine.  The frontier
@@ -357,11 +481,13 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
   };
 
   /// Folds the finished units at the head of the list into the running
-  /// prefix, in DFS order, and drops them from the list (pool.mu held).
+  /// prefix, in DFS order, and moves them from the list into `dropped`,
+  /// which the caller destroys after it releases pool.mu (pool.mu held).
   /// merge_one's verdict is the stop decision: once the prefix ends the
-  /// pass, every unit left in the list is past it — the list is cleared,
-  /// and running owners abandon theirs when they see the flag.
-  const auto walk_frontier = [&] {
+  /// pass, every unit left in the list is past it — the list is emptied
+  /// into `dropped`, and running owners abandon theirs when they see the
+  /// flag.
+  const auto walk_frontier = [&](std::list<StealUnit>& dropped) {
     while (!pool.stop_confirmed && !pool.units.empty() &&
            pool.units.front().status == StealUnit::Status::kComplete) {
       {
@@ -369,10 +495,10 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
         pool.stop_confirmed =
             merge_one(pool.units.front().result, opts, campaign);
       }
-      pool.units.pop_front();
+      dropped.splice(dropped.end(), pool.units, pool.units.begin());
     }
     if (!pool.stop_confirmed) return;
-    pool.units.clear();
+    dropped.splice(dropped.end(), pool.units);
     refresh_attention();
     pool.cv.notify_all();
   };
@@ -423,7 +549,10 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
       while (!halted) {
         auto self = pool.units.end();
         PassState pass = cfg.base;
+        // The unit's cumulative counters, and only what it found since its
+        // last publish: violations, tallies and coverage partials.
         UnitResult local;
+        std::size_t published = 0;  ///< violations in the unit's snapshot
         {
           std::unique_lock<std::mutex> lock(pool.mu);
           for (;;) {
@@ -453,7 +582,8 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
           ++pool.running;
           pass.frames = self->frames;
           pass.floor = self->floor;
-          local = self->result;
+          static_cast<UnitTally&>(local) = self->result;
+          published = self->result.violations.size();
           if (beat != nullptr) {
             beat->state.store(WorkerBeat::kRunning, std::memory_order_relaxed);
             if (self->stolen) {
@@ -461,10 +591,12 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
             }
           }
         }
-        // The metrics baseline: results the unit already carried (non-empty
+        // The metrics baseline: counters the unit already carried (non-zero
         // only for units restored from a checkpoint).
-        const UnitResult at_claim =
-            octx.shard != nullptr ? local : UnitResult{};
+        const UnitTally at_claim = octx.shard != nullptr
+                                       ? static_cast<const UnitTally&>(local)
+                                       : UnitTally{};
+        const std::size_t published_at_claim = published;
         const std::uint64_t unit_begin = spans ? telemetry->now_ns() : 0;
         RunMetrics run_metrics(octx.shard);
         bool aborted = false;
@@ -493,14 +625,18 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
               // fields.  The three move together: a new floor over stale
               // frames would overlap the thief's range, and new frames
               // over a stale result would lose the runs in between on
-              // resume.  Idle thieves keep attention raised, so this
-              // block runs after every run while one waits; it copies
+              // resume.  The result's counters are copied and what the
+              // owner found since its last publish moves over, so a
+              // publish costs what was found since, not what was found
+              // before.  Idle thieves keep attention raised, so this
+              // block runs after every run while one waits; it publishes
               // nothing when it cannot split.
               if (splits > 0 ||
                   pool.checkpoint_due.load(std::memory_order_relaxed)) {
                 self->frames = pass.frames;
                 self->floor = pass.floor;
-                self->result = local;
+                published += local.violations.size();
+                publish(local, self->result);
               }
               halted = checkpoint_if_due(octx);
               refresh_attention();
@@ -533,7 +669,7 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
                 local, build_counterexample(system, system_name, opts,
                                             std::move(outcome), local.stats));
             if (opts.stop_at_first_violation ||
-                local.violations.size() >= quota) {
+                published + local.violations.size() >= quota) {
               local.stopped = true;
               break;
             }
@@ -548,18 +684,21 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
             break;
           }
         }
-        publish_unit_metrics(octx.shard, at_claim, local);
+        publish_unit_metrics(
+            octx.shard, at_claim, local,
+            published - published_at_claim + local.violations.size());
         if (halted) break;  // unit stays kRunning; the halt abandons the pass
         const std::uint64_t unit_schedules = local.stats.schedules;
+        std::list<StealUnit> dropped;  // destroyed after pool.mu is released
         {
           std::lock_guard<std::mutex> lock(pool.mu);
           --pool.running;
           if (!pool.stop_confirmed) {  // else: past the confirmed stop
             self->frames.clear();
             self->floor = 0;
-            self->result = std::move(local);
+            publish(local, self->result);
             self->status = StealUnit::Status::kComplete;
-            walk_frontier();
+            walk_frontier(dropped);
           }
           // A checkpoint that fell due during this unit's last runs is
           // written now: at jobs > 1 the other units may drain without
@@ -593,8 +732,9 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
   };
 
   {
+    std::list<StealUnit> dropped;
     std::lock_guard<std::mutex> lock(pool.mu);
-    walk_frontier();  // a restored frontier's finished head folds now
+    walk_frontier(dropped);  // a restored frontier's finished head folds now
   }
 
   // The heartbeat thread: overlays the pool's live counters on the running
@@ -643,13 +783,7 @@ bool run_steal_pass(const ExplorableSystem& system, const ExploreOptions& opts,
   std::thread status_thread;
   if (status_on) status_thread = std::thread(status_loop);
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nworkers - 1));
-  for (int i = 1; i < nworkers; ++i) {
-    threads.emplace_back(worker, i);
-  }
-  worker(0);  // the calling thread is worker 0
-  for (auto& t : threads) t.join();
+  Helpers::run(nworkers, worker);  // the calling thread is worker 0
   if (status_on) {
     {
       std::lock_guard<std::mutex> lock(status_mu);

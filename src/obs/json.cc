@@ -341,21 +341,39 @@ struct Parser {
     return fail("unterminated string");
   }
 
+  /// Consumes one or more digits; false if there is none.
+  bool digits() {
+    const std::size_t start = pos;
+    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+    return pos > start;
+  }
+
+  /// RFC 8259's number grammar:
+  /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
   bool parse_number(Value& out) {
     const std::size_t start = pos;
     if (pos < text.size() && text[pos] == '-') ++pos;
-    while (pos < text.size() &&
-           ((text[pos] >= '0' && text[pos] <= '9') || text[pos] == '.' ||
-            text[pos] == 'e' || text[pos] == 'E' || text[pos] == '+' ||
-            text[pos] == '-')) {
+    if (pos < text.size() && text[pos] == '0') {
+      ++pos;  // a leading zero is the whole integer part: no 00, 01, -01
+      if (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
+        return fail("invalid number");
+      }
+    } else if (!digits()) {
+      return fail("invalid number");
+    }
+    bool integral = true;
+    if (pos < text.size() && text[pos] == '.') {
       ++pos;
+      if (!digits()) return fail("invalid number");
+      integral = false;
+    }
+    if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+      ++pos;
+      if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
+      if (!digits()) return fail("invalid number");
+      integral = false;
     }
     const std::string_view token = text.substr(start, pos - start);
-    if (token.empty() || token == "-") return fail("invalid number");
-    const bool integral =
-        token.find('.') == std::string_view::npos &&
-        token.find('e') == std::string_view::npos &&
-        token.find('E') == std::string_view::npos;
     if (integral) {
       std::int64_t value = 0;
       const auto result =

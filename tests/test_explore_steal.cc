@@ -6,15 +6,23 @@
 // in the same order with the same minimized tapes — with and without
 // fingerprint pruning.  A telemetry probe additionally proves steals actually
 // happen on a busy multi-worker run (the invariance tests would pass
-// vacuously if no one ever stole).
+// vacuously if no one ever stole).  The helper-thread tests pin how passes
+// share the process's helper threads: a pass reuses idle helpers instead of
+// starting threads, and concurrent passes each keep their results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <initializer_list>
+#include <iterator>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/mutant_elections.h"
 #include "expect_identical.h"
@@ -22,6 +30,7 @@
 #include "explore/explore.h"
 #include "explore/skewed_system.h"
 #include "obs/obs.h"
+#include "service/lease_system.h"
 #include "util/checked.h"
 
 namespace bss::explore {
@@ -204,6 +213,116 @@ TEST(StealExplore, BusyMultiWorkerRunActuallySteals) {
   ASSERT_NE(it, snapshot.counters.end())
       << "no explore.steals counter recorded";
   EXPECT_GE(it->second, 1u);
+}
+
+// -------------------------------------------- publishes and helper threads
+
+/// The mutant-refutation shape: naive DFS collecting every violation of the
+/// claim-after-cas mutant, unminimized.
+ExploreOptions collect_all_options() {
+  ExploreOptions options;
+  options.use_por = false;
+  options.stop_at_first_violation = false;
+  options.max_violations = std::size_t{1} << 20;
+  options.minimize = false;
+  return options;
+}
+
+// An owner publishes only what it found since its last publish; the
+// violations_found metric must still count every violation once.
+TEST(StealExplore, ViolationsFoundMetricCountsEveryViolation) {
+  OneShotSystem system(4, 3, OneShotMutant::kClaimAfterCas);
+  for (const int jobs : {1, 4}) {
+    obs::Telemetry::Options sink_options;
+    sink_options.metrics = true;
+    obs::Telemetry telemetry(sink_options);
+    ExploreOptions options = collect_all_options();
+    options.jobs = jobs;
+    options.telemetry = &telemetry;
+    const ExploreResult result = explore(system, options);
+    ASSERT_FALSE(result.violations.empty());
+    EXPECT_EQ(telemetry.metrics_snapshot().counters.at(
+                  "explore.violations_found"),
+              result.violations.size())
+        << "jobs=" << jobs;
+  }
+}
+
+std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), std::filesystem::directory_iterator{}));
+}
+
+// Helpers live for the process: once a jobs=4 pass has run, another one
+// finds its helpers idle and starts no thread.  The count is sampled at
+// every instantiation, i.e. while the second pass's workers run.
+TEST(HelperThreads, SecondExploreStartsNoThread) {
+  const OneShotSystem inner(3, 2);
+  std::mutex mu;
+  std::size_t most = 0;
+  const FactorySystem system(inner.name(), inner.process_count(), [&] {
+    const std::size_t now = thread_count();
+    const std::lock_guard<std::mutex> lock(mu);
+    most = std::max(most, now);
+    return inner.make();
+  });
+  ExploreOptions options;
+  options.use_por = false;
+  options.jobs = 4;
+  ASSERT_TRUE(explore(system, options).ok());
+  const std::size_t before = thread_count();
+  most = 0;
+  ASSERT_TRUE(explore(system, options).ok());
+  EXPECT_EQ(most, before);
+  EXPECT_EQ(thread_count(), before);
+}
+
+// Three passes share the helpers at once; each must still match its own
+// serial run exactly.
+TEST(HelperThreads, ConcurrentExploresMatchTheirSerialRuns) {
+  OneShotSystem split_cas(4, 2, OneShotMutant::kSplitCas);
+  SkewedWriterSystem skewed(3, 4, 2);
+  service::LeaseConfig lease_config;
+  lease_config.n = 2;
+  lease_config.renewals = 0;
+  lease_config.acquire_attempts = 1;
+  lease_config.sc_retries = 0;
+  service::LeaseServiceSystem lease(lease_config);
+
+  struct Run {
+    const ExplorableSystem* system;
+    ExploreOptions options;
+    ExploreResult serial;
+    ExploreResult parallel;
+  };
+  std::vector<Run> runs(3);
+  runs[0].system = &split_cas;
+  runs[0].options = collect_all_options();
+  runs[1].system = &skewed;
+  runs[1].options.preemption_bound = 3;
+  runs[1].options.iterative = true;
+  runs[1].options.fingerprint_prune = true;
+  runs[2].system = &lease;
+  runs[2].options.fault_bound = 1;
+  runs[2].options.preemption_bound = 1;
+  for (Run& run : runs) {
+    run.options.jobs = 1;
+    run.serial = explore(*run.system, run.options);
+    run.options.jobs = 4;
+  }
+  std::vector<std::thread> drivers;
+  for (Run& run : runs) {
+    drivers.emplace_back(
+        [&run] { run.parallel = explore(*run.system, run.options); });
+  }
+  for (std::thread& driver : drivers) driver.join();
+  for (const Run& run : runs) {
+    expect_identical(run.serial, run.parallel, run.system->name());
+  }
+  EXPECT_FALSE(runs[0].serial.violations.empty());
+  EXPECT_GT(runs[1].serial.stats.fingerprint_prunes, 0u);
+  EXPECT_GT(runs[2].serial.stats.faults_injected, 0u);
 }
 
 // ------------------------------------------------- the BSS_EXPLORE_JOBS knob

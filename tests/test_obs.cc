@@ -464,6 +464,25 @@ TEST(RunReportCorpus, NonFiniteNumberIsRejected) {
   EXPECT_FALSE(RunReport::parse(text).has_value());
 }
 
+// RFC 8259's number grammar, exactly: no leading zeros, a digit on both
+// sides of the point, and a digit after the exponent marker.
+TEST(JsonNumbers, FollowTheRfc8259Grammar) {
+  for (const char* bad : {"000", "01", "-01", "00.5", "1.", "-.5", "1.e5",
+                          "-", "1e", "1e+", "+1", "0x10", "1.5.2", "--1"}) {
+    std::string error;
+    EXPECT_FALSE(json::Value::parse(bad, &error).has_value()) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  for (const char* good : {"0", "-0", "7", "-12", "10", "0.5", "-0.5",
+                           "1e5", "1E-5", "2.5e+3", "0e0"}) {
+    EXPECT_TRUE(json::Value::parse(good).has_value()) << good;
+  }
+  EXPECT_EQ(json::Value::parse("-120")->as_int(), -120);
+  EXPECT_TRUE(json::Value::parse("10")->is_int());
+  EXPECT_DOUBLE_EQ(json::Value::parse("-0.25e1")->as_double(), -2.5);
+  EXPECT_FALSE(json::Value::parse("{\"seq\": 000}").has_value());
+}
+
 TEST(RunReportCorpus, EveryCorpusFileParsesOrRejectsWithoutCrashing) {
   const std::string dir = std::string(BSS_FUZZ_CORPUS_DIR) + "/runreport";
   std::size_t seen = 0;
@@ -874,6 +893,7 @@ TEST(ArtifactCorpus, EveryFileKeepsItsVerdict) {
       {"runreport/truncated.json", false},
       {"status/bad_state.json", false},
       {"status/explore_midrun.json", true},
+      {"status/leading_zero.json", false},
       {"status/minimal.json", true},
       {"status/negative_rate.json", false},
       {"status/soak_complete.json", true},
