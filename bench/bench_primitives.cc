@@ -38,10 +38,10 @@ BENCHMARK(BM_SimStepDispatch)->Arg(1000)->Arg(10000);
 
 // Abandoning parked processes: finish() on N processes parked inside a
 // register operation, the explorer's cost for every schedule it prunes.
-// Each process is unwound by throwing ProcessCrashed through its parked
-// frames, so any object with a destructor on the park path makes every
-// abandoned process pay for another landing pad.  Only finish() is timed;
-// items are abandoned processes.
+// Each process is unwound by one forced unwind through its parked frames,
+// so any object with a destructor on the park path makes every abandoned
+// process pay for another landing pad.  Only finish() is timed; items are
+// abandoned processes.
 void BM_SimAbandonParked(benchmark::State& state) {
   const int processes = bss::checked_cast<int>(state.range(0));
   bss::sim::MwmrRegister<int> reg("abandoned", 0);
@@ -66,6 +66,32 @@ void BM_SimAbandonParked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * processes);
 }
 BENCHMARK(BM_SimAbandonParked)->Arg(1)->Arg(4)->Arg(16);
+
+// Crash-restart: a restart fault on each of N processes parked inside a
+// register operation.  Each restart unwinds the process the way finish()
+// does, then re-enters its restart hook on a fresh fiber up to its first
+// operation.  Lease-service schedules pay about one per schedule.  Items
+// are restarts.
+void BM_SimCrashRestart(benchmark::State& state) {
+  const int processes = bss::checked_cast<int>(state.range(0));
+  bss::sim::MwmrRegister<int> reg("restarted", 0);
+  bss::sim::SimEnv env({.record_trace = false});
+  const auto body = [&](bss::sim::Ctx& ctx) {
+    for (int v = 0;; ++v) {
+      (void)reg.read(ctx);
+      reg.write(ctx, v);
+    }
+  };
+  for (int pid = 0; pid < processes; ++pid) env.add_process(body, body);
+  env.start();
+  for (int pid = 0; pid < processes; ++pid) env.apply(pid);
+  for (auto _ : state) {
+    for (int pid = 0; pid < processes; ++pid) env.restart_process(pid);
+  }
+  env.finish();
+  state.SetItemsProcessed(state.iterations() * processes);
+}
+BENCHMARK(BM_SimCrashRestart)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_CasRegisterOps(benchmark::State& state) {
   const int ops = bss::checked_cast<int>(state.range(0));

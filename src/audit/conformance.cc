@@ -1,7 +1,6 @@
 #include "audit/conformance.h"
 
 #include <algorithm>
-#include <iterator>
 #include <sstream>
 
 namespace bss::audit {
@@ -70,17 +69,6 @@ std::vector<Violation> check_footprint(const WindowFootprint& window) {
     violation.detail = window_label(window) + " never touched declared object '" +
                        violation.object + "' (declaration drift)";
     found.push_back(std::move(violation));
-  }
-  return found;
-}
-
-std::vector<Violation> check_footprints(
-    const std::vector<WindowFootprint>& log) {
-  std::vector<Violation> found;
-  for (const auto& window : log) {
-    auto violations = check_footprint(window);
-    found.insert(found.end(), std::make_move_iterator(violations.begin()),
-                 std::make_move_iterator(violations.end()));
   }
   return found;
 }

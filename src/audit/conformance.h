@@ -43,8 +43,4 @@ struct WindowFootprint {
 /// ledger is "not instrumented", not "touched nothing".
 std::vector<Violation> check_footprint(const WindowFootprint& window);
 
-/// Whole-log pass over every window of a run, in order.
-std::vector<Violation> check_footprints(
-    const std::vector<WindowFootprint>& log);
-
 }  // namespace bss::audit

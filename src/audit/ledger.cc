@@ -37,13 +37,8 @@ std::string Violation::to_string() const {
 
 Auditor::Auditor(AuditorOptions options) : options_(options) {}
 
-// Out of line so the Auditor vtable (and WindowFootprint's destructor,
-// incomplete in ledger.h) anchor in this translation unit.
+// Out of line so the Auditor vtable anchors in this translation unit.
 Auditor::~Auditor() = default;
-
-const std::vector<WindowFootprint>& Auditor::footprints() const {
-  return footprints_;
-}
 
 void Auditor::record(Violation violation) {
   ++violation_count_;
@@ -105,7 +100,6 @@ void Auditor::on_window_end(int pid, bool aborted) {
       record(std::move(violation));
     }
   }
-  if (options_.keep_footprints) footprints_.push_back(std::move(footprint));
 }
 
 void Auditor::on_access(int pid, sim::ObjectName object, AccessKind kind,
@@ -185,7 +179,6 @@ void Auditor::reset() {
   accesses_ = 0;
   violation_count_ = 0;
   violations_.clear();
-  footprints_.clear();
 }
 
 }  // namespace bss::audit

@@ -143,14 +143,7 @@ struct AuditorOptions {
   /// Grant windows of context prepended to each violation description —
   /// the "offending trace prefix".
   std::size_t trace_context = 8;
-  /// Retain every window's footprint for post-run inspection (tests);
-  /// off keeps memory flat during long explorations.
-  bool keep_footprints = false;
 };
-
-/// Forward-declared here, defined in conformance.h: the per-window actual
-/// footprint the conformance checker diffs against the declaration.
-struct WindowFootprint;
 
 /// The concrete observer: verifies every access stamp against the open
 /// window (race detection) and diffs each closed window's actual footprint
@@ -179,8 +172,6 @@ class Auditor final : public AccessObserver {
   const std::vector<Violation>& violations() const { return violations_; }
   std::uint64_t windows() const { return windows_; }
   std::uint64_t accesses() const { return accesses_; }
-  /// Every closed window's footprint (AuditorOptions::keep_footprints).
-  const std::vector<WindowFootprint>& footprints() const;
 
   /// One-line deterministic digest: violation count plus the first finding.
   std::string summary() const;
@@ -209,7 +200,6 @@ class Auditor final : public AccessObserver {
   std::uint64_t accesses_ = 0;
   std::uint64_t violation_count_ = 0;
   std::vector<Violation> violations_;
-  std::vector<WindowFootprint> footprints_;
 };
 
 }  // namespace bss::audit

@@ -206,18 +206,6 @@ bool EmulationDriver::adopt_decision_if_any(EmulatorState& emulator) {
   return false;
 }
 
-int EmulationDriver::count_suspended_unreleased(const Label& label, int from,
-                                                int to) const {
-  int count = 0;
-  for (const Suspension& suspension : suspensions_) {
-    if (!suspension.released && suspension.from == from &&
-        suspension.to == to && labels_compatible(suspension.label, label)) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 int EmulationDriver::count_successes(const Label& label, int from,
                                      int to) const {
   int count = 0;

@@ -179,7 +179,6 @@ class EmulationDriver {
   // Figure 6; returns false on stall.
   bool update_cas(EmulatorState& emulator, const std::vector<int>& history);
 
-  int count_suspended_unreleased(const Label& label, int from, int to) const;
   /// Successful c&s operations already emulated (releases + direct installs)
   /// on (from -> to) with labels compatible with `label`.
   int count_successes(const Label& label, int from, int to) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <set>
-#include <sstream>
 
 #include "util/checked.h"
 
@@ -25,18 +24,6 @@ void ExcessGraph::set_weight(int from, int to, std::int64_t weight) {
 
 void ExcessGraph::add_weight(int from, int to, std::int64_t delta) {
   weights_[static_cast<std::size_t>(from * k_ + to)] += delta;
-}
-
-std::string ExcessGraph::to_string() const {
-  std::ostringstream out;
-  for (int from = 0; from < k_; ++from) {
-    for (int to = 0; to < k_; ++to) {
-      if (weight(from, to) != 0) {
-        out << from << "->" << to << ":" << weight(from, to) << " ";
-      }
-    }
-  }
-  return out.str();
 }
 
 std::optional<std::vector<int>> path_with_min_weight(const ExcessGraph& graph,

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace bss::emu {
@@ -27,8 +26,6 @@ class ExcessGraph {
   std::int64_t weight(int from, int to) const;
   void set_weight(int from, int to, std::int64_t weight);
   void add_weight(int from, int to, std::int64_t delta);
-
-  std::string to_string() const;
 
  private:
   int k_;

@@ -24,12 +24,6 @@ TreeNode* GroupTree::rightmost() {
   return node;
 }
 
-const TreeNode* GroupTree::rightmost() const {
-  const TreeNode* node = &root_;
-  while (!node->children.empty()) node = node->children.back().get();
-  return node;
-}
-
 TreeNode* GroupTree::attach(TreeNode* parent, int symbol,
                             std::vector<int> from_parent,
                             std::vector<int> to_parent) {

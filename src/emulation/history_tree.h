@@ -52,7 +52,6 @@ class GroupTree {
 
   /// The DFS-last node: the node holding the run's current symbol.
   TreeNode* rightmost();
-  const TreeNode* rightmost() const;
 
   /// Attaches `symbol` as the new last child of `parent` with the given
   /// splice strings; it becomes the rightmost node.

@@ -1,7 +1,5 @@
 #include "game/game.h"
 
-#include <sstream>
-
 namespace bss::game {
 
 MoveJumpGame::MoveJumpGame(int k, int m, int start)
@@ -120,22 +118,6 @@ void MoveJumpGame::jump(int agent, int to) {
   const int from = position(agent);
   log_.push_back({ActionKind::kJump, agent, from, to});
   arrive(agent, to);
-}
-
-std::string MoveJumpGame::to_string() const {
-  std::ostringstream out;
-  out << "game k=" << k_ << " m=" << m_ << " moves=" << move_count_
-      << (cycle_closed_ ? " (cycle closed)" : "") << "\n  positions:";
-  for (int agent = 0; agent < m_; ++agent) {
-    out << " a" << agent << "@" << positions_[static_cast<std::size_t>(agent)];
-  }
-  out << "\n  painted:";
-  for (int from = 0; from < k_; ++from) {
-    for (int to = 0; to < k_; ++to) {
-      if (edge_painted(from, to)) out << " " << from << "->" << to;
-    }
-  }
-  return out.str();
 }
 
 }  // namespace bss::game

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/checked.h"
@@ -69,8 +68,6 @@ class MoveJumpGame {
   /// cycle").
   bool move(int agent, int to);
   void jump(int agent, int to);
-
-  std::string to_string() const;
 
  private:
   void arrive(int agent, int node);

@@ -4,16 +4,6 @@
 
 namespace bss::sim {
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kRestart:
-      return "restart";
-  }
-  return "?";
-}
-
 FaultPlan& FaultPlan::add_event(int pid, FaultKind kind,
                                 std::uint64_t op_index) {
   std::vector<FaultEvent>& events = events_[pid];

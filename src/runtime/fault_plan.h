@@ -44,8 +44,6 @@ enum class FaultKind : std::uint8_t {
   kRestart,  ///< crash-restart: private state lost, program re-entered
 };
 
-const char* to_string(FaultKind kind);
-
 struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   std::uint64_t op_index = 0;  ///< fires before the pid's op_index-th op

@@ -2,8 +2,11 @@
 
 #include <sys/mman.h>
 #include <unistd.h>
+#include <unwind.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <new>
 #include <sstream>
 #include <utility>
@@ -187,7 +190,7 @@ class StackPool {
 
 thread_local StackPool stack_pool;
 
-/// The process start() is entering for the first time: a fiber's entry
+/// The process launch() is entering on a fresh fiber: a fiber's entry
 /// takes no argument, and the first switch runs fiber_entry at once on this
 /// thread.
 thread_local Ctx* entering = nullptr;
@@ -212,6 +215,61 @@ struct SwitchFrame {
 static_assert(sizeof(SwitchFrame) == 64,
               "bss_fiber_switch pops six registers, a control slot and rip");
 #endif
+
+[[noreturn]] void crash_unwind_failed(const char* what) {
+  std::fprintf(stderr, "bss::sim: %s\n", what);
+  std::abort();
+}
+
+/// The C++ runtime deletes a caught exception when its handler ends
+/// without rethrowing.  For a crash that means a process body swallowed
+/// it: the process can then neither finish nor crash, and the object,
+/// which the thread reuses, must not be freed.
+void crash_swallowed(_Unwind_Reason_Code /*reason*/,
+                     _Unwind_Exception* /*header*/) {
+  crash_unwind_failed(
+      "a process body swallowed ProcessCrashed; a handler that catches a "
+      "crash must rethrow it");
+}
+
+/// The exception objects crashes unwind with, one per nesting level: a
+/// crash's cleanup may crash the processes of a SimEnv its body owns, and
+/// the two unwinds must not share a header.  Each object is a native C++
+/// exception, so a body's catch-and-rethrow keeps the runtime's per-thread
+/// counts balanced.  It is made once per thread and kept alive by an
+/// exception_ptr, so a crash allocates nothing.
+class CrashObjects {
+ public:
+  _Unwind_Exception* acquire() {
+    if (in_flight_ == held_.size()) held_.push_back(make());
+    return held_[in_flight_++].header;
+  }
+  void release() { --in_flight_; }
+
+ private:
+  struct Token {};
+  struct Held {
+    std::exception_ptr owner;
+    _Unwind_Exception* header = nullptr;
+  };
+
+  static Held make() {
+    Held held{std::make_exception_ptr(Token{}), nullptr};
+    try {
+      std::rethrow_exception(held.owner);
+    } catch (Token& token) {
+      // The Itanium C++ ABI puts the unwind header right below the object.
+      held.header = reinterpret_cast<_Unwind_Exception*>(&token) - 1;
+    }
+    held.header->exception_cleanup = &crash_swallowed;
+    return held;
+  }
+
+  std::vector<Held> held_;
+  std::size_t in_flight_ = 0;
+};
+
+thread_local CrashObjects crash_objects;
 
 }  // namespace
 
@@ -314,6 +372,48 @@ struct SimEnv::Fiber {
   }
 };
 
+/// A crash unwinds the process's frames once, from its park up to
+/// run_body's, running every destructor and every handler that catches
+/// ProcessCrashed; stop() ends it before fiber_main's frame and leaves the
+/// fiber for good.
+struct SimEnv::CrashUnwind {
+  /// On the crashed process's fiber.
+  [[noreturn]] static void run(Proc& proc) {
+    _Unwind_Exception* const header = crash_objects.acquire();
+#if defined(SIM_ENV_ASAN)
+    // What ASan's __cxa_throw interceptor does, and after acquire(), whose
+    // first call per thread runs code of its own: the frames the unwind
+    // leaves behind must not keep their redzones.
+    __asan_handle_no_return();
+#endif
+    _Unwind_ForcedUnwind(header, &stop, &proc);
+    crash_unwind_failed("the forced unwind of a crashed process failed");
+  }
+
+  /// Called before each frame is unwound.  For that frame the unwinder
+  /// reports the stack pointer at its call site, which for fiber_main's
+  /// frame is run_body's CFA.
+  static _Unwind_Reason_Code stop(int /*version*/, _Unwind_Action actions,
+                                  _Unwind_Exception_Class /*klass*/,
+                                  _Unwind_Exception* /*header*/,
+                                  _Unwind_Context* context, void* arg) {
+    Proc& proc = *static_cast<Proc*>(arg);
+    if (reinterpret_cast<void*>(_Unwind_GetCFA(context)) != proc.entry_cfa) {
+      if ((actions & _UA_END_OF_STACK) != 0) {
+        crash_unwind_failed("a crash unwound past its fiber's entry");
+      }
+      return _URC_NO_REASON;
+    }
+    crash_objects.release();
+    proc.state = State::kDone;
+    // Only fiber_main's and fiber_entry's frames and the unwinder's are
+    // left on this stack, and none of them holds anything with a
+    // destructor: the engine may pool it.
+    proc.fiber->switch_to(*proc.ctx->env_->engine_, /*exiting=*/true);
+    __builtin_unreachable();
+  }
+};
+
 int RunReport::finished_count() const {
   int n = 0;
   for (const auto outcome : outcomes) {
@@ -393,7 +493,22 @@ std::uint64_t Ctx::sleep_until(std::uint64_t deadline) {
 }
 
 void Ctx::sync(const OpDesc& desc) {
-  env_->park(pid_, desc);
+  // Parks the process.  A crash unwinds from here, so this is the frame
+  // nearest the park: one frame fewer for every unwind to walk.
+  SimEnv& env = *env_;
+  SimEnv::Proc& proc = env.procs_[static_cast<std::size_t>(pid_)];
+  // The C++ runtime keeps the in-flight count and the caught-exception
+  // stack per thread; switching away mid-exception would hand them to the
+  // engine and corrupt both.  A crash's unwind is not counted as in flight,
+  // so it is checked by name.
+  expects(!proc.crash_requested && std::uncaught_exceptions() == 0 &&
+              std::current_exception() == env.engine_handling_,
+          "a process may not park while an exception is in flight or being "
+          "handled");
+  proc.pending = desc;
+  proc.state = SimEnv::State::kReady;
+  proc.fiber->switch_to(*env.engine_);
+  if (proc.crash_requested) SimEnv::CrashUnwind::run(proc);
   ++steps_taken_;
 }
 
@@ -433,11 +548,8 @@ SimEnv::~SimEnv() {
   // If run() threw (e.g. a scheduler bug), processes may still be parked.
   // Each is unwound on its own stack, so its locals are destroyed before
   // the stack goes back to the pool.
-  for (auto& proc : procs_) {
-    if (proc.fiber != nullptr && proc.state != State::kDone) {
-      proc.crash_requested = true;
-      resume(proc);
-    }
+  for (Proc& proc : procs_) {
+    if (proc.state == State::kReady) crash(proc);
   }
 }
 
@@ -485,56 +597,25 @@ void SimEnv::fiber_entry() noexcept {
 
 void SimEnv::fiber_main(int pid) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
-  for (;;) {
-    try {
-      if (proc.ctx->incarnation_ == 0) {
-        bodies_[static_cast<std::size_t>(pid)](*proc.ctx);
-      } else {
-        restart_hooks_[static_cast<std::size_t>(pid)](*proc.ctx);
-      }
-      proc.outcome = ProcOutcome::kFinished;
-    } catch (const ProcessCrashed&) {
-      if (proc.restart_requested) {
-        // Crash-restart: the unwound stack took every private local with
-        // it; shared registers persist untouched.  Re-enter through the
-        // restart hook on the same fiber — the engine is suspended in
-        // resume() until the new incarnation parks at its first shared
-        // operation (or finishes), so the re-entry stays serialized like
-        // the initial launch.
-        proc.restart_requested = false;
-        proc.crash_requested = false;
-        proc.injection.reset();
-        proc.sc_failure_pending = false;
-        ++proc.ctx->incarnation_;
-        ++proc.restarts;
-        continue;
-      }
-      proc.outcome = ProcOutcome::kCrashed;
-    } catch (const std::exception& e) {
-      proc.outcome = ProcOutcome::kFailed;
-      proc.error = e.what();
-    } catch (...) {
-      proc.outcome = ProcOutcome::kFailed;
-      proc.error = "unknown exception";
-    }
-    break;
+  try {
+    run_body(proc);
+    proc.outcome = ProcOutcome::kFinished;
+  } catch (const std::exception& e) {
+    proc.outcome = ProcOutcome::kFailed;
+    proc.error = e.what();
+  } catch (...) {
+    proc.outcome = ProcOutcome::kFailed;
+    proc.error = "unknown exception";
   }
   proc.state = State::kDone;
 }
 
-void SimEnv::park(int pid, const OpDesc& desc) {
-  // The C++ runtime keeps the in-flight count and the caught-exception
-  // stack per thread; switching away mid-exception would hand them to the
-  // engine and corrupt both.
-  expects(std::uncaught_exceptions() == 0 &&
-              std::current_exception() == engine_handling_,
-          "a process may not park while an exception is in flight or being "
-          "handled");
-  Proc& proc = procs_[static_cast<std::size_t>(pid)];
-  proc.pending = desc;
-  proc.state = State::kReady;
-  proc.fiber->switch_to(*engine_);
-  if (proc.crash_requested) throw ProcessCrashed{};
+// Out of line: the CFA it records is where a crash's unwind stops, so that
+// fiber_main's handlers never see a crash.
+__attribute__((noinline)) void SimEnv::run_body(Proc& proc) {
+  proc.entry_cfa = __builtin_dwarf_cfa();
+  const auto pid = static_cast<std::size_t>(proc.ctx->pid_);
+  (proc.ctx->incarnation_ == 0 ? bodies_[pid] : restart_hooks_[pid])(*proc.ctx);
 }
 
 void SimEnv::resume(Proc& proc) {
@@ -542,6 +623,18 @@ void SimEnv::resume(Proc& proc) {
   engine_->switch_to(*proc.fiber);
   engine_handling_ = nullptr;
   if (proc.state == State::kDone) proc.fiber.reset();
+}
+
+void SimEnv::launch(Proc& proc) {
+  proc.fiber = std::make_unique<Fiber>(&SimEnv::fiber_entry);
+  entering = proc.ctx.get();
+  resume(proc);
+}
+
+void SimEnv::crash(Proc& proc) {
+  proc.crash_requested = true;
+  resume(proc);
+  proc.crash_requested = false;
 }
 
 void SimEnv::start() {
@@ -560,12 +653,7 @@ void SimEnv::start() {
   // point (or completion) before the next starts, so body code ahead of the
   // first shared operation never interleaves — objects may touch shared
   // state anywhere inside an operation's implementation.
-  for (int pid = 0; pid < n; ++pid) {
-    Proc& proc = procs_[static_cast<std::size_t>(pid)];
-    proc.fiber = std::make_unique<Fiber>(&SimEnv::fiber_entry);
-    entering = proc.ctx.get();
-    resume(proc);
-  }
+  for (Proc& proc : procs_) launch(proc);
 }
 
 bool SimEnv::is_parked(int pid) const {
@@ -660,17 +748,21 @@ TraceEvent SimEnv::step_process(int pid) {
 void SimEnv::kill_process(int pid) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   if (proc.state != State::kReady) return;
-  proc.crash_requested = true;
-  resume(proc);
+  crash(proc);
+  proc.outcome = ProcOutcome::kCrashed;
 }
 
 void SimEnv::restart_process(int pid) {
   Proc& proc = procs_[static_cast<std::size_t>(pid)];
   expects(proc.state == State::kReady, "restart_process: process is not parked");
   expects(restart_supported(pid), "restart_process: process has no restart hook");
-  proc.restart_requested = true;
-  proc.crash_requested = true;
-  resume(proc);  // until the restarted incarnation parks (or finishes)
+  // The unwind took every private local with it; shared registers persist.
+  crash(proc);
+  proc.injection.reset();
+  proc.sc_failure_pending = false;
+  ++proc.ctx->incarnation_;
+  ++proc.restarts;
+  launch(proc);  // until the restarted incarnation parks (or finishes)
 }
 
 void SimEnv::inject_sc_failure(int pid) {

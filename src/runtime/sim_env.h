@@ -63,25 +63,33 @@
 // overflow faults instead of corrupting memory.  They come from a
 // thread-local free list: after a thread's first schedule every schedule
 // reuses them, and the list never holds more stacks than the thread had
-// live at once (fiber_stack_stats).  Crash and restart unwinding runs on
-// the fiber's own stack: ProcessCrashed is thrown from the parked sync and
-// caught in the fiber's entry function, no exception ever leaves a fiber,
-// and ~SimEnv resumes every still-parked process with a crash so its locals
-// are destroyed before its stack goes back to the pool.
+// live at once (fiber_stack_stats).
 //
-// finish() abandons each still-parked process the same way: one unwind per
-// process, which the explorer pays on every schedule it prunes.  The park
-// path is kept free of landing pads to keep that cheap: Ctx::sync, park and
-// the register operations hold nothing with a destructor across the park
-// (an OpDesc is trivially copyable; its names are interned handles,
-// runtime/names.h), so the unwinder runs no cleanup between the throw and
-// the catch in fiber_main.
+// A crash unwinds the process on its own stack with one forced unwind
+// (_Unwind_ForcedUnwind, the mechanism glibc uses for thread cancellation)
+// started from the parked sync.  It walks the body's frames once, running
+// every destructor and every handler that catches ProcessCrashed, and
+// stops below the fiber's entry function; the fiber then switches back to
+// the engine for good and its stack goes back to the pool.  A crash-restart
+// re-enters the restart hook on a fresh fiber, the way start() enters a
+// body.  No exception ever leaves a fiber.  kill_process, restart_process,
+// finish() and ~SimEnv all crash this way, so every parked process's
+// locals are destroyed before its stack is reused.
+//
+// finish() abandons each still-parked process with one such unwind, which
+// the explorer pays on every schedule it prunes.  The unwind allocates
+// nothing: each thread reuses one exception object per nesting level.  The
+// park path is kept free of landing pads: Ctx::sync and the register
+// operations hold nothing with a destructor across the park (an OpDesc is
+// trivially copyable; its names are interned handles, runtime/names.h), so
+// the unwinder runs no cleanup between the park and the body's own frames.
 //
 // One rule follows from the switch: a process may not park while an
 // exception is in flight or being handled on its stack (a sync inside a
-// catch block, or in a destructor run by unwinding).  The C++ runtime keeps
-// that state per thread, and switching away would hand it to another
-// context, so such a sync fails with InvariantError instead.
+// catch block, or in a destructor run by unwinding, a crash's included).
+// The C++ runtime keeps that state per thread, and switching away would
+// hand it to another context, so such a sync fails with InvariantError
+// instead.
 //
 // Sanitizers see through the switches.  Under ASan every switch is
 // bracketed with __sanitizer_start_switch_fiber /
@@ -89,6 +97,8 @@
 // __tsan_create_fiber fiber entered with __tsan_switch_to_fiber.  Both are
 // detected from the compiler, not configured.
 #pragma once
+
+#include <cxxabi.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -161,9 +171,14 @@ constexpr bool grants_step(int decision) {
 
 class SimEnv;
 
-/// Thrown inside a process body to unwind it when the fault plan (or engine
-/// shutdown) kills the process.  Process bodies must not swallow it.
-struct ProcessCrashed {};
+/// What unwinds a process body when the fault plan (or engine shutdown)
+/// kills the process: the forced-unwind tag of thread cancellation, so
+/// `catch (const ProcessCrashed&)` and `catch (...)` both see a crash.
+/// Process bodies must not swallow it: a handler that catches a crash must
+/// rethrow it, and one that ends any other way terminates the program.  As
+/// in cancellation, no object is thrown: catch it by reference and do not
+/// read the parameter.
+using ProcessCrashed = abi::__forced_unwind;
 
 /// Per-process handle passed to process bodies and shared objects.
 class Ctx {
@@ -195,7 +210,8 @@ class Ctx {
 
   /// Announces the pending operation and blocks until the scheduler grants
   /// this process its next step.  Called by shared objects at the start of
-  /// every operation.  Throws ProcessCrashed if the process was killed.
+  /// every operation.  Unwinds with ProcessCrashed if the process was
+  /// killed.
   void sync(const OpDesc& desc);
 
   /// Records the result of the operation granted by the last sync(), for the
@@ -384,14 +400,18 @@ class SimEnv {
   /// A user-space context and, for a process, its pooled stack
   /// (sim_env.cc).
   struct Fiber;
+  /// The forced unwind that crashes a parked process (sim_env.cc).
+  struct CrashUnwind;
 
   struct Proc {
     std::unique_ptr<Ctx> ctx;
     std::unique_ptr<Fiber> fiber;  ///< null before launch and once kDone
     State state = State::kCreated;
-    bool crash_requested = false;
-    bool restart_requested = false;   // with crash_requested: unwind + re-enter
+    bool crash_requested = false;     // set while a crash unwinds it
     bool sc_failure_pending = false;  // next SC step fails spuriously
+    /// run_body's canonical frame address: a crash's unwind stops at the
+    /// frame that called it.
+    void* entry_cfa = nullptr;
     int restarts = 0;
     OpDesc pending;
     std::optional<std::int64_t> last_result;
@@ -402,11 +422,14 @@ class SimEnv {
 
   static void fiber_entry() noexcept;  // a new fiber's entry: fiber_main
   void fiber_main(int pid);  // the process's life, on its own fiber
-  // Ctx::sync body: park the calling process and hand control to the engine.
-  void park(int pid, const OpDesc& desc);
+  void run_body(Proc& proc);  // the body or restart hook, for fiber_main
   // Switches into `proc`'s fiber until it parks or finishes; a finished
   // fiber's stack goes back to the pool.
   void resume(Proc& proc);
+  // Runs a process on a fresh fiber up to its first park (or its end).
+  void launch(Proc& proc);
+  // Unwinds a parked process; its fiber is gone when this returns.
+  void crash(Proc& proc);
 
   SimOptions options_;
   Lifecycle lifecycle_ = Lifecycle::kSetup;

@@ -159,11 +159,6 @@ LeaseStats LeaseLedger::stats() const {
   return stats_;
 }
 
-std::vector<ReignRecord> LeaseLedger::reigns() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return reigns_;
-}
-
 std::string LeaseLedger::fingerprint() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<ReignRecord> sorted = reigns_;

@@ -86,7 +86,6 @@ class LeaseLedger {
   std::optional<std::string> check() const;
 
   LeaseStats stats() const;
-  std::vector<ReignRecord> reigns() const;
 
   /// Deterministic serialization for the audit layer's commutation
   /// cross-check: reigns sorted by (start, pid, incarnation) plus the

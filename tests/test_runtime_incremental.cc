@@ -8,6 +8,7 @@
 #include <cfenv>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -442,6 +443,168 @@ TEST(Fibers, DestroyingAnEnvMidRunUnwindsEveryParkedBody) {
   }
   EXPECT_EQ(live, 0);
   EXPECT_EQ(unwound, 3);
+}
+
+/// Runs a two-process system to its end on the calling thread.
+bool fresh_env_runs_clean() {
+  SimEnv env({.record_trace = false});
+  MwmrRegister<int> reg("fresh", 0);
+  env.add_process([&](Ctx& ctx) { reg.write(ctx, 1); });
+  env.add_process([&](Ctx& ctx) { (void)reg.read(ctx); });
+  RoundRobinScheduler scheduler;
+  return env.run(scheduler).clean();
+}
+
+TEST(Fibers, CrashHandlersThatRethrowLeaveTheRuntimeBalanced) {
+  // Every way a parked process is crashed, into bodies that catch the crash
+  // by type or with catch (...) and rethrow, from an engine that is itself
+  // handling an exception.  The C++ runtime's per-thread exception state
+  // must come back exactly as it was, round after round.
+  MwmrRegister<int> reg("r", 0);
+  int live = 0;
+  int handled = 0;
+  const auto by_type = [&](Ctx& ctx) {
+    const LiveCounter local(live);
+    try {
+      for (int v = 0;; ++v) reg.write(ctx, v);
+    } catch (const ProcessCrashed&) {
+      ++handled;
+      throw;
+    }
+  };
+  const auto by_any = [&](Ctx& ctx) {
+    const LiveCounter local(live);
+    try {
+      for (;;) (void)reg.read(ctx);
+    } catch (...) {
+      ++handled;
+      throw;
+    }
+  };
+  for (int round = 0; round < 1000; ++round) {
+    try {
+      throw std::runtime_error("the engine is handling this");
+    } catch (const std::runtime_error&) {
+      SimEnv env({.record_trace = false});
+      env.add_process(by_type, by_type);
+      env.add_process(by_any);
+      env.add_process(by_type);
+      env.add_process(by_any, by_any);
+      env.start();
+      env.restart_process(0);
+      env.kill_process(1);
+      env.restart_process(3);
+      env.step_process(0);
+      env.finish();  // pids 0, 2 and 3
+      ASSERT_EQ(env.snapshot_report().crashed_count(), 4);
+      ASSERT_EQ(env.snapshot_report().restarts_by_pid,
+                (std::vector<int>{1, 0, 0, 1}));
+    }
+    ASSERT_EQ(std::uncaught_exceptions(), 0) << "round " << round;
+    ASSERT_EQ(std::current_exception(), nullptr) << "round " << round;
+    ASSERT_EQ(live, 0) << "round " << round;
+    ASSERT_TRUE(fresh_env_runs_clean()) << "round " << round;
+  }
+  EXPECT_EQ(handled, 6 * 1000);
+}
+
+TEST(Fibers, ACrashHandlerMayCrashTheProcessesOfAnInnerEnv) {
+  // Two crashes in flight on one thread: the outer body's handler finishes
+  // an env it drives, whose bodies catch and rethrow their own crash.
+  MwmrRegister<int> reg("r", 0);
+  int live = 0;
+  int handled = 0;
+  for (int round = 0; round < 100; ++round) {
+    SimEnv outer({.record_trace = false});
+    outer.add_process([&](Ctx& ctx) {
+      SimEnv inner({.record_trace = false});
+      for (int pid = 0; pid < 2; ++pid) {
+        inner.add_process([&](Ctx& inner_ctx) {
+          const LiveCounter local(live);
+          try {
+            for (;;) (void)reg.read(inner_ctx);
+          } catch (const ProcessCrashed&) {
+            ++handled;
+            throw;
+          }
+        });
+      }
+      inner.start();
+      try {
+        reg.write(ctx, 1);
+      } catch (const ProcessCrashed&) {
+        inner.kill_process(0);
+        ++handled;
+        throw;
+      }
+      // ~SimEnv crashes inner pid 1 while the outer crash unwinds.
+    });
+    outer.start();
+    ASSERT_EQ(live, 2);
+    outer.finish();
+    ASSERT_EQ(outer.outcome_of(0), ProcOutcome::kCrashed);
+    ASSERT_EQ(live, 0);
+    ASSERT_EQ(std::uncaught_exceptions(), 0);
+    ASSERT_EQ(std::current_exception(), nullptr);
+    ASSERT_TRUE(fresh_env_runs_clean());
+  }
+  EXPECT_EQ(handled, 3 * 100);
+}
+
+/// A body local whose destructor writes a register: it would park in the
+/// middle of its own process's crash.
+class ParksWhenDestroyed {
+ public:
+  ParksWhenDestroyed(Ctx& ctx, MwmrRegister<int>& reg)
+      : ctx_(&ctx), reg_(&reg) {}
+  ParksWhenDestroyed(const ParksWhenDestroyed&) = delete;
+  ParksWhenDestroyed& operator=(const ParksWhenDestroyed&) = delete;
+  ~ParksWhenDestroyed() { reg_->write(*ctx_, 2); }
+
+ private:
+  Ctx* ctx_;
+  MwmrRegister<int>* reg_;
+};
+
+/// Crashes a process parked with a ParksWhenDestroyed local, through
+/// kill_process or finish().
+void crash_a_parking_destructor(bool by_finish) {
+  SimEnv env;
+  MwmrRegister<int> reg("r", 0);
+  env.add_process([&](Ctx& ctx) {
+    const ParksWhenDestroyed local(ctx, reg);
+    reg.write(ctx, 1);
+  });
+  env.start();
+  if (by_finish) {
+    env.finish();
+  } else {
+    env.kill_process(0);
+  }
+}
+
+TEST(FibersDeathTest, ADestructorMayNotParkWhileItsProcessIsCrashed) {
+  // The C++ runtime does not count a crash's unwind as an exception in
+  // flight, so the park guard has to know about crashes itself.
+  EXPECT_DEATH(crash_a_parking_destructor(false), "may not park");
+  EXPECT_DEATH(crash_a_parking_destructor(true), "may not park");
+}
+
+TEST(FibersDeathTest, ABodyThatSwallowsItsCrashTerminates) {
+  EXPECT_DEATH(
+      {
+        SimEnv env;
+        MwmrRegister<int> reg("r", 0);
+        env.add_process([&](Ctx& ctx) {
+          try {
+            reg.write(ctx, 1);
+          } catch (...) {
+          }
+        });
+        env.start();
+        env.finish();
+      },
+      "swallowed ProcessCrashed");
 }
 
 TEST(Fibers, EnvsSteppedAlternatelyOnOneThreadStayIndependent) {
